@@ -627,7 +627,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .engine import ShardRouter
-    from .service import EmbeddingServer, ServiceConfig, load_snapshot, make_policy
+    from .service import EmbeddingServer, ServiceConfig, make_policy
 
     if args.shards < 1:
         print("dag-sfc serve: --shards must be >= 1", file=sys.stderr)
@@ -698,45 +698,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.snapshot and not args.wal:
         print("dag-sfc serve: --resume requires --snapshot (or --wal)", file=sys.stderr)
         return 2
-    if args.wal and args.resume:
-        # Snapshot + per-shard log replay (the snapshot may be absent or
-        # stale: the logs carry everything acknowledged past it).
+    if args.resume:
+        # Snapshot + optional per-shard log replay (with --wal the snapshot
+        # may be absent or stale: the logs carry everything acknowledged
+        # past it). The snapshot's counter dicts carry the transport keys
+        # alongside the engine's; the leftovers rehydrate them.
         router, leftovers = ShardRouter.restore(
             networks, args.solver, args.snapshot, seed=args.seed, wal_dir=args.wal
         )
+        wal_note = f" + wal {args.wal}" if args.wal else ""
         print(
             f"resumed {router.active_count()} active reservations across "
             f"{len(router)} shard(s) from "
-            f"{args.snapshot or '(no snapshot)'} + wal {args.wal}"
+            f"{args.snapshot or '(no snapshot)'}{wal_note}"
         )
         server_target: Any = router
         server_kwargs = {"transport_counters": leftovers}
         if args.shards == 1:
             server_kwargs["n_vnf_types"] = args.n_vnf_types
     elif args.shards == 1:
-        # Single-network path, unchanged since protocol v1: the snapshot's
-        # counter dict carries the transport keys alongside the engine's.
-        (network,) = networks.values()
-        ledger = counters = None
-        if args.resume:
-            ledger, counters = load_snapshot(args.snapshot, network)
-            print(f"resumed {len(ledger)} active reservations from {args.snapshot}")
-        server_target = network
-        server_kwargs = {
-            "ledger": ledger,
-            "counters": counters,
-            "n_vnf_types": args.n_vnf_types,
-        }
-    elif args.resume:
-        router, leftovers = ShardRouter.restore(
-            networks, args.solver, args.snapshot, seed=args.seed
-        )
-        print(
-            f"resumed {router.active_count()} active reservations across "
-            f"{len(router)} shards from {args.snapshot}"
-        )
-        server_target = router
-        server_kwargs = {"transport_counters": leftovers}
+        (server_target,) = networks.values()
+        server_kwargs = {"n_vnf_types": args.n_vnf_types}
     else:
         server_target = networks
 

@@ -48,11 +48,8 @@ from .router import DEFAULT_NETWORK_ID, ShardRouter, advertised_vnf_types
 from .state_store import (
     SHARDED_SNAPSHOT_KIND,
     SNAPSHOT_KIND,
-    load_sharded_snapshot,
     load_snapshot,
     network_fingerprint,
-    save_sharded_snapshot,
-    save_snapshot,
 )
 from .worker import solve_on_view
 
@@ -80,9 +77,6 @@ __all__ = [
     "SHARDED_SNAPSHOT_KIND",
     "network_fingerprint",
     "load_snapshot",
-    "save_snapshot",
-    "load_sharded_snapshot",
-    "save_sharded_snapshot",
     "solve_on_view",
     "StandbyEngine",
     "WalRecord",

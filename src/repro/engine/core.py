@@ -3,9 +3,9 @@
 One :class:`EmbeddingEngine` owns the *authoritative* state of one
 substrate network — the residual capacity (via the shared
 :class:`~repro.network.reservations.ReservationLedger`), the live
-:class:`~repro.faults.model.FaultState`, and the
-:class:`~repro.faults.repair.RepairEngine` that walks damaged requests down
-the reroute → re-embed → evict ladder — and exposes the full admission
+:class:`~repro.faults.model.FaultState`, the tracked embeddings, and the
+:class:`~repro.faults.repair.RepairEngine` that plans damaged requests' way
+down the reroute → re-embed → evict ladder — and exposes the full admission
 lifecycle as plain synchronous methods:
 
 * :meth:`view` — the residual network solves run on (degraded under
@@ -24,6 +24,11 @@ lifecycle as plain synchronous methods:
   reserve-new as one ledger effect with apply-time re-validation, rolled
   back cleanly on conflict and logged as one ``migrate`` WAL record.
 
+Every mutator follows one effect path: validate, build a frozen effect value
+(:mod:`repro.wal.records`), fold it in through :meth:`_apply`, then append
+it to the write-ahead log. WAL replay decodes a record and calls the same
+:meth:`_apply`, so a replayed engine equals the live one by construction.
+
 Everything here is synchronous and transport-free by design: the asyncio
 server (:mod:`repro.service.server`) and the offline simulator
 (:mod:`repro.sim.online`) are both thin drivers over this one code path, so
@@ -40,10 +45,17 @@ import os
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
+from ..constraints.base import ConstraintSet
 from ..embedding.base import Embedder, EmbeddingResult
-from ..exceptions import CapacityError, ConfigurationError, LedgerError, WalError
+from ..exceptions import (
+    CapacityError,
+    ConfigurationError,
+    LedgerError,
+    SnapshotError,
+    WalError,
+)
 from ..faults.model import FaultAction, FaultEvent, FaultState, degrade_network
-from ..faults.repair import RepairAction, RepairEngine, RepairOutcome
+from ..faults.repair import EmbeddedRequest, RepairAction, RepairEngine, RepairOutcome
 from ..network.cloud import CloudNetwork
 from ..network.reservations import Reservation, ReservationLedger
 from ..network.state import ResidualState
@@ -183,11 +195,15 @@ class EmbeddingEngine:
                     self.counters[key] = (
                         float(value) if key in FLOAT_COUNTER_KEYS else int(value)
                     )
-        # The repair ladder re-embeds in-process (a transport's dispatcher is
-        # the sole writer, so repairs cannot overlap a pooled solve commit).
-        self._repair = RepairEngine(self.ledger, self.solver)
-        # decision_index and dispatched advance in lockstep, so a restored
-        # engine continues the decision sequence instead of restarting it.
+        self._faults = FaultState()
+        self._tracked: dict[int, EmbeddedRequest] = {}
+        # The repair ladder plans in-process on read-only views of this
+        # state (a transport's dispatcher is the sole writer, so repairs
+        # cannot overlap a pooled solve commit); _apply applies its effects.
+        self._repair = RepairEngine(self.ledger, self.solver, self._faults, self._tracked)
+        # decision_index and dispatched advance in lockstep, so an engine
+        # restored from a ledger-only snapshot continues the decision
+        # sequence instead of restarting it.
         self._decision_counter = int(self.counters["dispatched"])
         self._fault_counter = 0
         # Migrate-transaction counters live outside ``counters`` so the
@@ -214,7 +230,7 @@ class EmbeddingEngine:
     @property
     def faults(self) -> FaultState:
         """The live fault state (pristine unless :meth:`apply_fault` was used)."""
-        return self._repair.faults
+        return self._faults
 
     @property
     def repair_engine(self) -> RepairEngine:
@@ -224,7 +240,7 @@ class EmbeddingEngine:
     @property
     def degraded(self) -> bool:
         """True while any substrate element is dead."""
-        return self._repair.faults.any_dead
+        return self._faults.any_dead
 
     def is_active(self, request_id: int) -> bool:
         """True while ``request_id`` holds resources."""
@@ -252,8 +268,8 @@ class EmbeddingEngine:
         state machine without the fault subsystem.
         """
         network = self.ledger.state.to_network()
-        if self._repair.faults.any_dead:
-            network = degrade_network(network, self._repair.faults)
+        if self._faults.any_dead:
+            network = degrade_network(network, self._faults)
         return network
 
     def solve_seed(self, request: EmbeddingRequest) -> int:
@@ -287,7 +303,7 @@ class EmbeddingEngine:
             constraints=request.constraints,
         )
 
-    # -- decisions (sole state mutators) ----------------------------------------------
+    # -- decisions (validate → build → apply → append) ---------------------------------
 
     def commit(self, request: EmbeddingRequest, result: EmbeddingResult) -> Decision:
         """Apply one solve outcome to the authoritative state (sync, atomic).
@@ -297,21 +313,39 @@ class EmbeddingEngine:
         comes back as a ``capacity_conflict`` rejection instead of corrupting
         the residual state.
         """
-        decision_index = self._decision_counter
-        self._decision_counter += 1
-        self.counters["dispatched"] += 1
-        if not result.success:
-            self.counters["rejected_no_solution"] += 1
-            decision = Decision(
-                request_id=request.request_id,
-                msg_id=request.msg_id,
-                accepted=False,
-                decision_index=decision_index,
-                code="no_solution",
-                reason=result.reason or "no feasible embedding",
+        effect = self._decide(request, result)
+        try:
+            self._apply(effect)
+        except CapacityError as exc:
+            # Only reachable with stale views (speculative batches): an
+            # earlier commit consumed the capacity this solve assumed.
+            effect = self._rejection(
+                request, effect.decision_index, "capacity_conflict", str(exc)
             )
-            self._log_commit(request, decision, None, None)
-            return decision
+            self._apply(effect)
+        self._append(effect)
+        return Decision(
+            request_id=effect.request_id,
+            msg_id=effect.msg_id,
+            accepted=effect.accepted,
+            decision_index=effect.decision_index,
+            code=effect.code,
+            reason=effect.reason,
+            total_cost=effect.total_cost,
+            vnf_cost=effect.vnf_cost,
+            link_cost=effect.link_cost,
+            runtime=result.runtime if effect.accepted else None,
+            commit_index=effect.commit_index,
+        )
+
+    def _decide(
+        self, request: EmbeddingRequest, result: EmbeddingResult
+    ) -> wal_records.CommitEffect:
+        index = self._decision_counter
+        if not result.success:
+            return self._rejection(
+                request, index, "no_solution", result.reason or "no feasible embedding"
+            )
         assert result.cost is not None
         if request.constraints and result.embedding is not None:
             # Commit-time re-validation: a speculative solve (or a buggy
@@ -321,63 +355,45 @@ class EmbeddingEngine:
                 self.view(), result.embedding, request.flow
             )
             if violation is not None:
-                self.counters["rejected_no_solution"] += 1
-                decision = Decision(
-                    request_id=request.request_id,
-                    msg_id=request.msg_id,
-                    accepted=False,
-                    decision_index=decision_index,
-                    code="constraint_violation",
-                    reason=f"{violation.constraint}: {violation}",
+                return self._rejection(
+                    request,
+                    index,
+                    "constraint_violation",
+                    f"{violation.constraint}: {violation}",
                 )
-                self._log_commit(request, decision, None, None)
-                return decision
-        reservation = Reservation.from_counts(
-            result.cost.alpha_vnf,
-            result.cost.alpha_link,
-            rate=request.flow.rate,
-            cost=result.total_cost,
-        )
-        try:
-            self.ledger.reserve(request.request_id, reservation)
-        except CapacityError as exc:
-            # Only reachable with stale views (speculative batches): an
-            # earlier commit consumed the capacity this solve assumed.
-            self.counters["rejected_conflict"] += 1
-            decision = Decision(
-                request_id=request.request_id,
-                msg_id=request.msg_id,
-                accepted=False,
-                decision_index=decision_index,
-                code="capacity_conflict",
-                reason=str(exc),
-            )
-            self._log_commit(request, decision, None, None)
-            return decision
-        if result.embedding is not None:
-            # Remembered for the repair ladder; dropped again on release.
-            self._repair.track(
-                request.request_id,
-                result.embedding,
-                request.flow,
-                result.total_cost,
-                constraints=request.constraints,
-            )
-        self.counters["accepted"] += 1
-        self.counters["total_cost_accepted"] += result.total_cost
-        decision = Decision(
+        return wal_records.CommitEffect(
             request_id=request.request_id,
             msg_id=request.msg_id,
+            decision_index=index,
+            flow=request.flow,
             accepted=True,
-            decision_index=decision_index,
             total_cost=result.total_cost,
             vnf_cost=result.cost.vnf_cost,
             link_cost=result.cost.link_cost,
-            runtime=result.runtime,
-            commit_index=int(self.counters["accepted"]) - 1,
+            commit_index=int(self.counters["accepted"]),
+            reservation=Reservation.from_counts(
+                result.cost.alpha_vnf,
+                result.cost.alpha_link,
+                rate=request.flow.rate,
+                cost=result.total_cost,
+            ),
+            embedding=result.embedding,
+            constraints=request.constraints,
         )
-        self._log_commit(request, decision, reservation, result.embedding)
-        return decision
+
+    @staticmethod
+    def _rejection(
+        request: EmbeddingRequest, index: int, code: str, reason: str
+    ) -> wal_records.CommitEffect:
+        return wal_records.CommitEffect(
+            request_id=request.request_id,
+            msg_id=request.msg_id,
+            decision_index=index,
+            flow=request.flow,
+            code=code,
+            reason=reason,
+            constraints=request.constraints,
+        )
 
     def submit(self, request: EmbeddingRequest, rng: RngStream = None) -> EmbeddingResult:
         """Solve-and-commit one request on the current residual view.
@@ -420,14 +436,13 @@ class EmbeddingEngine:
     def release(self, request_id: int) -> None:
         """Return all resources held by an accepted request.
 
-        Raises :class:`~repro.exceptions.ConfigurationError` when the id is
-        not active (transports translate that into a structured reply).
+        Raises :class:`~repro.exceptions.LedgerError` (a
+        :class:`~repro.exceptions.ConfigurationError`) when the id is not
+        active; transports translate that into a structured reply.
         """
-        self.ledger.release(request_id)
-        self._repair.forget(request_id)
-        self.counters["departed"] += 1
-        if self._wal is not None:
-            self._wal_append(wal_records.RELEASE, wal_records.release_payload(request_id))
+        effect = wal_records.ReleaseEffect(request_id)
+        self._apply(effect)
+        self._append(effect)
 
     def migrate(self, request_id: int, result: EmbeddingResult) -> Migration:
         """Atomically swap an active request onto a re-planned embedding.
@@ -436,36 +451,30 @@ class EmbeddingEngine:
         by apply time the substrate may have changed, so this transaction
         re-validates through the ledger's all-or-nothing reserve:
         release-old + reserve-new happen as one effect, and a capacity
-        conflict re-reserves the just-freed old reservation (guaranteed to
-        fit) and reports ``capacity_conflict`` — the ledger is never left
-        between states. Applied moves log one fingerprint-chained
-        ``migrate`` WAL record; rolled-back conflicts mutate nothing and
-        log nothing.
+        conflict re-reserves the just-freed old reservation and reports
+        ``capacity_conflict`` — the ledger is never left between states.
+        Applied moves log one ``migrate`` WAL record; rolled-back conflicts
+        change no state, log nothing and only count
+        ``migrations_conflicted``.
         """
+
+        def refused(code: str, reason: str, old: float = 0.0, new: float = 0.0) -> Migration:
+            return Migration(request_id, False, old, new, code=code, reason=reason)
+
         if not self.ledger.is_active(request_id):
             # The request departed between plan and apply.
-            return Migration(
-                request_id=request_id,
-                applied=False,
-                old_cost=0.0,
-                new_cost=0.0,
-                code="departed",
-                reason=f"request {request_id} no longer holds resources",
-            )
-        tracked = self._repair.tracked(request_id)
+            return refused("departed", f"request {request_id} no longer holds resources")
+        tracked = self._tracked.get(request_id)
         if (
             not result.success
             or result.cost is None
             or result.embedding is None
             or tracked is None
         ):
-            return Migration(
-                request_id=request_id,
-                applied=False,
-                old_cost=tracked.cost if tracked is not None else 0.0,
-                new_cost=0.0,
-                code="no_solution",
-                reason=result.reason or "planned move carries no embedding",
+            return refused(
+                "no_solution",
+                result.reason or "planned move carries no embedding",
+                old=tracked.cost if tracked is not None else 0.0,
             )
         if tracked.constraints:
             # The move must keep honoring the rules the request was admitted
@@ -474,65 +483,37 @@ class EmbeddingEngine:
                 self.view(), result.embedding, tracked.flow
             )
             if violation is not None:
-                return Migration(
-                    request_id=request_id,
-                    applied=False,
-                    old_cost=tracked.cost,
-                    new_cost=result.total_cost,
-                    code="constraint_violation",
-                    reason=f"{violation.constraint}: {violation}",
+                return refused(
+                    "constraint_violation",
+                    f"{violation.constraint}: {violation}",
+                    old=tracked.cost,
+                    new=result.total_cost,
                 )
-        old = self.ledger.release(request_id)
-        replacement = Reservation.from_counts(
-            result.cost.alpha_vnf,
-            result.cost.alpha_link,
-            rate=tracked.flow.rate,
-            cost=result.total_cost,
-        )
-        try:
-            self.ledger.reserve(request_id, replacement)
-        except CapacityError as exc:
-            # Conflict with state committed since the plan's view: restore
-            # the old reservation — it just vacated these exact resources,
-            # so re-reserving it cannot fail.
-            self.ledger.reserve(request_id, old)
-            self.rebalance_counters["migrations_conflicted"] += 1
-            return Migration(
-                request_id=request_id,
-                applied=False,
-                old_cost=old.cost,
-                new_cost=result.total_cost,
-                code="capacity_conflict",
-                reason=str(exc),
-            )
-        self._repair.track(
-            request_id,
-            result.embedding,
-            tracked.flow,
-            result.total_cost,
+        effect = wal_records.MigrateEffect(
+            request_id=request_id,
+            old_cost=self.ledger.reservation(request_id).cost,
+            new_cost=result.total_cost,
+            flow=tracked.flow,
+            reservation=Reservation.from_counts(
+                result.cost.alpha_vnf,
+                result.cost.alpha_link,
+                rate=tracked.flow.rate,
+                cost=result.total_cost,
+            ),
+            embedding=result.embedding,
             constraints=tracked.constraints,
         )
-        self.rebalance_counters["migrations_applied"] += 1
-        self.rebalance_counters["cost_recovered"] += old.cost - result.total_cost
-        if self._wal is not None:
-            self._wal_append(
-                wal_records.MIGRATE,
-                wal_records.migrate_payload(
-                    request_id=request_id,
-                    old_cost=old.cost,
-                    new_cost=result.total_cost,
-                    flow=tracked.flow,
-                    reservation=replacement,
-                    embedding=result.embedding,
-                    constraints=tracked.constraints,
-                ),
+        try:
+            self._apply(effect)
+        except CapacityError as exc:
+            # A conflict is not an effect: nothing changed and nothing is
+            # logged, so only the live engine counts it.
+            self.rebalance_counters["migrations_conflicted"] += 1
+            return refused(
+                "capacity_conflict", str(exc), old=effect.old_cost, new=effect.new_cost
             )
-        return Migration(
-            request_id=request_id,
-            applied=True,
-            old_cost=old.cost,
-            new_cost=result.total_cost,
-        )
+        self._append(effect)
+        return Migration(request_id, True, effect.old_cost, effect.new_cost)
 
     # -- faults ---------------------------------------------------------------------
 
@@ -549,34 +530,32 @@ class EmbeddingEngine:
         the affected requests; recoveries just restore visibility (a later
         arrival sees the element again). With ``auto_seed`` the repair
         solves draw from the engine's own chaos stream (one seed per
-        effective failure); otherwise ``rng`` is used verbatim.
+        effective failure); otherwise ``rng`` is used verbatim. Only
+        *effective* events are applied and logged — no-ops mutate nothing.
         """
-        changed = self._repair.faults.apply(event)
-        if event.action is FaultAction.RECOVER:
-            if changed:
-                self.counters["recoveries"] += 1
-                if self._wal is not None:
-                    self._wal_append(
-                        wal_records.FAULT,
-                        wal_records.fault_payload(event, auto_seed=False),
-                    )
+        if not self._faults.changes(event):
             return []
-        if not changed:
-            return []
-        self.counters["faults_injected"] += 1
-        if auto_seed:
+        failure = event.action is FaultAction.FAIL
+        if failure and auto_seed:
             rng = trial_seed(self.seed, self._fault_counter, salt=_CHAOS_SEED_SALT)
-            self._fault_counter += 1
-        if self._wal is not None:
-            # Only *effective* events are logged (no-op events mutate nothing),
-            # with the auto_seed flag so replay advances the chaos stream too.
-            self._wal_append(
-                wal_records.FAULT, wal_records.fault_payload(event, auto_seed=auto_seed)
-            )
-        outcomes = self._repair.repair_affected(rng=rng)
-        for outcome in outcomes:
-            self._account_repair(outcome)
-            self._log_repair(outcome)
+        # The auto_seed flag is logged so replay advances the chaos stream.
+        effect = wal_records.FaultEffect(event, auto_seed=failure and auto_seed)
+        self._apply(effect)
+        self._append(effect)
+        if not failure:
+            return []
+        nodes, links, instances = self._faults.dead_sets()
+        outcomes: list[RepairOutcome] = []
+        for request_id in self.ledger.affected_by(
+            nodes=nodes, links=links, instances=instances
+        ):
+            # Planned and applied one at a time: each plan sees the
+            # previous repair's reservation.
+            repair = self._repair.plan(request_id, rng)
+            if repair is not None:
+                self._apply(repair)
+                self._append(repair)
+                outcomes.append(repair.outcome)
         return outcomes
 
     # -- write-ahead log --------------------------------------------------------------
@@ -667,61 +646,11 @@ class EmbeddingEngine:
         """Declare the log position this engine's state already reflects."""
         self._applied_wal_seq = max(self._applied_wal_seq, int(seq))
 
-    def _wal_append(self, record_type: str, payload: dict[str, Any]) -> None:
-        assert self._wal is not None
-        self._applied_wal_seq = self._wal.append_record(record_type, payload)
-
-    def _log_commit(
-        self,
-        request: EmbeddingRequest,
-        decision: Decision,
-        reservation: Reservation | None,
-        embedding: Any,
-    ) -> None:
-        if self._wal is None:
-            return
-        self._wal_append(
-            wal_records.COMMIT,
-            wal_records.commit_payload(
-                request_id=decision.request_id,
-                msg_id=decision.msg_id,
-                accepted=decision.accepted,
-                decision_index=decision.decision_index,
-                code=decision.code,
-                reason=decision.reason,
-                total_cost=decision.total_cost,
-                vnf_cost=decision.vnf_cost,
-                link_cost=decision.link_cost,
-                commit_index=decision.commit_index,
-                flow=request.flow,
-                reservation=reservation,
-                embedding=embedding,
-                constraints=request.constraints,
-            ),
-        )
-
-    def _log_repair(self, outcome: RepairOutcome) -> None:
-        if self._wal is None:
-            return
-        reservation = embedding = flow = None
-        constraints = None
-        if outcome.survived:
-            reservation = self.ledger.reservation(outcome.request_id)
-            tracked = self._repair.tracked(outcome.request_id)
-            if tracked is not None:
-                embedding = tracked.embedding
-                flow = tracked.flow
-                constraints = tracked.constraints
-        self._wal_append(
-            wal_records.REPAIR,
-            wal_records.repair_payload(
-                outcome,
-                reservation=reservation,
-                embedding=embedding,
-                flow=flow,
-                constraints=constraints,
-            ),
-        )
+    def _append(self, effect: wal_records.Effect) -> None:
+        if self._wal is not None:
+            self._applied_wal_seq = self._wal.append_record(
+                effect.type, effect.to_payload()
+            )
 
     def apply_wal_record(self, record: WalRecord) -> None:
         """Re-apply one logged state transition (deterministic replay).
@@ -730,124 +659,17 @@ class EmbeddingEngine:
         be applied to the current state — the log and the starting state
         (snapshot) do not belong together.
         """
-        payload = record.payload
         if record.type == wal_records.HEADER:
-            wal_records.check_header(payload, network_fingerprint=self.fingerprint)
-        elif record.type == wal_records.COMMIT:
-            self._replay_commit(payload, record.seq)
-        elif record.type == wal_records.RELEASE:
-            self._replay_release(payload, record.seq)
-        elif record.type == wal_records.FAULT:
-            self._replay_fault(payload, record.seq)
-        elif record.type == wal_records.REPAIR:
-            self._replay_repair(payload, record.seq)
-        elif record.type == wal_records.MIGRATE:
-            self._replay_migrate(payload, record.seq)
+            wal_records.check_header(record.payload, network_fingerprint=self.fingerprint)
         else:
-            raise WalError(f"unknown WAL record type {record.type!r} at seq {record.seq}")
-        self._applied_wal_seq = record.seq
-
-    def _replay_commit(self, payload: Mapping[str, Any], seq: int) -> None:
-        self._decision_counter = int(payload["decision_index"]) + 1
-        self.counters["dispatched"] += 1
-        if not payload["accepted"]:
-            if payload.get("code") == "capacity_conflict":
-                self.counters["rejected_conflict"] += 1
-            else:
-                self.counters["rejected_no_solution"] += 1
-            return
-        if payload["reservation"] is None:
-            raise WalError(f"accepted commit at seq {seq} carries no reservation")
-        request_id = int(payload["request_id"])
-        reservation = wal_records.reservation_from_payload(payload["reservation"])
-        try:
-            self.ledger.reserve(request_id, reservation)
-        except (CapacityError, LedgerError) as exc:
-            raise WalError(f"replaying commit at seq {seq} diverged: {exc}") from exc
-        if payload["embedding"] is not None:
-            self._repair.track(
-                request_id,
-                wal_records.embedding_from_payload(payload["embedding"]),
-                wal_records.flow_from_payload(payload["flow"]),
-                float(payload["total_cost"]),
-                constraints=wal_records.constraints_from_payload(payload),
-            )
-        self.counters["accepted"] += 1
-        self.counters["total_cost_accepted"] += float(payload["total_cost"])
-
-    def _replay_release(self, payload: Mapping[str, Any], seq: int) -> None:
-        request_id = int(payload["request_id"])
-        try:
-            self.ledger.release(request_id)
-        except LedgerError as exc:
-            raise WalError(f"replaying release at seq {seq} diverged: {exc}") from exc
-        self._repair.forget(request_id)
-        self.counters["departed"] += 1
-
-    def _replay_fault(self, payload: Mapping[str, Any], seq: int) -> None:
-        event = wal_records.fault_event_from_payload(payload)
-        changed = self._repair.faults.apply(event)
-        if not changed:
-            raise WalError(f"fault record at seq {seq} had no effect on replay")
-        if event.action is FaultAction.RECOVER:
-            self.counters["recoveries"] += 1
-            return
-        self.counters["faults_injected"] += 1
-        if bool(payload.get("auto_seed")):
-            self._fault_counter += 1
-
-    def _replay_repair(self, payload: Mapping[str, Any], seq: int) -> None:
-        outcome = wal_records.repair_outcome_from_payload(payload)
-        try:
-            self.ledger.release(outcome.request_id)
-        except LedgerError as exc:
-            raise WalError(f"replaying repair at seq {seq} diverged: {exc}") from exc
-        self._repair.forget(outcome.request_id)
-        if payload["reservation"] is not None:
-            reservation = wal_records.reservation_from_payload(payload["reservation"])
             try:
-                self.ledger.reserve(outcome.request_id, reservation)
-            except (CapacityError, LedgerError) as exc:
+                self._apply(wal_records.decode_effect(record.type, record.payload))
+            except (CapacityError, LedgerError, WalError) as exc:
                 raise WalError(
-                    f"replaying repair at seq {seq} diverged: {exc}"
+                    f"replaying the {record.type} record at seq {record.seq} "
+                    f"diverged: {exc}"
                 ) from exc
-            if payload["embedding"] is not None and payload["flow"] is not None:
-                self._repair.track(
-                    outcome.request_id,
-                    wal_records.embedding_from_payload(payload["embedding"]),
-                    wal_records.flow_from_payload(payload["flow"]),
-                    outcome.new_cost,
-                    constraints=wal_records.constraints_from_payload(payload),
-                )
-        self._account_repair(outcome)
-
-    def _replay_migrate(self, payload: Mapping[str, Any], seq: int) -> None:
-        # Only *applied* moves are logged, so replay is unconditional:
-        # atomic release-old + reserve-new on the same id, like live apply.
-        try:
-            request_id = int(payload["request_id"])
-            old_cost = float(payload["old_cost"])
-            new_cost = float(payload["new_cost"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WalError(f"malformed migrate record at seq {seq}: {exc}") from None
-        try:
-            self.ledger.release(request_id)
-        except LedgerError as exc:
-            raise WalError(f"replaying migrate at seq {seq} diverged: {exc}") from exc
-        reservation = wal_records.reservation_from_payload(payload["reservation"])
-        try:
-            self.ledger.reserve(request_id, reservation)
-        except (CapacityError, LedgerError) as exc:
-            raise WalError(f"replaying migrate at seq {seq} diverged: {exc}") from exc
-        self._repair.track(
-            request_id,
-            wal_records.embedding_from_payload(payload["embedding"]),
-            wal_records.flow_from_payload(payload["flow"]),
-            new_cost,
-            constraints=wal_records.constraints_from_payload(payload),
-        )
-        self.rebalance_counters["migrations_applied"] += 1
-        self.rebalance_counters["cost_recovered"] += old_cost - new_cost
+        self._applied_wal_seq = record.seq
 
     def replay_wal(self, path: str, *, after_seq: int = 0) -> int:
         """Replay every record past ``after_seq`` from the log at ``path``.
@@ -877,16 +699,93 @@ class EmbeddingEngine:
         self._applied_wal_seq = max(self._applied_wal_seq, last_seq)
         return applied
 
-    def _account_repair(self, outcome: RepairOutcome) -> None:
-        if outcome.action is RepairAction.REROUTED:
-            self.counters["repairs_rerouted"] += 1
-            self.counters["repair_cost_delta"] += outcome.cost_delta
-        elif outcome.action is RepairAction.RE_EMBEDDED:
-            self.counters["repairs_reembedded"] += 1
-            self.counters["repair_cost_delta"] += outcome.cost_delta
+    # -- the effect path ------------------------------------------------------------
+
+    def _apply(self, effect: wal_records.Effect) -> None:
+        """Fold one effect into the engine state — the sole state mutator.
+
+        Every live mutator and WAL replay end here, so a replayed engine
+        equals the live one by construction. An effect that does not fit
+        the current state raises (:class:`CapacityError`,
+        :class:`LedgerError`, or :class:`WalError` for a no-op fault)
+        before anything is mutated.
+        """
+        if isinstance(effect, wal_records.CommitEffect):
+            if effect.accepted:
+                assert effect.reservation is not None and effect.total_cost is not None
+                self.ledger.reserve(effect.request_id, effect.reservation)
+            # decision_index and dispatched advance in lockstep.
+            self._decision_counter = effect.decision_index + 1
+            self.counters["dispatched"] += 1
+            if not effect.accepted:
+                if effect.code == "capacity_conflict":
+                    self.counters["rejected_conflict"] += 1
+                else:
+                    self.counters["rejected_no_solution"] += 1
+                return
+            if effect.embedding is not None:
+                self._track(effect.request_id, effect, effect.total_cost)
+            self.counters["accepted"] += 1
+            self.counters["total_cost_accepted"] += effect.total_cost
+        elif isinstance(effect, wal_records.ReleaseEffect):
+            self.ledger.release(effect.request_id)
+            self._tracked.pop(effect.request_id, None)
+            self.counters["departed"] += 1
+        elif isinstance(effect, wal_records.FaultEffect):
+            if not self._faults.apply(effect.event):
+                raise WalError("the fault event changes no element's liveness")
+            if effect.event.action is FaultAction.RECOVER:
+                self.counters["recoveries"] += 1
+            else:
+                self.counters["faults_injected"] += 1
+                self._fault_counter += int(effect.auto_seed)
+        elif isinstance(effect, wal_records.RepairEffect):
+            outcome = effect.outcome
+            if effect.reservation is None:
+                self.ledger.release(outcome.request_id)
+            else:
+                self._swap(outcome.request_id, effect.reservation)
+            self._tracked.pop(outcome.request_id, None)
+            if effect.reservation is not None and effect.embedding is not None:
+                self._track(outcome.request_id, effect, outcome.new_cost)
+            if outcome.action is RepairAction.REROUTED:
+                self.counters["repairs_rerouted"] += 1
+                self.counters["repair_cost_delta"] += outcome.cost_delta
+            elif outcome.action is RepairAction.RE_EMBEDDED:
+                self.counters["repairs_reembedded"] += 1
+                self.counters["repair_cost_delta"] += outcome.cost_delta
+            else:
+                self.counters["evictions"] += 1
+            self._repair_times.append(outcome.duration)
         else:
-            self.counters["evictions"] += 1
-        self._repair_times.append(outcome.duration)
+            self._swap(effect.request_id, effect.reservation)
+            self._track(effect.request_id, effect, effect.new_cost)
+            self.rebalance_counters["migrations_applied"] += 1
+            self.rebalance_counters["cost_recovered"] += effect.old_cost - effect.new_cost
+
+    def _swap(self, request_id: int, reservation: Reservation) -> None:
+        """Release-old + reserve-new as one step, or raise with nothing changed.
+
+        On a capacity conflict the old reservation is re-reserved — it just
+        vacated these exact resources, so that cannot fail.
+        """
+        old = self.ledger.release(request_id)
+        try:
+            self.ledger.reserve(request_id, reservation)
+        except CapacityError:
+            self.ledger.reserve(request_id, old)
+            raise
+
+    def _track(self, request_id: int, effect: Any, cost: float) -> None:
+        """Remember an effect's embedding for the repair ladder and the
+        rebalancer (dropped again on release or eviction)."""
+        self._tracked[request_id] = EmbeddedRequest(
+            request_id=request_id,
+            embedding=effect.embedding,
+            flow=effect.flow,
+            cost=cost,
+            constraints=ConstraintSet.coerce(effect.constraints),
+        )
 
     # -- telemetry and durability ------------------------------------------------------
 
@@ -894,7 +793,7 @@ class EmbeddingEngine:
         """The engine-level stats body (counters + live gauges)."""
         accepted = self.counters["accepted"]
         dispatched = self.counters["dispatched"]
-        dead_nodes, dead_links, dead_instances = self._repair.faults.dead_sets()
+        dead_nodes, dead_links, dead_instances = self._faults.dead_sets()
         times = sorted(self._repair_times)
         return {
             "counters": {key: self.counters[key] for key in ENGINE_COUNTER_KEYS},
@@ -908,7 +807,7 @@ class EmbeddingEngine:
                 "dead_nodes": len(dead_nodes),
                 "dead_links": len(dead_links),
                 "dead_instances": len(dead_instances),
-                "tracked_embeddings": self._repair.tracked_count(),
+                "tracked_embeddings": len(self._tracked),
                 "repair_time_s": (
                     {
                         "p50": percentile(times, 0.50),
@@ -928,11 +827,37 @@ class EmbeddingEngine:
     def snapshot_doc(
         self, *, extra_counters: Mapping[str, float] | None = None
     ) -> dict[str, Any]:
-        """The versioned snapshot document (engine + transport counters)."""
+        """The versioned snapshot document (engine + transport counters).
+
+        Besides the ledger it carries every piece of state replay depends
+        on — tracked embeddings (in the commit record's codecs), the dead
+        element sets, the decision and fault sequence counters and the
+        rebalance counters — so a restored engine is the engine that wrote
+        it, not just its reservations.
+        """
         counters: dict[str, float] = dict(extra_counters or {})
         counters.update(self.counters)
+        dead_nodes, dead_links, dead_instances = self._faults.dead_sets()
         return state_store.snapshot_to_dict(
-            self.ledger, counters=counters, wal=self.wal_position()
+            self.ledger,
+            counters=counters,
+            wal=self.wal_position(),
+            engine={
+                "tracked": [
+                    wal_records.tracked_to_payload(entry)
+                    for _, entry in sorted(self._tracked.items())
+                ],
+                "faults": {
+                    "dead_nodes": sorted(dead_nodes),
+                    "dead_links": sorted(dead_links),
+                    "dead_instances": sorted(dead_instances),
+                },
+                "sequence": {
+                    "decision": self._decision_counter,
+                    "fault": self._fault_counter,
+                },
+                "rebalance_counters": dict(self.rebalance_counters),
+            },
         )
 
     def save_snapshot(
@@ -943,11 +868,65 @@ class EmbeddingEngine:
         With a WAL attached the document embeds the (synced) log position,
         so a later restore replays only records past the snapshot.
         """
-        counters: dict[str, float] = dict(extra_counters or {})
-        counters.update(self.counters)
-        state_store.save_snapshot(
-            path, self.ledger, counters=counters, wal=self.wal_position()
-        )
+        state_store.write_document(path, self.snapshot_doc(extra_counters=extra_counters))
+
+    @classmethod
+    def from_snapshot(
+        cls,
+        network: CloudNetwork,
+        solver: Embedder | str,
+        doc: Mapping[str, Any] | None,
+        *,
+        seed: int = 0,
+    ) -> tuple["EmbeddingEngine", dict[str, float]]:
+        """Build an engine from one ``service-state`` (sub)document.
+
+        The single snapshot loader behind :meth:`restore`,
+        :meth:`~repro.engine.router.ShardRouter.restore` and
+        :class:`~repro.wal.standby.StandbyEngine`; ``doc=None`` yields a
+        fresh engine. Documents written before the engine-state keys
+        existed restore as before: nothing tracked, a pristine substrate,
+        and the decision sequence continued from ``dispatched``. Returns
+        the engine plus the leftover (transport-level) counters.
+        """
+        if doc is None:
+            return cls(network, solver, seed=seed), {}
+        ledger, counters = state_store.ledger_from_dict(doc, network)
+        engine = cls(network, solver, seed=seed, ledger=ledger, counters=counters)
+        try:
+            for payload in doc.get("tracked", ()):
+                entry = wal_records.tracked_from_payload(payload)
+                if not ledger.is_active(entry.request_id):
+                    raise SnapshotError(
+                        f"snapshot tracks request {entry.request_id}, which "
+                        "holds no reservation"
+                    )
+                engine._tracked[entry.request_id] = entry
+            dead = doc.get("faults", {})
+            engine._faults.dead_nodes.update(int(n) for n in dead.get("dead_nodes", ()))
+            engine._faults.dead_links.update(
+                (int(u), int(v)) for u, v in dead.get("dead_links", ())
+            )
+            engine._faults.dead_instances.update(
+                (int(n), int(t)) for n, t in dead.get("dead_instances", ())
+            )
+            sequence = doc.get("sequence", {})
+            engine._decision_counter = int(
+                sequence.get("decision", engine._decision_counter)
+            )
+            engine._fault_counter = int(sequence.get("fault", 0))
+            for key, value in doc.get("rebalance_counters", {}).items():
+                if key in engine.rebalance_counters:
+                    engine.rebalance_counters[key] = (
+                        float(value) if key == "cost_recovered" else int(value)
+                    )
+        except (WalError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SnapshotError(f"malformed snapshot engine state: {exc}") from None
+        engine.note_wal_position(state_store.wal_position_of(doc))
+        leftover = {
+            key: value for key, value in counters.items() if key not in engine.counters
+        }
+        return engine, leftover
 
     @classmethod
     def restore(
@@ -970,27 +949,14 @@ class EmbeddingEngine:
         Returns the engine plus the leftover (transport-level) counters the
         snapshot carried, so a server can rehydrate its shed statistics.
         """
-        counters: dict[str, float] = {}
-        after_seq = 0
-        have_snapshot = path is not None and (
-            wal_path is None or os.path.exists(path)
-        )
-        if have_snapshot:
-            assert path is not None
+        doc = None
+        if path is not None and (wal_path is None or os.path.exists(path)):
             doc = state_store.read_document(path)
-            ledger, counters = state_store.ledger_from_dict(doc, network)
-            after_seq = state_store.wal_position_of(doc)
-            engine = cls(network, solver, seed=seed, ledger=ledger, counters=counters)
-        else:
-            engine = cls(network, solver, seed=seed)
-        engine.note_wal_position(after_seq)
+        engine, leftover = cls.from_snapshot(network, solver, doc, seed=seed)
         if (
             wal_path is not None
             and os.path.exists(wal_path)
             and os.path.getsize(wal_path) > 0
         ):
-            engine.replay_wal(wal_path, after_seq=after_seq)
-        leftover = {
-            key: value for key, value in counters.items() if key not in engine.counters
-        }
+            engine.replay_wal(wal_path, after_seq=engine.wal_applied_seq)
         return engine, leftover

@@ -20,7 +20,7 @@ import os
 from typing import Any, Iterator, Mapping
 
 from ..embedding.base import Embedder
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, SnapshotError
 from ..network.cloud import CloudNetwork
 from ..wal.log import shard_wal_path
 from ..wal.standby import StandbyEngine
@@ -179,34 +179,19 @@ class ShardRouter:
         """Persist every shard's state to one document.
 
         A single-shard router writes the plain ``service-state`` document
-        (bit-identical to the pre-sharding service); multiple shards write
-        the ``service-state-sharded`` kind. ``extra_counters`` carries
-        per-shard transport counters to merge into each sub-document.
+        (the shape of the pre-sharding service); multiple shards write the
+        ``service-state-sharded`` kind. ``extra_counters`` carries per-shard
+        transport counters to merge into each sub-document.
         """
         extras = extra_counters or {}
-
-        def merged(network_id: str, engine: EmbeddingEngine) -> dict[str, float]:
-            counters: dict[str, float] = dict(extras.get(network_id, {}))
-            counters.update(engine.counters)
-            return counters
-
-        if len(self._engines) == 1:
-            engine = self._engines[self.default_id]
-            engine.save_snapshot(path, extra_counters=extras.get(self.default_id))
-            return
-        positions: dict[str, Mapping[str, Any]] = {}
-        for network_id, engine in self.items():
-            position = engine.wal_position()
-            if position is not None:
-                positions[network_id] = position
-        state_store.save_sharded_snapshot(
-            path,
-            {
-                network_id: (engine.ledger, merged(network_id, engine))
-                for network_id, engine in self.items()
-            },
-            wal=positions or None,
-        )
+        docs = {
+            network_id: engine.snapshot_doc(extra_counters=extras.get(network_id))
+            for network_id, engine in self.items()
+        }
+        if len(docs) > 1:
+            state_store.write_document(path, state_store.sharded_snapshot_to_dict(docs))
+        else:
+            state_store.write_document(path, docs[self.default_id])
 
     @classmethod
     def restore(
@@ -228,57 +213,26 @@ class ShardRouter:
         recovery). Returns the router plus the per-shard leftover
         (transport-level) counters.
         """
-
-        def wal_path_for(network_id: str) -> str | None:
-            if wal_dir is None:
-                return None
-            candidate = shard_wal_path(wal_dir, network_id)
-            return candidate if os.path.exists(candidate) else None
-
-        if len(networks) == 1:
-            # The engine-level restore handles every absent-file combination
-            # itself, so the wal path is passed through unguarded (a fresh
-            # `serve --resume --wal` has neither a snapshot nor a log yet).
-            ((network_id, network),) = networks.items()
-            engine, leftover = EmbeddingEngine.restore(
-                network,
-                solver,
-                path,
-                seed=seed,
-                wal_path=(
-                    shard_wal_path(wal_dir, network_id) if wal_dir is not None else None
-                ),
-            )
-            return cls({network_id: engine}), {network_id: leftover}
-        have_snapshot = path is not None and (wal_dir is None or os.path.exists(path))
+        docs: Mapping[str, Mapping[str, Any]] = {}
+        if path is not None and (wal_dir is None or os.path.exists(path)):
+            doc = state_store.read_document(path)
+            if len(networks) == 1:
+                docs = {network_id: doc for network_id in networks}
+            else:
+                docs = state_store.shard_documents(doc)
+                if set(docs) != set(networks):
+                    raise SnapshotError(
+                        f"snapshot shards {sorted(docs)} do not match "
+                        f"the configured networks {sorted(networks)}"
+                    )
         engines: dict[str, EmbeddingEngine] = {}
         leftovers: dict[str, dict[str, float]] = {}
-        if have_snapshot:
-            assert path is not None
-            doc = state_store.read_document(path)
-            restored = state_store.sharded_from_dict(doc, networks)
-            shard_docs = doc.get("shards", {})
-            for network_id, network in networks.items():
-                ledger, counters = restored[network_id]
-                engine = EmbeddingEngine(
-                    network, solver, seed=seed, ledger=ledger, counters=counters
-                )
-                engine.note_wal_position(
-                    state_store.wal_position_of(shard_docs.get(network_id, {}))
-                )
-                engines[network_id] = engine
-                leftovers[network_id] = {
-                    key: value
-                    for key, value in counters.items()
-                    if key not in engine.counters
-                }
-        else:
-            for network_id, network in networks.items():
-                engines[network_id] = EmbeddingEngine(network, solver, seed=seed)
-                leftovers[network_id] = {}
-        if wal_dir is not None:
-            for network_id, engine in engines.items():
-                wal_path = wal_path_for(network_id)
-                if wal_path is not None:
-                    engine.replay_wal(wal_path, after_seq=engine.wal_applied_seq)
+        for network_id, network in networks.items():
+            engine, leftovers[network_id] = EmbeddingEngine.from_snapshot(
+                network, solver, docs.get(network_id), seed=seed
+            )
+            wal_path = None if wal_dir is None else shard_wal_path(wal_dir, network_id)
+            if wal_path is not None and os.path.exists(wal_path):
+                engine.replay_wal(wal_path, after_seq=engine.wal_applied_seq)
+            engines[network_id] = engine
         return cls(engines), leftovers

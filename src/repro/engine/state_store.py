@@ -1,9 +1,13 @@
 """Durable snapshots of an engine's authoritative residual state.
 
-A snapshot is the minimal record needed to resume serving mid-trace after a
-crash or planned restart: every active reservation (absolute amounts, the
-same records the :class:`~repro.network.reservations.ReservationLedger`
-keeps in memory) plus the acceptance counters. The substrate network itself
+A snapshot is the record needed to resume serving mid-trace after a crash or
+planned restart: every active reservation (absolute amounts, the same
+records the :class:`~repro.network.reservations.ReservationLedger` keeps in
+memory) plus the acceptance counters, and — when an
+:class:`~repro.engine.core.EmbeddingEngine` writes it — the rest of the
+engine state replay depends on (tracked embeddings, dead elements, sequence
+and rebalance counters; see
+:meth:`~repro.engine.core.EmbeddingEngine.snapshot_doc`). The substrate network itself
 is *not* embedded — it is deterministic from its generator seed or archived
 separately via :mod:`repro.serialize` — but a SHA-256 fingerprint of its
 canonical serialization is stored and checked on restore, so a snapshot can
@@ -15,8 +19,8 @@ therefore fails loudly instead of resuming in an impossible state.
 
 Two document kinds exist:
 
-* ``service-state`` (version 1) — one engine's ledger + counters; unchanged
-  since the single-network service, so old snapshots keep restoring.
+* ``service-state`` (version 1) — one engine's ledger + counters (+ the
+  optional engine-state keys); documents without those keys keep restoring.
 * ``service-state-sharded`` (version 1) — a multi-network server: one
   ``service-state`` sub-document per ``network_id``, each fingerprint-guarded
   against its own substrate.
@@ -41,13 +45,11 @@ __all__ = [
     "network_fingerprint",
     "snapshot_to_dict",
     "ledger_from_dict",
-    "save_snapshot",
     "load_snapshot",
     "sharded_snapshot_to_dict",
-    "sharded_from_dict",
-    "save_sharded_snapshot",
-    "load_sharded_snapshot",
+    "shard_documents",
     "read_document",
+    "write_document",
     "reservation_to_record",
     "reservation_from_record",
     "wal_position_of",
@@ -97,13 +99,15 @@ def snapshot_to_dict(
     *,
     counters: Mapping[str, float],
     wal: Mapping[str, Any] | None = None,
+    engine: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Serialize the ledger + counters into a versioned snapshot document.
 
     ``wal`` is the optional write-ahead-log position this state reflects
     (``{"seq": ..., "chain": ...}``); restore replays only records past it.
     The key is omitted entirely when no WAL is attached, keeping WAL-off
-    documents byte-identical to pre-WAL snapshots.
+    documents byte-identical to pre-WAL snapshots. ``engine`` holds extra
+    top-level keys the engine adds for its own state.
     """
     doc = {
         "format": _FORMAT,
@@ -118,6 +122,7 @@ def snapshot_to_dict(
     }
     if wal is not None:
         doc["wal"] = dict(wal)
+    doc.update(engine or {})
     return doc
 
 
@@ -167,96 +172,44 @@ def ledger_from_dict(
     return ledger, counters
 
 
-def save_snapshot(
-    path: str,
-    ledger: ReservationLedger,
-    *,
-    counters: Mapping[str, float],
-    wal: Mapping[str, Any] | None = None,
-) -> None:
-    """Atomically write a snapshot document to ``path`` (write + rename)."""
-    _atomic_write(path, snapshot_to_dict(ledger, counters=counters, wal=wal))
-
-
 def load_snapshot(
     path: str, network: CloudNetwork
 ) -> tuple[ReservationLedger, dict[str, float]]:
-    """Load a snapshot written by :func:`save_snapshot` and rebuild the ledger."""
+    """Load a ``service-state`` snapshot and rebuild its ledger (and counters)."""
     return ledger_from_dict(read_document(path), network)
 
 
 # -- sharded (multi-network) snapshots ------------------------------------------------
 
 
-def sharded_snapshot_to_dict(
-    shards: Mapping[str, tuple[ReservationLedger, Mapping[str, float]]],
-    *,
-    wal: Mapping[str, Mapping[str, Any]] | None = None,
-) -> dict[str, Any]:
-    """Serialize one ``service-state`` sub-document per ``network_id``.
-
-    ``wal`` optionally maps network ids to per-shard WAL positions; shards
-    absent from the mapping get no position (their logs replay in full).
-    """
-    positions = wal or {}
+def sharded_snapshot_to_dict(shards: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
+    """Wrap one ``service-state`` sub-document per ``network_id``."""
     return {
         "format": _FORMAT,
         "version": _VERSION,
         "kind": SHARDED_SNAPSHOT_KIND,
-        "shards": {
-            network_id: snapshot_to_dict(
-                ledger, counters=counters, wal=positions.get(network_id)
-            )
-            for network_id, (ledger, counters) in sorted(shards.items())
-        },
+        "shards": {network_id: shards[network_id] for network_id in sorted(shards)},
     }
 
 
-def sharded_from_dict(
-    data: Mapping[str, Any], networks: Mapping[str, CloudNetwork]
-) -> dict[str, tuple[ReservationLedger, dict[str, float]]]:
-    """Rebuild every shard's ledger from a sharded snapshot document.
+def shard_documents(data: Mapping[str, Any]) -> dict[str, Mapping[str, Any]]:
+    """The ``network_id`` → sub-document mapping of a sharded snapshot.
 
-    ``networks`` must cover exactly the snapshot's shard ids; each shard is
-    restored through :func:`ledger_from_dict`, so per-shard fingerprint and
-    capacity guards all apply.
+    Only the envelope is checked here; each sub-document gets its own
+    header, fingerprint and capacity checks when its engine is restored.
     """
     _check_header(data, SHARDED_SNAPSHOT_KIND)
     shards = data.get("shards")
     if not isinstance(shards, dict):
         raise SnapshotError("sharded snapshot is missing its 'shards' mapping")
-    if set(shards) != set(networks):
-        raise SnapshotError(
-            f"snapshot shards {sorted(shards)} do not match "
-            f"the configured networks {sorted(networks)}"
-        )
-    return {
-        network_id: ledger_from_dict(sub, networks[network_id])
-        for network_id, sub in sorted(shards.items())
-    }
-
-
-def save_sharded_snapshot(
-    path: str,
-    shards: Mapping[str, tuple[ReservationLedger, Mapping[str, float]]],
-    *,
-    wal: Mapping[str, Mapping[str, Any]] | None = None,
-) -> None:
-    """Atomically write a sharded snapshot document to ``path``."""
-    _atomic_write(path, sharded_snapshot_to_dict(shards, wal=wal))
-
-
-def load_sharded_snapshot(
-    path: str, networks: Mapping[str, CloudNetwork]
-) -> dict[str, tuple[ReservationLedger, dict[str, float]]]:
-    """Load a sharded snapshot and rebuild every shard's ledger."""
-    return sharded_from_dict(read_document(path), networks)
+    return shards
 
 
 # -- shared I/O -----------------------------------------------------------------------
 
 
-def _atomic_write(path: str, doc: Mapping[str, Any]) -> None:
+def write_document(path: str, doc: Mapping[str, Any]) -> None:
+    """Atomically write a snapshot document to ``path`` (write + rename)."""
     # Durable rename: fsync the temp file before the replace (so the data is
     # on disk before the name points at it) and fsync the parent directory
     # after (so the rename itself survives a crash). Directory fds are not

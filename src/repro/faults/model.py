@@ -188,25 +188,27 @@ class FaultState:
 
     # -- mutation -----------------------------------------------------------------
 
+    def _slot(self, target: FaultTarget) -> tuple[set[Any], Any]:
+        if target.kind is FaultKind.NODE:
+            return self.dead_nodes, target.node_id
+        if target.kind is FaultKind.LINK:
+            return self.dead_links, target.link_key
+        return self.dead_instances, target.instance_key
+
+    def changes(self, event: FaultEvent) -> bool:
+        """True when :meth:`apply` would change the element's liveness."""
+        pool, member = self._slot(event.target)
+        return (member in pool) is (event.action is FaultAction.RECOVER)
+
     def apply(self, event: FaultEvent) -> bool:
         """Fold one event in; False when it was a no-op (already in that state)."""
-        target = event.target
-        pool: set[Any]
-        member: Any
-        if target.kind is FaultKind.NODE:
-            pool, member = self.dead_nodes, target.node_id
-        elif target.kind is FaultKind.LINK:
-            pool, member = self.dead_links, target.link_key
-        else:
-            pool, member = self.dead_instances, target.instance_key
-        if event.action is FaultAction.FAIL:
-            if member in pool:
-                return False
-            pool.add(member)
-            return True
-        if member not in pool:
+        if not self.changes(event):
             return False
-        pool.discard(member)
+        pool, member = self._slot(event.target)
+        if event.action is FaultAction.FAIL:
+            pool.add(member)
+        else:
+            pool.discard(member)
         return True
 
     # -- queries ------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """The graded recovery ladder: reroute, re-embed, evict.
 
-:class:`RepairEngine` owns the fault-time lifecycle of embedded requests.
-Admission-time components (:class:`~repro.sim.online.OnlineSimulator`, the
-embedding server) *track* each accepted embedding with the engine; when a
-fault event lands, the engine asks the shared
-:class:`~repro.network.reservations.ReservationLedger` which requests touch a
-dead element, assesses per-request damage (:mod:`repro.faults.impact`), and
-walks each one down the ladder:
+:class:`RepairEngine` is the *planner* of fault-time repairs. The
+:class:`~repro.engine.core.EmbeddingEngine` tracks each accepted embedding;
+when a fault event lands it asks the ledger which requests touch a dead
+element and, one request at a time, has the planner assess the damage
+(:mod:`repro.faults.impact`) and walk the request down the ladder:
 
 1. **local reroute** — placements intact, only real-paths broken: replace
    them with cheapest feasible detours (:func:`repro.solvers.reembed.rebuild_paths`);
@@ -17,28 +15,36 @@ walks each one down the ladder:
    request's resources stay released and the caller gets an explicit
    :class:`RepairOutcome` to notify the tenant with.
 
-Every rung keeps the ledger's invariant: the old reservation is released
-before any rebuilding, and a successful rung re-reserves exactly the new
-embedding's eq. 7/8 amounts — so fail → repair → recover cycles conserve
-capacity by construction.
+The planner never mutates shared state. It plans against a scratch copy of
+the residual state in which only the request's own reservation has been
+returned, and hands back a :class:`~repro.wal.records.RepairEffect`: the
+replacement reservation (exactly the new embedding's eq. 7/8 amounts) or the
+eviction. The engine applies that effect like any other — release-old +
+reserve-new on the ledger — so fail → repair → recover cycles conserve
+capacity by construction, and each plan sees the previous repair.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
 from ..config import FlowConfig
 from ..constraints.base import ConstraintSet
 from ..embedding.base import Embedder
+from ..embedding.costing import CostBreakdown
 from ..embedding.mapping import Embedding
 from ..exceptions import CapacityError
 from ..network.reservations import Reservation, ReservationLedger
 from ..solvers.reembed import rebuild_paths, reembed
 from ..utils.rng import RngStream
 from .impact import assess_impact
-from .model import FaultAction, FaultEvent, FaultState, degrade_network
+from .model import FaultState, degrade_network
+
+if TYPE_CHECKING:
+    from ..wal.records import RepairEffect
 
 __all__ = ["RepairAction", "RepairOutcome", "EmbeddedRequest", "RepairEngine"]
 
@@ -91,41 +97,23 @@ class EmbeddedRequest:
 
 
 class RepairEngine:
-    """Walks affected requests down the reroute → re-embed → evict ladder."""
+    """Plans the reroute → re-embed → evict ladder for affected requests.
+
+    Holds read-only references to the engine's ledger, fault state and
+    tracked embeddings; :meth:`plan` returns an effect and mutates nothing.
+    """
 
     def __init__(
         self,
         ledger: ReservationLedger,
         solver: Embedder,
-        faults: FaultState | None = None,
+        faults: FaultState,
+        tracked: Mapping[int, EmbeddedRequest],
     ) -> None:
         self.ledger = ledger
         self.solver = solver
-        self.faults = faults if faults is not None else FaultState()
-        self._tracked: dict[int, EmbeddedRequest] = {}
-
-    # -- tracking -----------------------------------------------------------------
-
-    def track(
-        self,
-        request_id: int,
-        embedding: Embedding,
-        flow: FlowConfig,
-        cost: float,
-        constraints: ConstraintSet | None = None,
-    ) -> None:
-        """Remember an admitted embedding so it can be repaired later."""
-        self._tracked[request_id] = EmbeddedRequest(
-            request_id=request_id,
-            embedding=embedding,
-            flow=flow,
-            cost=cost,
-            constraints=ConstraintSet.coerce(constraints),
-        )
-
-    def forget(self, request_id: int) -> None:
-        """Drop the tracked embedding (departures and evictions)."""
-        self._tracked.pop(request_id, None)
+        self.faults = faults
+        self._tracked = tracked
 
     def tracked(self, request_id: int) -> EmbeddedRequest | None:
         """The tracked record, or None."""
@@ -135,71 +123,65 @@ class RepairEngine:
         """Number of embeddings currently tracked."""
         return len(self._tracked)
 
-    # -- fault intake -----------------------------------------------------------------
-
-    def apply_event(self, event: FaultEvent, rng: RngStream = None) -> list[RepairOutcome]:
-        """Fold one fault event in; failures trigger an immediate repair pass."""
-        changed = self.faults.apply(event)
-        if not changed or event.action is FaultAction.RECOVER:
-            return []
-        return self.repair_affected(rng=rng)
-
-    def repair_affected(self, rng: RngStream = None) -> list[RepairOutcome]:
-        """Repair every active request the current fault state touches."""
-        if not self.faults.any_dead:
-            return []
-        nodes, links, instances = self.faults.dead_sets()
-        affected = self.ledger.affected_by(nodes=nodes, links=links, instances=instances)
-        outcomes: list[RepairOutcome] = []
-        for request_id in affected:
-            outcome = self._repair_one(request_id, rng)
-            if outcome is not None:
-                outcomes.append(outcome)
-        return outcomes
-
     # -- the ladder ------------------------------------------------------------------
 
-    def _repair_one(self, request_id: int, rng: RngStream) -> RepairOutcome | None:
+    def plan(self, request_id: int, rng: RngStream = None) -> RepairEffect | None:
+        """The repair of one active request, or None when it is undamaged."""
+        # Local import: the record vocabulary itself imports this module.
+        from ..wal.records import RepairEffect
+
         start = time.perf_counter()
         old_cost = self.ledger.reservation(request_id).cost
         record = self._tracked.get(request_id)
+        attempts: list[str] = []
+
+        def outcome(action: RepairAction, new_cost: float, detail: str) -> RepairOutcome:
+            return RepairOutcome(
+                request_id=request_id,
+                action=action,
+                old_cost=old_cost,
+                new_cost=new_cost,
+                attempts=tuple(attempts),
+                detail=detail,
+                duration=time.perf_counter() - start,
+            )
+
         if record is None:
             # Amounts alone cannot be rerouted; the only safe terminal state
             # is an explicit eviction (resources returned, tenant notified).
-            self.ledger.release(request_id)
-            return RepairOutcome(
-                request_id=request_id,
-                action=RepairAction.EVICTED,
-                old_cost=old_cost,
-                new_cost=0.0,
-                attempts=(),
-                detail="no tracked embedding to repair",
-                duration=time.perf_counter() - start,
+            return RepairEffect(
+                outcome(RepairAction.EVICTED, 0.0, "no tracked embedding to repair")
             )
-
         impact = assess_impact(request_id, record.embedding, self.faults)
         if not impact.affected:
             return None
-
-        # Free the damaged reservation first: detours and re-embeds must see
-        # the request's own capacity as available, and an eviction is then
-        # simply "stop here".
-        self.ledger.release(request_id)
-        attempts: list[str] = []
-
         if impact.endpoints_dead:
-            self.forget(request_id)
-            return RepairOutcome(
-                request_id=request_id,
-                action=RepairAction.EVICTED,
-                old_cost=old_cost,
-                new_cost=0.0,
-                attempts=tuple(attempts),
-                detail=impact.describe(),
-                duration=time.perf_counter() - start,
-            )
+            return RepairEffect(outcome(RepairAction.EVICTED, 0.0, impact.describe()))
 
-        view = degrade_network(self.ledger.state.to_network(), self.faults)
+        # Detours and re-embeds must see the request's own capacity as
+        # available: plan on a scratch state with only its reservation
+        # returned, by the very float operations the applied release uses.
+        scratch = self.ledger.state.snapshot()
+        self.ledger.reservation(request_id).unclaim(scratch)
+        view = degrade_network(scratch.to_network(), self.faults)
+
+        def survivor(
+            action: RepairAction, embedding: Embedding, cost: CostBreakdown
+        ) -> RepairEffect | None:
+            reservation = Reservation.from_counts(
+                cost.alpha_vnf, cost.alpha_link, rate=record.flow.rate, cost=cost.total
+            )
+            try:
+                reservation.claim(scratch)
+            except CapacityError:
+                return None  # fall through to the next rung
+            return RepairEffect(
+                outcome(action, cost.total, impact.describe()),
+                flow=record.flow,
+                reservation=reservation,
+                embedding=embedding,
+                constraints=record.constraints,
+            )
 
         if impact.placements_intact:
             attempts.append("reroute")
@@ -212,30 +194,9 @@ class RepairEngine:
                 constraints=record.constraints,
             )
             if rerouted is not None:
-                embedding, cost = rerouted
-                reservation = Reservation.from_counts(
-                    cost.alpha_vnf,
-                    cost.alpha_link,
-                    rate=record.flow.rate,
-                    cost=cost.total,
-                )
-                try:
-                    self.ledger.reserve(request_id, reservation)
-                except CapacityError:
-                    pass  # raced bookkeeping; fall through to the next rung
-                else:
-                    self._tracked[request_id] = replace(
-                        record, embedding=embedding, cost=cost.total
-                    )
-                    return RepairOutcome(
-                        request_id=request_id,
-                        action=RepairAction.REROUTED,
-                        old_cost=old_cost,
-                        new_cost=cost.total,
-                        attempts=tuple(attempts),
-                        detail=impact.describe(),
-                        duration=time.perf_counter() - start,
-                    )
+                effect = survivor(RepairAction.REROUTED, *rerouted)
+                if effect is not None:
+                    return effect
 
         attempts.append("re_embed")
         dead = set(impact.dead_placements)
@@ -256,37 +217,7 @@ class RepairEngine:
             constraints=record.constraints,
         )
         if result.success and result.embedding is not None and result.cost is not None:
-            reservation = Reservation.from_counts(
-                result.cost.alpha_vnf,
-                result.cost.alpha_link,
-                rate=record.flow.rate,
-                cost=result.total_cost,
-            )
-            try:
-                self.ledger.reserve(request_id, reservation)
-            except CapacityError:
-                pass  # verified on the view, so this is defensive only
-            else:
-                self._tracked[request_id] = replace(
-                    record, embedding=result.embedding, cost=result.total_cost
-                )
-                return RepairOutcome(
-                    request_id=request_id,
-                    action=RepairAction.RE_EMBEDDED,
-                    old_cost=old_cost,
-                    new_cost=result.total_cost,
-                    attempts=tuple(attempts),
-                    detail=impact.describe(),
-                    duration=time.perf_counter() - start,
-                )
-
-        self.forget(request_id)
-        return RepairOutcome(
-            request_id=request_id,
-            action=RepairAction.EVICTED,
-            old_cost=old_cost,
-            new_cost=0.0,
-            attempts=tuple(attempts),
-            detail=impact.describe(),
-            duration=time.perf_counter() - start,
-        )
+            effect = survivor(RepairAction.RE_EMBEDDED, result.embedding, result.cost)
+            if effect is not None:
+                return effect
+        return RepairEffect(outcome(RepairAction.EVICTED, 0.0, impact.describe()))

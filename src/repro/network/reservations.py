@@ -12,7 +12,7 @@ rolls back the partial claim instead of leaking it).
 
 The ledger deliberately stores *amounts*, not embeddings: a reservation is
 the minimal record needed to undo an admission, which is also exactly what
-a server snapshot has to persist (:mod:`repro.service.state_store`).
+a server snapshot has to persist (:mod:`repro.engine.state_store`).
 """
 
 from __future__ import annotations
@@ -53,6 +53,29 @@ class Reservation:
             links={key: count * rate for key, count in link_counts.items()},
             cost=cost,
         )
+
+    def claim(self, state: ResidualState) -> None:
+        """Reserve these amounts on ``state``, all or nothing.
+
+        Raises :class:`CapacityError` with ``state`` untouched when any
+        amount does not fit (the partial claim is rolled back).
+        """
+        mark = state.mark()
+        try:
+            for (node, vnf_type), amount in self.vnf.items():
+                state.reserve_vnf(node, vnf_type, amount)
+            for (u, v), amount in self.links.items():
+                state.reserve_link(u, v, amount)
+        except CapacityError:
+            state.rollback(mark)
+            raise
+
+    def unclaim(self, state: ResidualState) -> None:
+        """Return these amounts to ``state`` (the inverse of :meth:`claim`)."""
+        for (node, vnf_type), amount in self.vnf.items():
+            state.release_vnf(node, vnf_type, amount)
+        for (u, v), amount in self.links.items():
+            state.release_link(u, v, amount)
 
 
 class ReservationLedger:
@@ -137,15 +160,7 @@ class ReservationLedger:
                 "duplicate_request",
                 f"request id {request_id} is already active",
             )
-        mark = self.state.mark()
-        try:
-            for (node, vnf_type), amount in reservation.vnf.items():
-                self.state.reserve_vnf(node, vnf_type, amount)
-            for (u, v), amount in reservation.links.items():
-                self.state.reserve_link(u, v, amount)
-        except CapacityError:
-            self.state.rollback(mark)
-            raise
+        reservation.claim(self.state)
         self._active[request_id] = reservation
 
     def release(self, request_id: int) -> Reservation:
@@ -162,8 +177,5 @@ class ReservationLedger:
                 "unknown_request",
                 f"request id {request_id} is not active",
             ) from None
-        for (node, vnf_type), amount in reservation.vnf.items():
-            self.state.release_vnf(node, vnf_type, amount)
-        for (u, v), amount in reservation.links.items():
-            self.state.release_link(u, v, amount)
+        reservation.unclaim(self.state)
         return reservation

@@ -11,9 +11,6 @@ server can shard across several substrate networks, one engine each.
 * :mod:`repro.service.protocol` — the versioned JSON-lines wire protocol;
 * :mod:`repro.service.admission` — pluggable admission policies + registry;
 * :mod:`repro.service.server` — the transport (queueing, dispatch, shards);
-* :mod:`repro.service.worker` — re-export of :mod:`repro.engine.worker`;
-* :mod:`repro.service.state_store` — re-export of
-  :mod:`repro.engine.state_store`;
 * :mod:`repro.service.client` — multiplexing async client;
 * :mod:`repro.service.retry` — bounded-retry client wrapper (chaos-safe);
 * :mod:`repro.service.loadgen` — open/closed-loop load generation.
@@ -40,7 +37,7 @@ from .protocol import (
     REJECT_CODES,
     SubmitIntent,
 )
-from ..engine.state_store import load_snapshot, network_fingerprint, save_snapshot
+from ..engine.state_store import load_snapshot, network_fingerprint
 from .retry import ResilientClient, RetryPolicy
 from .server import EmbeddingServer, ServiceConfig
 
@@ -67,6 +64,5 @@ __all__ = [
     "EmbeddingServer",
     "ServiceConfig",
     "load_snapshot",
-    "save_snapshot",
     "network_fingerprint",
 ]

@@ -5,9 +5,10 @@ The package splits into three layers:
 * :mod:`repro.wal.log` — the storage format: append-only fingerprint-chained
   JSON lines with fsync batching, torn-tail tolerance, and an incremental
   tailing reader;
-* :mod:`repro.wal.records` — the engine-lifecycle record vocabulary
-  (header / commit / release / fault / repair) and the ledger fingerprint
-  that recovery is asserted against;
+* :mod:`repro.wal.records` — the record vocabulary: the header plus one
+  frozen effect value per engine transition (commit / release / fault /
+  repair / migrate), and the ledger fingerprint recovery is asserted
+  against;
 * :mod:`repro.wal.standby` — the warm-standby tier: an engine that tails a
   primary's log and can be promoted in place when the primary dies.
 

@@ -23,7 +23,7 @@ from typing import Any, Mapping
 
 from ..embedding.base import Embedder
 from ..engine.core import EmbeddingEngine
-from ..engine.state_store import ledger_from_dict, read_document, wal_position_of
+from ..engine.state_store import SHARDED_SNAPSHOT_KIND, read_document, shard_documents
 from ..exceptions import SnapshotError, WalError
 from ..network.cloud import CloudNetwork
 from . import records as wal_records
@@ -45,29 +45,22 @@ class StandbyEngine:
         snapshot_path: str | None = None,
         snapshot_network_id: str | None = None,
     ) -> None:
-        start_seq = 0
+        doc: Mapping[str, Any] | None = None
         if snapshot_path is not None:
-            doc: Mapping[str, Any] = read_document(snapshot_path)
-            if doc.get("kind") == "service-state-sharded":
+            doc = read_document(snapshot_path)
+            if doc.get("kind") == SHARDED_SNAPSHOT_KIND:
                 if snapshot_network_id is None:
                     raise SnapshotError(
                         "standby over a sharded snapshot needs snapshot_network_id"
                     )
-                shards = doc.get("shards")
-                if not isinstance(shards, Mapping) or snapshot_network_id not in shards:
+                shards = shard_documents(doc)
+                if snapshot_network_id not in shards:
                     raise SnapshotError(
                         f"sharded snapshot has no shard {snapshot_network_id!r}"
                     )
                 doc = shards[snapshot_network_id]
-            ledger, counters = ledger_from_dict(doc, network)
-            start_seq = wal_position_of(doc)
-            self._engine = EmbeddingEngine(
-                network, solver, seed=seed, ledger=ledger, counters=counters
-            )
-        else:
-            self._engine = EmbeddingEngine(network, solver, seed=seed)
-        self._engine.note_wal_position(start_seq)
-        self._start_seq = start_seq
+        self._engine, _ = EmbeddingEngine.from_snapshot(network, solver, doc, seed=seed)
+        self._start_seq = self._engine.wal_applied_seq
         self._path = wal_path
         self._tail = WalTail(wal_path)
         self._promoted = False

@@ -462,7 +462,7 @@ class TestEngineIntegration:
 
     def test_wal_payload_roundtrip(self):
         cset = ConstraintSet([DelayBudgetConstraint(budget=8.0)])
-        payload = wal_records.release_payload(3)
+        payload = wal_records.ReleaseEffect(3).to_payload()
         assert "constraints" not in payload
         assert wal_records.constraints_from_payload(payload) is ConstraintSet.EMPTY
         assert wal_records.constraints_from_payload(

@@ -235,7 +235,9 @@ class TestStateStore:
         network = tight_network()
         ledger = self.populated_ledger(network)
         path = str(tmp_path / "snap.json")
-        state_store.save_snapshot(path, ledger, counters={"accepted": 2})
+        state_store.write_document(
+            path, state_store.snapshot_to_dict(ledger, counters={"accepted": 2})
+        )
         restored, counters = state_store.load_snapshot(path, network)
         assert counters["accepted"] == 2
         assert list(restored.active_ids()) == [1, 3]
@@ -245,8 +247,8 @@ class TestStateStore:
     def test_fingerprint_mismatch_raises(self, tmp_path):
         network = tight_network()
         path = str(tmp_path / "snap.json")
-        state_store.save_snapshot(
-            path, self.populated_ledger(network), counters={}
+        state_store.write_document(
+            path, state_store.snapshot_to_dict(self.populated_ledger(network), counters={})
         )
         other = CloudNetwork(build_line_graph(4, price=1.0, capacity=1.0))
         with pytest.raises(SnapshotError, match="different network"):

@@ -6,24 +6,27 @@ Three layers of guarantees, tested bottom-up:
   sync-before-close discipline (an unsynced record was never promised, a
   synced one must survive);
 * recovery — ``EmbeddingEngine.restore`` = latest snapshot + deterministic
-  log replay, asserted to reproduce the *exact* ledger fingerprint of the
-  engine that wrote the log (the hypothesis property checks every prefix);
+  log replay, asserted to reproduce the *exact* state of the engine that
+  wrote the log (the hypothesis property checks every prefix, and a
+  committed log fixture pins the record format byte for byte);
 * fail-over — a :class:`StandbyEngine` tailing the primary's log promotes
   into an engine whose next batch of decisions is identical to what a
   never-crashed primary would have produced.
 """
 
 import asyncio
-import importlib
 import json
-import sys
-import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.faults.repair as repair_module
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
+from repro.constraints import ConstraintSet
+from repro.constraints.delay import DelayBudgetConstraint
 from repro.engine import (
     DEFAULT_NETWORK_ID,
     EmbeddingEngine,
@@ -37,7 +40,7 @@ from repro.engine import (
     shard_wal_path,
     state_store,
 )
-from repro.exceptions import ConfigurationError, ServiceError, WalError
+from repro.exceptions import ConfigurationError, ServiceError, SnapshotError, WalError
 from repro.faults.model import FaultAction, FaultEvent, FaultTarget
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
@@ -45,6 +48,7 @@ from repro.service import EmbeddingServer, ServiceClient, ServiceConfig
 from repro.sfc.builder import DagSfcBuilder
 from repro.sfc.generator import generate_dag_sfc
 from repro.utils.rng import as_generator
+from repro.wal import records as wal_records
 from repro.wal.log import WalTail, chain_hash
 from repro.wal.records import ledger_fingerprint
 
@@ -97,6 +101,31 @@ def wal_engine(network: CloudNetwork, path, *, seed: int = 5) -> EmbeddingEngine
     engine = EmbeddingEngine(network, "MBBE", seed=seed)
     engine.attach_wal_file(str(path))
     return engine
+
+
+def engine_state(engine: EmbeddingEngine) -> dict:
+    """Everything replay must reproduce, canonically encoded.
+
+    The snapshot document carries the ledger, the counters, the tracked
+    embeddings (embedding, flow, cost, constraints), the dead-element sets,
+    the decision/fault sequence counters and the rebalance counters. The
+    log position is dropped, and so is ``migrations_conflicted``: a
+    rolled-back move changes no state and leaves no record, so only the
+    live engine can count it.
+    """
+    doc = engine.snapshot_doc()
+    doc.pop("wal", None)
+    doc["rebalance_counters"].pop("migrations_conflicted")
+    doc["ledger_fingerprint"] = engine.ledger_fingerprint()
+    return doc
+
+
+def fail(node: int) -> FaultEvent:
+    return FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(node))
+
+
+def recover(node: int) -> FaultEvent:
+    return FaultEvent(time=0, action=FaultAction.RECOVER, target=FaultTarget.node(node))
 
 
 class TestWalLog:
@@ -312,6 +341,76 @@ class TestEngineRecovery:
         ) == state_store.snapshot_to_dict(logged.ledger, counters={})
 
 
+class TestSnapshotRestoresTheEngine:
+    """A snapshot restores the whole engine, not just its reservations."""
+
+    def test_snapshot_while_degraded_then_logged_recover(self, tmp_path):
+        network = engine_network()
+        path, snap = tmp_path / "shard.wal", tmp_path / "snap.json"
+        engine = wal_engine(network, path)
+        for request in make_requests(network, 6):
+            engine.submit(request, rng=request.seed)
+        engine.apply_fault(fail(3), auto_seed=True)
+        engine.save_snapshot(str(snap))  # node 3 is dead in this snapshot
+        engine.apply_fault(recover(3))
+        engine.detach_wal()
+
+        restored, _ = EmbeddingEngine.restore(
+            network, "MBBE", str(snap), seed=5, wal_path=str(path)
+        )
+        assert not restored.degraded
+        assert engine_state(restored) == engine_state(engine)
+
+    def test_restored_engine_repairs_like_the_original(self, tmp_path):
+        network = engine_network()
+        path, snap = tmp_path / "shard.wal", tmp_path / "snap.json"
+        engine = wal_engine(network, path)
+        for request in make_requests(network, 6):
+            engine.submit(request, rng=request.seed)
+        engine.save_snapshot(str(snap))
+        engine.detach_wal()
+
+        restored, _ = EmbeddingEngine.restore(
+            network, "MBBE", str(snap), seed=5, wal_path=str(path)
+        )
+        assert restored.repair_engine.tracked_count() == 6
+        # Node 0 carries requests 1 and 2: the original reroutes both, and
+        # so must an engine that never saw their commits, only the snapshot.
+        assert engine.ledger.affected_by(nodes=[0]) == [1, 2]
+        ours = restored.apply_fault(fail(0), auto_seed=True)
+        theirs = engine.apply_fault(fail(0), auto_seed=True)
+        assert [(o.request_id, o.action, o.new_cost) for o in ours] == [
+            (o.request_id, o.action, o.new_cost) for o in theirs
+        ]
+        assert engine_state(restored) == engine_state(engine)
+
+    def test_ledger_only_documents_restore_as_before(self, tmp_path):
+        network = engine_network()
+        engine = EmbeddingEngine(network, "MBBE", seed=5)
+        for request in make_requests(network, 4):
+            engine.submit(request, rng=request.seed)
+        snap = tmp_path / "snap.json"
+        state_store.write_document(
+            str(snap), state_store.snapshot_to_dict(engine.ledger, counters=engine.counters)
+        )
+        restored, _ = EmbeddingEngine.restore(network, "MBBE", str(snap), seed=5)
+        assert restored.ledger_fingerprint() == engine.ledger_fingerprint()
+        assert restored.repair_engine.tracked_count() == 0
+        assert restored.snapshot_doc()["sequence"] == {"decision": 4, "fault": 0}
+
+    def test_tracked_entry_without_reservation_is_refused(self, tmp_path):
+        network = engine_network()
+        engine = EmbeddingEngine(network, "MBBE", seed=5)
+        for request in make_requests(network, 2):
+            engine.submit(request, rng=request.seed)
+        doc = engine.snapshot_doc()
+        doc["tracked"][0]["request_id"] = 99
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match="request 99"):
+            EmbeddingEngine.restore(network, "MBBE", str(snap), seed=5)
+
+
 # One bounded event alphabet for the prefix property: submit ids are drawn
 # small so releases/faults actually interact with live reservations, and
 # rebalance cycles interleave migrations into the logged stream.
@@ -369,37 +468,154 @@ class TestReplayPrefixProperty:
                     id(engine), Rebalancer(engine, _PROPERTY_REBALANCE)
                 ).run_cycle()
             else:
-                action = FaultAction.FAIL if kind == "fault" else FaultAction.RECOVER
                 engine.apply_fault(
-                    FaultEvent(time=0, action=action, target=FaultTarget.node(arg)),
-                    auto_seed=True,
+                    fail(arg) if kind == "fault" else recover(arg), auto_seed=True
                 )
 
         for event in events[:cut]:
             apply(logged, event)
             apply(shadow, event)
-        logged.wal.sync()
+        snap = str(tmp_path / "snap.json")
+        logged.save_snapshot(snap)  # syncs, and records the cut's position
         cut_seq = logged.wal.seq
-        prefix_fingerprint = logged.ledger_fingerprint()
+        prefix_state = engine_state(logged)
         for event in events[cut:]:
             apply(logged, event)
         logged.detach_wal()
+        final_state = engine_state(logged)
 
-        # Replaying the *whole* log reproduces the final state...
+        # Replaying the *whole* log reproduces the final state, hidden
+        # state included; so does the snapshot at the cut plus the suffix.
         full, _ = EmbeddingEngine.restore(network, "MBBE", None, seed=9, wal_path=path)
-        assert full.ledger_fingerprint() == logged.ledger_fingerprint()
-        assert full.counters == logged.counters
+        assert engine_state(full) == final_state
+        resumed, _ = EmbeddingEngine.restore(network, "MBBE", snap, seed=9, wal_path=path)
+        assert engine_state(resumed) == final_state
 
-        # ...and replaying exactly the records written by the cut reproduces
-        # the prefix state the shadow engine reached running the same events.
+        # Replaying exactly the records written by the cut reproduces the
+        # prefix state the shadow engine reached running the same events.
         scan = read_wal(path)
         partial = EmbeddingEngine(network, "MBBE", seed=9)
         for record in scan.records[1:]:
             if record.seq > cut_seq:
                 break
             partial.apply_wal_record(record)
-        assert partial.ledger_fingerprint() == prefix_fingerprint
-        assert shadow.ledger_fingerprint() == prefix_fingerprint
+        assert engine_state(partial) == prefix_state
+        assert engine_state(shadow) == prefix_state
+
+
+#: a small log covering all five effect kinds (including a constrained
+#: commit and every repair action), generated by ``write_effect_scenario``
+#: before the engine's single effect path existed.
+FIXTURE_WAL = Path(__file__).parent / "golden" / "wal_effects.wal"
+FIXTURE_FINGERPRINT = "53ffc2263431d733a238c74319fbef8595b7b7dcefc69dd26ff28535f3ea67b4"
+
+
+class _FrozenClock:
+    """Repair durations are wall-clock seconds; pin them for byte identity."""
+
+    @staticmethod
+    def perf_counter() -> float:
+        return 0.0
+
+
+def fixture_network() -> CloudNetwork:
+    cfg = NetworkConfig(
+        size=20, connectivity=4.0, n_vnf_types=6, deploy_ratio=0.5,
+        vnf_capacity=3.0, link_capacity=3.0,
+    )
+    return generate_network(cfg, rng=1)
+
+
+def write_effect_scenario(path) -> EmbeddingEngine:
+    """Commits (one under a delay budget), releases, two migrations, a node
+    failure repaired by reroute, re-embed and eviction, and its recovery."""
+    network = fixture_network()
+    requests = make_requests(network, 12, seed=4)
+    requests[11] = replace(
+        requests[11], constraints=ConstraintSet([DelayBudgetConstraint(budget=12.0)])
+    )
+    engine = wal_engine(network, path, seed=9)
+    for request in requests:
+        engine.submit(request, rng=request.seed)
+    for rid in (0, 2, 4, 6):
+        engine.release(rid)
+    Rebalancer(
+        engine, RebalanceConfig(max_moves=2, candidates=6, min_gain=0.001, cooldown=0)
+    ).run_cycle()
+    engine.apply_fault(
+        FaultEvent(time=3, action=FaultAction.FAIL, target=FaultTarget.node(1)),
+        auto_seed=True,
+    )
+    engine.apply_fault(
+        FaultEvent(time=5, action=FaultAction.RECOVER, target=FaultTarget.node(1))
+    )
+    engine.detach_wal()
+    return engine
+
+
+class TestWalFixture:
+    """The committed log pins the record format and the replay semantics."""
+
+    def test_fixture_covers_every_effect_kind(self):
+        records = read_wal(str(FIXTURE_WAL), allow_torn_tail=False).records
+        assert {r.type for r in records} == set(wal_records.RECORD_TYPES)
+        assert any(r.type == "commit" and "constraints" in r.payload for r in records)
+        actions = {r.payload["action"] for r in records if r.type == "repair"}
+        assert actions == {"rerouted", "re_embedded", "evicted"}
+
+    def test_fixture_replays_to_its_recorded_fingerprint(self):
+        engine, _ = EmbeddingEngine.restore(
+            fixture_network(), "MBBE", None, seed=9, wal_path=str(FIXTURE_WAL)
+        )
+        assert engine.ledger_fingerprint() == FIXTURE_FINGERPRINT
+        assert engine.counters["repairs_rerouted"] == 1
+        assert engine.rebalance_counters["migrations_applied"] == 2
+
+    def test_regenerating_the_scenario_is_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(repair_module, "time", _FrozenClock)
+        path = tmp_path / "effects.wal"
+        engine = write_effect_scenario(path)
+        assert path.read_bytes() == FIXTURE_WAL.read_bytes()
+        assert engine.ledger_fingerprint() == FIXTURE_FINGERPRINT
+
+    def test_effects_reencode_to_the_logged_payloads(self):
+        for record in read_wal(str(FIXTURE_WAL)).records[1:]:
+            effect = wal_records.decode_effect(record.type, record.payload)
+            assert effect.to_payload() == record.payload
+
+    @pytest.mark.parametrize(
+        "record_type, payload, match",
+        [
+            ("checkpoint", {}, "unknown WAL record type"),
+            ("release", {}, "malformed release"),
+            ("release", [], "not an object"),
+            ("fault", {"time": 0, "action": "explode", "target": "node", "ids": [1]},
+             "malformed fault"),
+        ],
+    )
+    def test_malformed_payloads_raise_wal_errors(self, record_type, payload, match):
+        with pytest.raises(WalError, match=match):
+            wal_records.decode_effect(record_type, payload)
+
+    def test_inconsistent_records_raise_wal_errors(self):
+        records = {r.type: r.payload for r in read_wal(str(FIXTURE_WAL)).records}
+        commit = dict(records["commit"], reservation=None)
+        with pytest.raises(WalError, match="no reservation"):
+            wal_records.decode_effect("commit", commit)
+        commit = dict(records["commit"], accepted="yes")
+        with pytest.raises(WalError, match="malformed commit"):
+            wal_records.decode_effect("commit", commit)
+        repair = dict(records["repair"], action="evicted")
+        with pytest.raises(WalError, match="disagrees"):
+            wal_records.decode_effect("repair", repair)
+
+    def test_replay_divergence_names_the_record(self):
+        engine = EmbeddingEngine(fixture_network(), "MBBE", seed=9)
+        release = next(
+            r for r in read_wal(str(FIXTURE_WAL)).records if r.type == "release"
+        )
+        with pytest.raises(WalError, match=f"release record at seq {release.seq}"):
+            engine.apply_wal_record(release)
 
 
 class TestStandbyPromotion:
@@ -599,24 +815,3 @@ class TestServiceDurability:
             ServiceConfig(standby=True)
         with pytest.raises(ConfigurationError, match="standby_poll"):
             ServiceConfig(wal_dir=str(tmp_path), standby=True, standby_poll=0.0)
-
-
-class TestDeprecationShims:
-    """Satellite: the old service-layer module paths warn but keep working."""
-
-    @pytest.mark.parametrize(
-        "name", ["repro.service.state_store", "repro.service.worker"]
-    )
-    def test_old_import_paths_warn(self, name):
-        sys.modules.pop(name, None)
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            module = importlib.import_module(name)
-        canonical = importlib.import_module(name.replace(".service.", ".engine."))
-        for attr in module.__all__:
-            assert getattr(module, attr) is getattr(canonical, attr)
-
-    def test_new_import_path_is_quiet(self):
-        sys.modules.pop("repro.engine.state_store", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            importlib.reload(importlib.import_module("repro.engine.state_store"))

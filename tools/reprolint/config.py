@@ -79,24 +79,21 @@ class LintConfig:
         "embedding/__init__.py",
     )
     #: method names that append write-ahead-log records (RPL212 confines
-    #: their call sites to the engine and the WAL package itself).
+    #: their call sites to the engine's effect path).
     wal_append_methods: tuple[str, ...] = ("append_record",)
-    #: module suffixes sanctioned to append WAL records (the engine core —
-    #: commit/release/fault logging lives there).
-    wal_module_suffixes: tuple[str, ...] = ("engine/core.py",)
+    #: ledger methods that change capacity (RPL212 confines them likewise).
+    ledger_write_methods: tuple[str, ...] = ("reserve", "release")
+    #: receiver-name fragments that mark a call target ledger-like.
+    ledger_receiver_fragments: tuple[str, ...] = ("ledger",)
+    #: module suffixes of the effect path: the engine core (live mutators,
+    #: WAL replay), the snapshot loader, and the ledger itself.
+    effect_module_suffixes: tuple[str, ...] = (
+        "engine/core.py",
+        "engine/state_store.py",
+        "network/reservations.py",
+    )
     #: directory names whose modules own the log format (the WAL package).
     wal_dir_names: tuple[str, ...] = ("wal",)
-    #: receiver-name fragments that mark a call target ledger-like (RPL213
-    #: looks for release+reserve pairs on such receivers in one function).
-    ledger_receiver_fragments: tuple[str, ...] = ("ledger",)
-    #: module suffixes sanctioned to pair ledger release+reserve calls: the
-    #: engine core (migrate + WAL replay), the ledger itself, and the repair
-    #: ladder (reroute/re-embed swap reservations under engine control).
-    ledger_migration_module_suffixes: tuple[str, ...] = (
-        "engine/core.py",
-        "network/reservations.py",
-        "faults/repair.py",
-    )
 
     # -- async-safety pack (RPL7xx) -------------------------------------------
 

@@ -9,7 +9,6 @@ from . import (  # noqa: F401
     feasibility,
     floats,
     layers,
-    ledger,
     registry_conformance,
     rng,
     state,

@@ -1,13 +1,20 @@
-"""Write-ahead-log discipline (RPL212).
+"""Effect-path discipline (RPL212; absorbs the retired RPL213).
 
-The WAL is the engine's private journal: every record is the effect of one
-engine lifecycle transition (commit / release / fault / repair), appended by
-the engine method that performed it. A transport or tool appending records
-directly would fork the journal from the state machine it is supposed to
-mirror — replay would no longer reconstruct the engine, silently breaking
-crash recovery and standby promotion. Outside the engine core and the WAL
-package itself, calling an append method is a lint error; go through the
-engine's commit/release/apply_fault surface instead.
+Every engine state transition is one effect, applied by the engine's single
+``_apply`` and appended to the write-ahead log by the method that performed
+it — live and on replay alike. Two kinds of call fork that path:
+
+* appending a WAL record outside the engine forks the journal from the
+  state machine it is supposed to mirror — replay would no longer
+  reconstruct the engine, silently breaking crash recovery and standby
+  promotion;
+* reserving or releasing on a ledger outside the engine changes capacity
+  that no record describes — and a bare release+reserve pair is not even
+  atomic (the re-reserve can fail after the release succeeded).
+
+Outside the engine core, the WAL package, the ledger itself and the
+snapshot loader, both are lint errors; go through the engine's
+commit/release/migrate/apply_fault surface instead.
 """
 
 from __future__ import annotations
@@ -17,34 +24,50 @@ import ast
 from ..engine import FileContext, rule
 
 
-def _is_wal_owner(ctx: FileContext) -> bool:
-    return ctx.has_suffix(ctx.config.wal_module_suffixes) or ctx.in_dir(
+def _is_effect_owner(ctx: FileContext) -> bool:
+    return ctx.has_suffix(ctx.config.effect_module_suffixes) or ctx.in_dir(
         ctx.config.wal_dir_names
     )
 
 
+def _is_ledger_write(node: ast.Call, fragments: tuple[str, ...]) -> bool:
+    assert isinstance(node.func, ast.Attribute)
+    receiver = ast.unparse(node.func.value).lower()
+    return any(fragment in receiver for fragment in fragments)
+
+
 @rule(
     "RPL212",
-    "wal-append-outside-engine",
-    "WAL records may only be appended by the engine's commit/release/fault "
-    "methods (or the WAL package itself); transport code must never write "
-    "the journal directly",
+    "effect-outside-engine",
+    "WAL appends and ledger reserve/release calls belong to the engine's "
+    "effect path (engine core, WAL package, ledger, snapshot loader); "
+    "transport and tooling code must go through the engine",
 )
-def check_wal_append_outside_engine(ctx: FileContext) -> None:
-    if _is_wal_owner(ctx):
+def check_effect_outside_engine(ctx: FileContext) -> None:
+    if _is_effect_owner(ctx):
         return
-    methods = frozenset(ctx.config.wal_append_methods)
+    appends = frozenset(ctx.config.wal_append_methods)
+    ledger_methods = frozenset(ctx.config.ledger_write_methods)
+    fragments = tuple(f.lower() for f in ctx.config.ledger_receiver_fragments)
     for node in ast.walk(ctx.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in methods
-        ):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        call = ast.unparse(node.func)
+        if node.func.attr in appends:
             ctx.report(
                 "RPL212",
                 node,
-                f"`{ast.unparse(node.func)}(...)` appends a WAL record outside "
-                "the engine core; the journal must stay a faithful trace of "
-                "engine transitions — call engine.commit/release/apply_fault "
-                "and let the engine log the effect",
+                f"`{call}(...)` appends a WAL record outside the engine core; "
+                "the journal must stay a faithful trace of engine effects — "
+                "call engine.commit/release/migrate/apply_fault and let the "
+                "engine log the effect",
+            )
+        elif node.func.attr in ledger_methods and _is_ledger_write(node, fragments):
+            ctx.report(
+                "RPL212",
+                node,
+                f"`{call}(...)` changes ledger capacity outside the engine's "
+                "effect path, so no WAL record describes it (and a bare "
+                "release+reserve pair is not atomic) — call "
+                "engine.commit/release/migrate instead",
             )
