@@ -8,8 +8,8 @@ Sub-commands
 * ``solve`` — embed one random instance with chosen solvers (quick demo);
 * ``serve`` / ``loadgen`` — run the long-lived embedding service and drive
   it with a reproducible arrival trace (see ``docs/serving.md``);
-* ``chaos`` — run one scripted fault-injection scenario end to end and
-  write ``BENCH_faults.json`` (see ``docs/fault_tolerance.md``);
+* ``drill`` — run one fault, crash or migration drill end to end and
+  gate on its verdict (see ``docs/fault_tolerance.md``);
 * ``list-solvers`` — registered algorithms.
 """
 
@@ -314,40 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="drain and shut the server down after the run",
     )
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a scripted fault-injection scenario end to end (see docs/fault_tolerance.md)",
+    drill = sub.add_parser(
+        "drill",
+        help="run one fault, crash or migration drill end to end (see docs/fault_tolerance.md)",
     )
-    chaos.add_argument(
-        "--mode",
-        choices=("scenario", "durability", "rebalance"),
-        default="scenario",
-        help=(
-            "scenario: scripted fault injection; durability: kill -9 the real "
-            "service mid-stream and measure WAL recovery + standby promotion; "
-            "rebalance: churny live traffic with the background rebalancer on, "
-            "kill -9 mid-migration, recovery + cost-recovered assertions"
-        ),
-    )
-    chaos.add_argument(
-        "--scenario", type=str, default="smoke", help="registered scenario name"
-    )
-    chaos.add_argument("--solver", type=str, default="MBBE")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        help="write BENCH_faults.json (or BENCH_durability.json) here",
-    )
-    chaos.add_argument(
-        "--require-repairs",
-        action="store_true",
-        help="exit nonzero when no repair ran or the drain was dirty (CI gate)",
-    )
-    chaos.add_argument(
-        "--list-scenarios", action="store_true", help="print registered scenarios"
-    )
+    drill.add_argument("scenario", nargs="?", default=None, help="registered drill name")
+    drill.add_argument("--solver", type=str, default="MBBE")
+    drill.add_argument("--seed", type=int, default=None, help="default: the drill's own seed")
+    drill.add_argument("--out", type=str, default=None, help="write the report JSON here")
+    drill.add_argument("--list", action="store_true", help="print the registered drills")
 
     lint = sub.add_parser(
         "lint", help="run the reprolint static-analysis suite (see docs/static_analysis.md)"
@@ -851,83 +826,27 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return asyncio.run(_run())
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run one chaos scenario in-process and (optionally) gate on repairs."""
-    if args.mode == "durability":
-        return _cmd_chaos_durability(args)
-    if args.mode == "rebalance":
-        return _cmd_chaos_rebalance(args)
-    from .faults.chaos import (
-        available_scenarios,
-        run_chaos,
-        write_chaos_report,
-    )
+def _cmd_drill(args: argparse.Namespace) -> int:
+    """Run one registered drill; exit 1 unless its report says ``ok``."""
+    from .drill import DRILLS, format_summary, run_drill, write_report
 
-    if args.list_scenarios:
-        for name in available_scenarios():
-            print(name)
+    if args.list:
+        for drill in DRILLS.values():
+            print(f"{drill.name:<14}{drill.description}")
         return 0
-    report = run_chaos(args.scenario, solver=args.solver, seed=args.seed)
-    print(report.format_table())
+    if args.scenario not in DRILLS:
+        print(
+            f"dag-sfc drill: unknown scenario {args.scenario!r}; "
+            f"registered: {', '.join(DRILLS)}",
+            file=sys.stderr,
+        )
+        return 2
+    report = run_drill(args.scenario, solver=args.solver, seed=args.seed)
+    print(format_summary(args.scenario, report))
     if args.out:
-        write_chaos_report(args.out, report)
+        write_report(args.out, report)
         print(f"report written to {args.out}")
-    if args.require_repairs:
-        if not report.repairs_total:
-            print("chaos: no repair ran — the scenario exercised nothing", file=sys.stderr)
-            return 1
-        if not report.clean_drain:
-            print("chaos: dirty drain — capacity was not conserved", file=sys.stderr)
-            return 1
-    return 0
-
-
-def _cmd_chaos_durability(args: argparse.Namespace) -> int:
-    """Process-kill durability bench: WAL recovery + warm-standby promotion."""
-    from .wal.bench import (
-        format_durability_table,
-        run_durability_bench,
-        write_durability_report,
-    )
-
-    # `durability` kills the real service with SIGKILL, so the scenario
-    # default solver/seed still apply; a seed of 0 is fine here too.
-    report = run_durability_bench(solver=args.solver, seed=args.seed or 1)
-    print(format_durability_table(report))
-    out = args.out or "BENCH_durability.json"
-    write_durability_report(out, report)
-    print(f"report written to {out}")
-    if not report["ok"]:
-        print(
-            "chaos durability: acknowledged state was lost or the promoted "
-            "standby diverged",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_chaos_rebalance(args: argparse.Namespace) -> int:
-    """Live-migration bench: churny traffic, kill -9 mid-move, recovery gates."""
-    from .engine.rebalance_bench import (
-        format_rebalance_table,
-        run_rebalance_bench,
-        write_rebalance_report,
-    )
-
-    report = run_rebalance_bench(solver=args.solver, seed=args.seed or 1)
-    print(format_rebalance_table(report))
-    out = args.out or "BENCH_rebalance.json"
-    write_rebalance_report(out, report)
-    print(f"report written to {out}")
-    if not report["ok"]:
-        print(
-            "chaos rebalance: a migration lost or duplicated reservations, "
-            "recovery diverged, or no cost was recovered",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 0 if report["ok"] else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -982,8 +901,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "loadgen":
         return _cmd_loadgen(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
+    if args.command == "drill":
+        return _cmd_drill(args)
     if args.command == "lint":
         return _cmd_lint(args)
     if args.command == "list-solvers":

@@ -2,7 +2,7 @@
 
 Every concrete :class:`~repro.constraints.base.Constraint` registers its
 ``kind`` here, which is what makes constraints *pluggable*: the wire
-protocol, the WAL, the chaos scenarios, and ``--constraint`` CLI flags
+protocol, the WAL, the fault drills, and ``--constraint`` CLI flags
 all describe constraints as ``{"kind": ..., ...}`` specs and rebuild
 them through this one table, so a new rule is a new module plus one
 ``register_constraint`` call — no transport or engine changes.

@@ -6,10 +6,11 @@
 * :mod:`repro.faults.impact` — per-embedding damage assessment;
 * :mod:`repro.faults.repair` — the reroute → re-embed → evict ladder over
   the shared reservation ledger;
-* :mod:`repro.faults.chaos` — scripted end-to-end chaos scenarios against
-  the embedding service (``dag-sfc chaos``);
 * :mod:`repro.faults.sweep` — survival/repair-cost vs failure-rate sweeps
   for the benchmark report.
+
+Scripted end-to-end fault drills against the embedding service live in
+:mod:`repro.drill` (``dag-sfc drill smoke``).
 """
 
 from .impact import RequestImpact, assess_impact

@@ -35,7 +35,7 @@ __all__ = [
     "sweep_to_dict",
 ]
 
-#: Seed salt for fault-sweep streams, distinct from the chaos runner's.
+#: Seed salt for fault-sweep streams, distinct from the fault drills'.
 _SWEEP_SALT = 0x5EEB
 
 #: The paper's two benchmarks plus both exact-ladder variants (§5).

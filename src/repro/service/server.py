@@ -62,6 +62,9 @@ Rebalance mode (``rebalance=True``): a pump task ticks one
 :class:`~repro.engine.rebalance.Rebalancer` cycle per shard onto each
 dispatcher queue every ``rebalance_interval`` seconds, so guarded live
 migrations inherit the single-writer discipline exactly like faults do.
+A shard holds at most one timer cycle queued or running: a cycle slower
+than the interval skips ticks instead of piling up a backlog that every
+later ack would wait behind.
 Cycles run between micro-batches, before the cycle's fsync (applied moves
 ride the same WAL sync), and pause automatically whenever the shard is
 degraded or the cycle folded fault events in — repair always preempts
@@ -322,6 +325,8 @@ class _Shard:
         #: enqueued (timer pump or the ``rebalance`` verb), so an idle
         #: rebalancer leaves the decision path untouched.
         self.rebalancer = Rebalancer(engine, rebalance)
+        #: a timer-driven cycle is queued or running; the pump skips its tick.
+        self.timer_cycle_pending = False
 
     def swap_engine(self, engine: EmbeddingEngine) -> None:
         """Point the shard at a promoted engine (rebalancer follows along)."""
@@ -1220,13 +1225,16 @@ class EmbeddingServer:
     # -- rebalancing (dispatcher-only, like every other engine mutation) -----------------
 
     async def _rebalance_pump(self) -> None:
-        """Tick one rebalance cycle per shard onto every dispatcher queue."""
+        """Tick one rebalance cycle per shard onto every dispatcher queue,
+        unless that shard's previous timer cycle has not finished yet."""
         while True:
             await asyncio.sleep(self.config.rebalance_interval)
             if self._draining:
                 continue
             for shard in self._shards.values():
-                shard.queue.put_nowait(_PendingRebalance())
+                if not shard.timer_cycle_pending:
+                    shard.timer_cycle_pending = True
+                    shard.queue.put_nowait(_PendingRebalance())
 
     async def _handle_rebalance(self, message: dict[str, Any]) -> dict[str, Any]:
         msg_id = int(message.get("msg_id", 0) or 0)
@@ -1264,9 +1272,13 @@ class EmbeddingServer:
         The reply (if a client asked) is deferred past the WAL sync below,
         like any other effect acknowledged this cycle.
         """
-        report = await asyncio.to_thread(
-            shard.rebalancer.run_cycle, repair_in_flight=had_faults
-        )
+        try:
+            report = await asyncio.to_thread(
+                shard.rebalancer.run_cycle, repair_in_flight=had_faults
+            )
+        finally:
+            if pending.reply is None:
+                shard.timer_cycle_pending = False
         if pending.reply is not None:
             deferred.append(
                 (

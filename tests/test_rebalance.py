@@ -19,6 +19,7 @@ Plain ``asyncio.run`` per test — no asyncio pytest plugin is assumed.
 
 import asyncio
 import dataclasses
+import time
 
 import pytest
 
@@ -485,6 +486,39 @@ class TestServiceRebalance:
             return cycles
 
         assert run(drive()) >= 2
+
+    def test_slow_timer_cycles_do_not_starve_submits(self, monkeypatch):
+        """A cycle slower than the pump interval must not pile up a backlog:
+        the pump skips a shard's tick while its last timer cycle is queued
+        or running, so every submit is still acknowledged promptly."""
+        network = service_network(seed=31)
+        config = ServiceConfig(workers=0, rebalance=True, rebalance_interval=0.01)
+        slow_cycles = 0
+        run_cycle = Rebalancer.run_cycle
+
+        def slow_run_cycle(self, *args, **kwargs):
+            nonlocal slow_cycles
+            slow_cycles += 1
+            time.sleep(0.05)
+            return run_cycle(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rebalancer, "run_cycle", slow_run_cycle)
+
+        async def drive():
+            async with EmbeddingServer(network, config) as server:
+                client = await ServiceClient.connect(*server.address)
+                started = time.perf_counter()
+                try:
+                    for rid, dag, src, dst, rate, s in make_workload(network, 10, seed=13):
+                        await asyncio.wait_for(
+                            client.submit(rid, dag, src, dst, rate=rate, seed=s), 5
+                        )
+                    return time.perf_counter() - started, slow_cycles
+                finally:
+                    await client.close()
+
+        elapsed, cycles = run(drive())
+        assert cycles <= elapsed / 0.05 + 2
 
 
 class TestLoadgenChurn:
