@@ -176,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--standby-poll",
-        type=float,
-        default=0.05,
-        help="seconds between standby catch-up polls",
-    )
-    serve.add_argument(
         "--chaos",
         type=str,
         default=None,
@@ -221,18 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="seconds between rebalance cycles",
-    )
-    serve.add_argument(
-        "--rebalance-max-moves",
-        type=int,
-        default=4,
-        help="migration budget per rebalance cycle",
-    )
-    serve.add_argument(
-        "--rebalance-candidates",
-        type=int,
-        default=16,
-        help="worst-value embeddings examined per cycle",
     )
     serve.add_argument(
         "--rebalance-min-gain",
@@ -601,7 +583,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Generate the substrate(s), then serve until drained (Ctrl-C also stops)."""
     import asyncio
 
-    from .engine import ShardRouter
+    from .engine import RebalanceConfig, ShardRouter
     from .service import EmbeddingServer, ServiceConfig, make_policy
 
     if args.shards < 1:
@@ -652,13 +634,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         degraded_queue_factor=args.degraded_queue_factor,
         wal_dir=args.wal,
         standby=args.standby,
-        standby_poll=args.standby_poll,
-        rebalance=args.rebalance,
-        rebalance_interval=args.rebalance_interval,
-        rebalance_max_moves=args.rebalance_max_moves,
-        rebalance_candidates=args.rebalance_candidates,
-        rebalance_min_gain=args.rebalance_min_gain,
-        rebalance_cooldown=args.rebalance_cooldown,
+        rebalance=(
+            RebalanceConfig(
+                interval=args.rebalance_interval,
+                min_gain=args.rebalance_min_gain,
+                cooldown=args.rebalance_cooldown,
+            )
+            if args.rebalance
+            else None
+        ),
     )
     policy_kwargs = (
         {"max_rate": args.max_rate}
@@ -710,8 +694,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             wal_note = f", wal {config.wal_dir}"
             if config.standby:
                 wal_note += " +standby"
-        if config.rebalance:
-            wal_note += f", rebalance every {config.rebalance_interval:g}s"
+        if config.rebalance is not None:
+            wal_note += f", rebalance every {config.rebalance.interval:g}s"
         print(
             f"serving {shard_note} on {host}:{port} "
             f"(solver {config.solver}, policy {policy.name}, "

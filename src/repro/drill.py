@@ -19,9 +19,11 @@ unless ``ok``.
   cost, replayed and standby-tailed to the same fingerprint; then a ``serve
   --rebalance`` is killed after its first applied migration and recovery must
   hold exactly the acknowledged active set (``BENCH_rebalance.json``).
-* ``shards`` — a 2-shard ``serve`` with chaos on ``net1``: one load burst per
-  shard, then one ``net0`` burst per constraint plugin, each of which must
-  accept work; the drained snapshot must hold both shards.
+* ``shards`` — a 2-shard ``serve --wal --standby --rebalance`` with chaos on
+  ``net1``, so every timer a shard tick schedules runs in one process: one
+  load burst per shard, a ``promote`` of ``net0`` that must succeed, then
+  one burst per constraint plugin on the promoted ``net0``, each of which
+  must accept work; the drained snapshot must hold both shards.
 
 No wait on a spawned server is unbounded: its output goes to a log file that
 is polled for the listening banner, and every client call and process exit
@@ -49,6 +51,7 @@ from .config import FlowConfig, NetworkConfig, SfcConfig
 from .constraints.registry import parse_constraint_args
 from .engine import DEFAULT_NETWORK_ID, EmbeddingEngine, EmbeddingRequest, ShardRouter
 from .engine.rebalance import RebalanceConfig, Rebalancer, fragmentation_index
+from .exceptions import ServiceError
 from .faults.model import FaultAction, FaultEvent, FaultSpec, FaultTarget, generate_fault_script
 from .network.cloud import CloudNetwork
 from .network.generator import generate_network
@@ -732,7 +735,8 @@ def _rebalance(*, solver: str, seed: int) -> dict[str, Any]:
     )
 
 
-# -- shards: 2-shard serve, chaos on net1, one net0 burst per constraint plugin -----
+# -- shards: 2-shard serve with WAL, standbys, rebalance and chaos on net1; net0 is
+# promoted, then takes one burst per constraint plugin ------------------------------
 
 _SHARD_CONSTRAINTS = ("delay:budget=40", "affinity:spread=1", "zones:count=4,multiplier=2.0")
 
@@ -758,14 +762,21 @@ async def _burst(
     return {k: doc[k] for k in ("submitted", "accepted", "rejects_by_code", "acceptance_ratio")}
 
 
-async def _shard_bursts(server: Server, seed: int) -> dict[str, dict[str, Any]]:
-    """Bursts keyed ``network_id`` or ``network_id+constraint``."""
+async def _shard_bursts(server: Server, seed: int) -> tuple[dict[str, dict[str, Any]], str]:
+    """Bursts keyed ``network_id`` or ``network_id+constraint``, plus the
+    reply type of the ``net0`` promotion between the first two bursts and
+    the constraint bursts."""
     client = await _call(ServiceClient.connect(server.host, server.port))
     try:
         net0, net1 = await asyncio.gather(
             _burst(client, "net0", seed + 6), _burst(client, "net1", seed + 4)
         )
         bursts = {"net0": net0, "net1": net1}
+        try:
+            reply = await asyncio.wait_for(client.promote(network_id="net0"), CALL_TIMEOUT_S)
+            promoted = reply["type"]
+        except ServiceError as exc:
+            promoted = f"error: {exc}"
         for index, constraint in enumerate(_SHARD_CONSTRAINTS, start=1):
             bursts[f"net0+{constraint}"] = await _burst(
                 client, "net0", seed + 2 + 2 * index, 20000 * index, constraint
@@ -773,7 +784,7 @@ async def _shard_bursts(server: Server, seed: int) -> dict[str, dict[str, Any]]:
         await _call(client.drain(shutdown=True))
     finally:
         await _close(client)
-    return bursts
+    return bursts, promoted
 
 
 def _shards(*, solver: str, seed: int) -> dict[str, Any]:
@@ -781,10 +792,11 @@ def _shards(*, solver: str, seed: int) -> dict[str, Any]:
         snapshot = os.path.join(workdir, "state.json")
         command = _serve_command(
             solver, seed, "--network-size", "40", "--shards", "2", "--snapshot", snapshot,
+            "--wal", os.path.join(workdir, "wal"), "--standby", "--rebalance",
             "--chaos", "horizon=60,link=20,instance=30", "--chaos-shard", "net1",
         )
         with served(command, workdir, "bursts") as server:
-            bursts = asyncio.run(_shard_bursts(server, seed))
+            bursts, promoted = asyncio.run(_shard_bursts(server, seed))
             exit_code = server.wait()
         try:
             with open(snapshot, encoding="utf-8") as fh:
@@ -795,10 +807,12 @@ def _shards(*, solver: str, seed: int) -> dict[str, Any]:
     return _report(
         "shards", solver, seed,
         bursts=bursts,
+        net0_promote=promoted,
         server_exit_code=exit_code,
         snapshot_kind=kind,
         snapshot_shards=shards,
         ok=all(b["accepted"] > 0 for key, b in bursts.items() if key.startswith("net0"))
+        and promoted == "promoted"
         and exit_code == 0
         and kind == "service-state-sharded"
         and shards == ["net0", "net1"],
@@ -848,8 +862,8 @@ DRILLS: dict[str, Drill] = {
               _durability, 1),
         Drill("rebalance", "live migration curve; kill -9 a serve --rebalance mid-defrag",
               _rebalance, 1),
-        Drill("shards", "2-shard serve, chaos on net1, one net0 burst per constraint plugin",
-              _shards, 5),
+        Drill("shards", "2-shard serve --standby --rebalance, chaos on net1, promote net0, "
+              "then one net0 burst per constraint plugin", _shards, 5),
     )
 }
 

@@ -11,6 +11,9 @@ Both are thin drivers over it now:
   + repair ladder + decision logic) and its :class:`Decision` verdicts;
 * :mod:`repro.engine.router` — :class:`ShardRouter`, mapping ``network_id``
   → engine for multi-network sharding;
+* :mod:`repro.engine.tick` — :class:`ShardTick`, one shard's timed work
+  (fault script, rebalance timer, WAL sync, standby catch-up) as a
+  synchronous step its transport's dispatcher calls;
 * :mod:`repro.engine.rebalance` — :class:`Rebalancer`, the background
   defrag loop planning pinned re-embeds and applying them through the
   engine's atomic :meth:`~repro.engine.core.EmbeddingEngine.migrate`;
@@ -45,6 +48,7 @@ from .rebalance import (
 )
 from .request import EmbeddingRequest
 from .router import DEFAULT_NETWORK_ID, ShardRouter, advertised_vnf_types
+from .tick import ShardTick
 from .state_store import (
     SHARDED_SNAPSHOT_KIND,
     SNAPSHOT_KIND,
@@ -68,6 +72,7 @@ __all__ = [
     "fragmentation_index",
     "DEFAULT_NETWORK_ID",
     "ShardRouter",
+    "ShardTick",
     "advertised_vnf_types",
     "RepairAction",
     "RepairOutcome",

@@ -820,10 +820,6 @@ class EmbeddingEngine:
             },
         }
 
-    def drain(self) -> dict[str, Any]:
-        """Final engine stats (the engine has no queue of its own to flush)."""
-        return self.stats()
-
     def snapshot_doc(
         self, *, extra_counters: Mapping[str, float] | None = None
     ) -> dict[str, Any]:

@@ -74,6 +74,9 @@ class RebalanceConfig:
     min_gain: float = 0.01
     #: cycles an examined request sits out before it is reconsidered.
     cooldown: int = 3
+    #: seconds from the end of one timer-driven cycle to the next (used by
+    #: the service's shard tick; in-process drivers call ``run_cycle``).
+    interval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_moves < 0:
@@ -84,6 +87,8 @@ class RebalanceConfig:
             raise ValueError(f"min_gain must be >= 0, got {self.min_gain}")
         if self.cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
+        if self.interval <= 0:
+            raise ValueError(f"interval must be > 0, got {self.interval}")
 
 
 @dataclass(frozen=True)

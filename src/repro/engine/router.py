@@ -107,10 +107,6 @@ class ShardRouter:
 
     # -- aggregation ----------------------------------------------------------------
 
-    def fingerprints(self) -> dict[str, str]:
-        """network_id → substrate fingerprint, for hellos and snapshots."""
-        return {network_id: engine.fingerprint for network_id, engine in self.items()}
-
     def active_count(self) -> int:
         """Requests holding resources across every shard."""
         return sum(engine.active_count() for engine in self._engines.values())
@@ -137,10 +133,6 @@ class ShardRouter:
 
     def get_standby(self, network_id: str) -> StandbyEngine | None:
         return self._standbys.get(network_id)
-
-    @property
-    def standby_ids(self) -> tuple[str, ...]:
-        return tuple(self._standbys)
 
     def promote(self, network_id: str) -> EmbeddingEngine:
         """Swap a dead primary for its standby (blocking file IO).

@@ -47,30 +47,20 @@ messages without one land on the default shard. Shards are fully isolated —
 separate queues, dispatchers, engines, and admission state, so a fault (or
 a drained queue) on one shard never degrades another.
 
-Chaos mode (``fault_script``): a pump task feeds the script's timed
-fail/recover events into one shard's queue (``chaos_network_id``, default
-shard by default), so fault handling inherits that shard's single-writer
-discipline for free — repairs (the reroute → re-embed → evict ladder) run
-inside ``engine.apply_fault`` between a cycle's releases and its submits.
-While a shard's substrate has dead elements, its solves run on the
-*degraded* residual view, its admission tightens (``degraded`` sheds beyond
-a reduced queue bound), and every repair outcome is pushed to the
-submitting connection as a ``notify`` line. Fault-free shards never touch
-any of this — the bit-identical replay property above is untouched.
-
-Rebalance mode (``rebalance=True``): a pump task ticks one
-:class:`~repro.engine.rebalance.Rebalancer` cycle per shard onto each
-dispatcher queue every ``rebalance_interval`` seconds, so guarded live
-migrations inherit the single-writer discipline exactly like faults do.
-A shard holds at most one timer cycle queued or running: a cycle slower
-than the interval skips ticks instead of piling up a backlog that every
-later ack would wait behind.
-Cycles run between micro-batches, before the cycle's fsync (applied moves
-ride the same WAL sync), and pause automatically whenever the shard is
-degraded or the cycle folded fault events in — repair always preempts
-defrag. The ``rebalance`` verb triggers/inspects cycles on demand; with
-``rebalance=False`` (the default) no cycle ever runs and the decision path
-stays bit-identical. See ``docs/rebalancing.md``.
+Timed work: each dispatcher also drives its shard's
+:class:`~repro.engine.tick.ShardTick`, so it stays the shard's only
+long-lived task. It waits on its queue until the tick's next deadline; one
+cycle runs releases → faults → batch → rebalance → fsync → acks, then
+standby catch-up, promotions and barriers. ``fault_script`` replays timed
+fail/recover events on one shard (``chaos_network_id``); repairs run inside
+``engine.apply_fault``, a degraded shard solves on the degraded view and
+tightens admission (``degraded`` sheds), and repair outcomes are pushed to
+the submitter as ``notify`` lines. ``rebalance`` runs one guarded
+:class:`~repro.engine.rebalance.Rebalancer` cycle ``interval`` seconds after
+the last one ended, paused under faults and never while draining (see
+``docs/rebalancing.md``). ``standby`` folds every WAL sync into the shard's
+warm standby. With none configured nothing is timed and the decision path
+stays bit-identical.
 """
 
 from __future__ import annotations
@@ -90,11 +80,11 @@ from ..engine import (
     Decision,
     EmbeddingEngine,
     RebalanceConfig,
-    Rebalancer,
     RepairAction,
     RepairOutcome,
     ReservationLedger,
     ShardRouter,
+    ShardTick,
     StandbyEngine,
     advertised_vnf_types,
     shard_wal_path,
@@ -135,7 +125,7 @@ class ServiceConfig:
     seed: int = 0
     #: snapshot written here on drain and on `snapshot` requests.
     snapshot_path: str | None = None
-    #: timed fail/recover events pumped into one shard's dispatcher.
+    #: timed fail/recover events replayed on one shard by its dispatcher.
     fault_script: FaultScript | None = None
     #: the shard the fault script targets (None = the default shard).
     chaos_network_id: str | None = None
@@ -152,21 +142,11 @@ class ServiceConfig:
     #: keep a warm standby per shard, tailing that shard's log, promotable
     #: via the ``promote`` verb. Requires ``wal_dir``.
     standby: bool = False
-    #: seconds between standby catch-up polls.
-    standby_poll: float = 0.05
-    #: run background rebalance cycles (guarded live migration) per shard.
-    #: Off by default: the fault-free decision path stays bit-identical.
-    rebalance: bool = False
-    #: seconds between background rebalance cycles.
-    rebalance_interval: float = 1.0
-    #: per-cycle migration budget (see RebalanceConfig.max_moves).
-    rebalance_max_moves: int = 4
-    #: worst-value candidates examined per cycle.
-    rebalance_candidates: int = 16
-    #: minimum gain, as a fraction of committed cost, for a move to apply.
-    rebalance_min_gain: float = 0.01
-    #: cycles an examined request sits out before reconsideration.
-    rebalance_cooldown: int = 3
+    #: background rebalance cycles (guarded live migration) per shard, every
+    #: ``rebalance.interval`` seconds; None = none (the ``rebalance`` verb
+    #: then uses the default :class:`RebalanceConfig`). Off by default: the
+    #: fault-free decision path stays bit-identical.
+    rebalance: RebalanceConfig | None = None
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
@@ -186,27 +166,6 @@ class ServiceConfig:
             )
         if self.standby and not self.wal_dir:
             raise ConfigurationError("standby=True requires wal_dir")
-        if self.standby_poll <= 0:
-            raise ConfigurationError(
-                f"standby_poll must be > 0, got {self.standby_poll}"
-            )
-        if self.rebalance_interval <= 0:
-            raise ConfigurationError(
-                f"rebalance_interval must be > 0, got {self.rebalance_interval}"
-            )
-        try:
-            self.rebalance_config()
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
-
-    def rebalance_config(self) -> RebalanceConfig:
-        """The per-shard rebalancer knobs this service config implies."""
-        return RebalanceConfig(
-            max_moves=self.rebalance_max_moves,
-            candidates=self.rebalance_candidates,
-            min_gain=self.rebalance_min_gain,
-            cooldown=self.rebalance_cooldown,
-        )
 
 
 @dataclass
@@ -226,31 +185,23 @@ class _PendingRelease:
 
 
 @dataclass
-class _PendingDrain:
-    """A per-shard drain barrier: resolves once this shard's queue is flushed."""
-
-    reply: "asyncio.Future[None]" = field(compare=False)
-
-
-@dataclass
 class _PendingFault:
-    """A fault event queued for one shard's dispatcher (no reply — nobody waits)."""
+    """An injected fault event for one shard (no reply — nobody waits)."""
 
     event: FaultEvent
 
 
 @dataclass
-class _PendingHold:
-    """Parks one shard's dispatcher between batches.
+class _PendingBarrier:
+    """Resolves ``reached`` once everything queued before it is applied.
 
-    ``reached`` resolves once the dispatcher is idle at the hold; it then
-    stays parked until ``release`` is set. Snapshots quiesce every shard
-    this way so the engines cannot change under the snapshot thread while
-    the event loop stays responsive.
+    A drain waits on ``reached`` alone. A hold also passes ``release``:
+    the dispatcher then stays parked until it is set, so a snapshot thread
+    can read every engine while the event loop stays responsive.
     """
 
     reached: "asyncio.Future[None]" = field(compare=False)
-    release: "asyncio.Event" = field(compare=False)
+    release: "asyncio.Event | None" = field(default=None, compare=False)
 
 
 @dataclass
@@ -263,16 +214,17 @@ class _PendingPromote:
 
 @dataclass
 class _PendingRebalance:
-    """One rebalance cycle queued for a shard's dispatcher.
+    """One on-demand rebalance cycle (the ``rebalance`` verb)."""
 
-    Timer-driven cycles carry no reply (nobody waits); the ``rebalance``
-    protocol verb attaches a future and gets the cycle report back.
-    """
+    msg_id: int
+    reply: "asyncio.Future[dict[str, Any]]" = field(compare=False)
 
-    msg_id: int = 0
-    reply: "asyncio.Future[dict[str, Any]] | None" = field(
-        default=None, compare=False
-    )
+
+#: Every item kind a shard's dispatcher queue carries.
+_Pending = (
+    _PendingSubmit | _PendingRelease | _PendingFault
+    | _PendingBarrier | _PendingPromote | _PendingRebalance
+)
 
 
 #: Counters the transport maintains per shard; the engine owns the rest
@@ -291,47 +243,24 @@ _COUNTER_KEYS = _TRANSPORT_COUNTER_KEYS + ENGINE_COUNTER_KEYS
 
 
 class _Shard:
-    """One served substrate: its engine plus this transport's bookkeeping."""
+    """One served substrate: its timed work plus this transport's bookkeeping."""
 
-    def __init__(
-        self,
-        network_id: str,
-        engine: EmbeddingEngine,
-        *,
-        rebalance: RebalanceConfig | None = None,
-    ) -> None:
+    def __init__(self, network_id: str, tick: ShardTick) -> None:
         self.network_id = network_id
-        self.engine = engine
-        self._rebalance_config = rebalance
-        self.n_vnf_types = advertised_vnf_types(engine.network)
-        self.queue: asyncio.Queue[
-            _PendingSubmit
-            | _PendingRelease
-            | _PendingDrain
-            | _PendingFault
-            | _PendingHold
-            | _PendingPromote
-            | _PendingRebalance
-        ] = asyncio.Queue()
+        self.tick = tick
+        self.n_vnf_types = advertised_vnf_types(tick.engine.network)
+        self.queue: asyncio.Queue[_Pending] = asyncio.Queue()
         self.queued_submits = 0
         self.pending_ids: set[int] = set()
         self.arrival_counter = 0
         self.counters: dict[str, float] = {key: 0 for key in _TRANSPORT_COUNTER_KEYS}
         self.notify_routes: dict[int, tuple[asyncio.StreamWriter, asyncio.Lock]] = {}
         self.dispatch_task: asyncio.Task[None] | None = None
-        self.standby: StandbyEngine | None = None
-        self.standby_task: asyncio.Task[None] | None = None
-        #: the defrag loop over this shard's engine; cycles run only when
-        #: enqueued (timer pump or the ``rebalance`` verb), so an idle
-        #: rebalancer leaves the decision path untouched.
-        self.rebalancer = Rebalancer(engine, rebalance)
-        #: a timer-driven cycle is queued or running; the pump skips its tick.
-        self.timer_cycle_pending = False
 
-    def swap_engine(self, engine: EmbeddingEngine) -> None:
-        """Point the shard at a promoted engine (rebalancer follows along)."""
-        self.engine = engine
-        self.rebalancer = Rebalancer(engine, self._rebalance_config)
+    @property
+    def engine(self) -> EmbeddingEngine:
+        """The shard's current primary (follows promotions)."""
+        return self.tick.engine
 
     def restore_counters(self, counters: Mapping[str, float]) -> None:
         """Rehydrate the transport counters from a snapshot's leftovers."""
@@ -387,11 +316,30 @@ class EmbeddingServer:
         #: the default shard's substrate (single-network callers' view).
         self.network = self.router.default.network
         self.policy = policy if policy is not None else make_policy(self.config.admission)
+        if (
+            self.config.fault_script is not None
+            and self.config.chaos_network_id is not None
+            and self.config.chaos_network_id not in self.router
+        ):
+            raise ConfigurationError(
+                f"chaos_network_id {self.config.chaos_network_id!r} is not a "
+                f"served shard ({', '.join(self.router.network_ids)})"
+            )
+        chaos_id = self.config.chaos_network_id or self.router.default_id
         self._shards: dict[str, _Shard] = {
             network_id: _Shard(
-                network_id, engine, rebalance=self.config.rebalance_config()
+                network_id,
+                ShardTick(
+                    self.router,
+                    network_id,
+                    fault_script=(
+                        self.config.fault_script if network_id == chaos_id else None
+                    ),
+                    chaos_tick=self.config.chaos_tick,
+                    rebalance=self.config.rebalance,
+                ),
             )
-            for network_id, engine in self.router.items()
+            for network_id in self.router.network_ids
         }
         #: catalog size advertised in the hello for the default shard (drives
         #: client trace generation); per-shard sizes ride in the shard list.
@@ -404,26 +352,17 @@ class EmbeddingServer:
         if transport_counters:
             for network_id, shard_counters in transport_counters.items():
                 self._shard(network_id).restore_counters(shard_counters)
-        if (
-            self.config.fault_script is not None
-            and self.config.chaos_network_id is not None
-            and self.config.chaos_network_id not in self._shards
-        ):
-            raise ConfigurationError(
-                f"chaos_network_id {self.config.chaos_network_id!r} is not a "
-                f"served shard ({', '.join(self._shards)})"
-            )
         self._draining = False
         self._stop_event = asyncio.Event()
         self._conn_tasks: set[asyncio.Task[None]] = set()
         self._server: asyncio.Server | None = None
         self._address: tuple[str, int] | None = None
         self._executor: ProcessPoolExecutor | None = None
-        self._chaos_task: asyncio.Task[None] | None = None
-        self._chaos_done = asyncio.Event()
-        if self.config.fault_script is None:
-            self._chaos_done.set()
-        self._rebalance_task: asyncio.Task[None] | None = None
+        self._chaos_shard = self._shards[chaos_id]
+        #: set by the chaos shard's dispatcher once the whole script is applied.
+        self._chaos_applied = asyncio.Event()
+        if self._chaos_shard.tick.chaos_complete:
+            self._chaos_applied.set()
 
     # -- shard resolution -------------------------------------------------------------
 
@@ -465,16 +404,8 @@ class EmbeddingServer:
             limit=MAX_LINE_BYTES,
         )
         for shard in self._shards.values():
+            shard.tick.start()
             shard.dispatch_task = asyncio.create_task(self._dispatch_loop(shard))
-            if shard.standby is not None:
-                shard.standby_task = asyncio.create_task(self._standby_loop(shard))
-        if self.config.fault_script is not None:
-            chaos_shard = self._shard(self.config.chaos_network_id)
-            self._chaos_task = asyncio.create_task(
-                self._chaos_pump(self.config.fault_script, chaos_shard)
-            )
-        if self.config.rebalance:
-            self._rebalance_task = asyncio.create_task(self._rebalance_pump())
         sock = self._server.sockets[0].getsockname()
         self._address = (str(sock[0]), int(sock[1]))
         return self._address
@@ -501,28 +432,7 @@ class EmbeddingServer:
         if self._conn_tasks:
             await asyncio.gather(*tuple(self._conn_tasks), return_exceptions=True)
         self._conn_tasks.clear()
-        if self._chaos_task is not None:
-            self._chaos_task.cancel()
-            try:
-                await self._chaos_task
-            except asyncio.CancelledError:
-                pass
-            self._chaos_task = None
-        if self._rebalance_task is not None:
-            self._rebalance_task.cancel()
-            try:
-                await self._rebalance_task
-            except asyncio.CancelledError:
-                pass
-            self._rebalance_task = None
         for shard in self._shards.values():
-            if shard.standby_task is not None:
-                shard.standby_task.cancel()
-                try:
-                    await shard.standby_task
-                except asyncio.CancelledError:
-                    pass
-                shard.standby_task = None
             if shard.dispatch_task is not None:
                 shard.dispatch_task.cancel()
                 try:
@@ -568,28 +478,18 @@ class EmbeddingServer:
                         "reason": "server stopped before the release was applied",
                     }
                 )
-            elif isinstance(item, _PendingDrain):
-                item.reply.set_result(None)
-            elif isinstance(item, _PendingHold):
+            elif isinstance(item, _PendingBarrier):
                 if not item.reached.done():
                     item.reached.set_result(None)
-            elif isinstance(item, _PendingPromote):
+            elif isinstance(item, (_PendingPromote, _PendingRebalance)):
+                verb = "promotion" if isinstance(item, _PendingPromote) else "rebalance cycle"
                 item.reply.set_result(
                     {
                         "type": "error",
                         "msg_id": item.msg_id,
-                        "reason": "server stopped before the promotion ran",
+                        "reason": f"server stopped before the {verb} ran",
                     }
                 )
-            elif isinstance(item, _PendingRebalance):
-                if item.reply is not None:
-                    item.reply.set_result(
-                        {
-                            "type": "error",
-                            "msg_id": item.msg_id,
-                            "reason": "server stopped before the rebalance cycle ran",
-                        }
-                    )
             # _PendingFault items have no waiter: dropped with the server.
 
     # -- durability (write-ahead logs + warm standbys) ---------------------------------
@@ -630,22 +530,11 @@ class EmbeddingServer:
                     "standby reads (serve --resume --wal --standby)"
                 )
             self.router.attach_standby(network_id, standby)
-            shard.standby = standby
 
     def _close_wals(self) -> None:
         """Detach (sync + close) every shard's writer; thread-side."""
         for _, engine in self.router.items():
             engine.detach_wal()
-
-    async def _standby_loop(self, shard: _Shard) -> None:
-        """Keep one shard's standby caught up on the primary's log."""
-        standby = shard.standby
-        assert standby is not None
-        while True:
-            await asyncio.sleep(self.config.standby_poll)
-            if standby.promoted:
-                return
-            await asyncio.to_thread(standby.poll)
 
     async def __aenter__(self) -> "EmbeddingServer":
         await self.start()
@@ -680,12 +569,12 @@ class EmbeddingServer:
 
     @property
     def chaos_complete(self) -> bool:
-        """True once the fault script (if any) has been fully pumped."""
-        return self._chaos_done.is_set()
+        """True once the fault script (if any) has been fully applied."""
+        return self._chaos_applied.is_set()
 
     async def wait_chaos_complete(self) -> None:
-        """Block until every scripted fault event has been enqueued."""
-        await self._chaos_done.wait()
+        """Block until every scripted fault event has been applied."""
+        await self._chaos_applied.wait()
 
     def inject_fault(self, event: FaultEvent, network_id: str | None = None) -> None:
         """Queue one ad-hoc fault event on a shard (tests and operator tooling)."""
@@ -699,6 +588,7 @@ class EmbeddingServer:
         """One shard's stats body (its engine's gauges + transport counters)."""
         engine_stats = shard.engine.stats()
         wal = shard.engine.wal
+        standby = self.router.get_standby(shard.network_id)
         return {
             "network_id": shard.network_id,
             "counters": shard.wire_counters(),
@@ -713,11 +603,9 @@ class EmbeddingServer:
                 else None
             ),
             "standby": (
-                {"applied_seq": shard.standby.applied_seq}
-                if shard.standby is not None
-                else None
+                {"applied_seq": standby.applied_seq} if standby is not None else None
             ),
-            "rebalance": shard.rebalancer.stats(),
+            "rebalance": shard.tick.rebalancer.stats(),
         }
 
     def stats_payload(self) -> dict[str, Any]:
@@ -1006,6 +894,16 @@ class EmbeddingServer:
             },
         )
 
+    async def _barrier(self, release: asyncio.Event | None = None) -> None:
+        """Queue one barrier per shard; return once every shard reached it."""
+        loop = asyncio.get_running_loop()
+        reached: list[asyncio.Future[None]] = []
+        for shard in self._shards.values():
+            future: asyncio.Future[None] = loop.create_future()
+            shard.queue.put_nowait(_PendingBarrier(reached=future, release=release))
+            reached.append(future)
+        await asyncio.gather(*reached)
+
     async def _snapshot_quiesced(self, path: str) -> None:
         """Write a snapshot off the event loop with every dispatcher parked.
 
@@ -1014,15 +912,9 @@ class EmbeddingServer:
         synchronous (loop-stalling) write provided for free — yet other
         connections keep submitting; their work just queues behind the hold.
         """
-        loop = asyncio.get_running_loop()
         release = asyncio.Event()
-        reached: list[asyncio.Future[None]] = []
-        for shard in self._shards.values():
-            barrier: asyncio.Future[None] = loop.create_future()
-            shard.queue.put_nowait(_PendingHold(reached=barrier, release=release))
-            reached.append(barrier)
-        await asyncio.gather(*reached)
         try:
+            await self._barrier(release)
             await asyncio.to_thread(self._save_snapshot, path)
         finally:
             release.set()
@@ -1031,23 +923,19 @@ class EmbeddingServer:
         msg_id = int(message.get("msg_id", 0) or 0)
         shutdown = bool(message.get("shutdown", False))
         self._draining = True
+        for shard in self._shards.values():
+            shard.tick.draining = True
         # One barrier per shard: the reply reflects every item that was
         # queued anywhere before the drain arrived.
-        loop = asyncio.get_running_loop()
-        barriers: list[asyncio.Future[None]] = []
-        for shard in self._shards.values():
-            barrier: asyncio.Future[None] = loop.create_future()
-            shard.queue.put_nowait(_PendingDrain(reply=barrier))
-            barriers.append(barrier)
-        await asyncio.gather(*barriers)
+        await self._barrier()
         reply: dict[str, Any] = {
             "type": "drained",
             "msg_id": msg_id,
             **self.stats_payload(),
         }
         if self.config.snapshot_path:
-            # Quiesced even though the queues just drained: the chaos pump
-            # can enqueue faults at any time, and a dispatcher applying one
+            # Quiesced even though the queues just drained: a scripted fault
+            # can fall due at any time, and a dispatcher applying one
             # mid-write would tear the snapshot.
             await self._snapshot_quiesced(self.config.snapshot_path)
             reply["snapshot_path"] = self.config.snapshot_path
@@ -1057,43 +945,47 @@ class EmbeddingServer:
 
     # -- dispatcher (sole writer of its shard's engine) ----------------------------------
 
+    async def _next_item(self, shard: _Shard) -> _Pending | None:
+        """The next queued item, or None once the shard tick's deadline passes."""
+        deadline = shard.tick.deadline()
+        if deadline is None:
+            return await shard.queue.get()
+        if not shard.queue.empty():
+            return shard.queue.get_nowait()
+        timeout = deadline - shard.tick.clock()
+        if timeout <= 0:
+            return None
+        try:
+            # A timeout cancels the get before it dequeues: nothing is lost.
+            return await asyncio.wait_for(shard.queue.get(), timeout)
+        except asyncio.TimeoutError:
+            return None
+
     async def _dispatch_loop(self, shard: _Shard) -> None:
+        tick = shard.tick
         while True:
-            first = await shard.queue.get()
-            if self.config.tick > 0 and isinstance(first, _PendingSubmit):
+            item = await self._next_item(shard)
+            if self.config.tick > 0 and isinstance(item, _PendingSubmit):
                 await asyncio.sleep(self.config.tick)
             batch: list[_PendingSubmit] = []
             releases: list[_PendingRelease] = []
-            drains: list[_PendingDrain] = []
-            faults: list[_PendingFault] = []
-            holds: list[_PendingHold] = []
+            faults: list[FaultEvent] = []
+            barriers: list[_PendingBarrier] = []
             promotes: list[_PendingPromote] = []
             rebalances: list[_PendingRebalance] = []
-            item: (
-                _PendingSubmit
-                | _PendingRelease
-                | _PendingDrain
-                | _PendingFault
-                | _PendingHold
-                | _PendingPromote
-                | _PendingRebalance
-                | None
-            ) = first
             while item is not None:
                 if isinstance(item, _PendingSubmit):
                     batch.append(item)
                 elif isinstance(item, _PendingRelease):
                     releases.append(item)
                 elif isinstance(item, _PendingFault):
-                    faults.append(item)
-                elif isinstance(item, _PendingHold):
-                    holds.append(item)
+                    faults.append(item.event)
+                elif isinstance(item, _PendingBarrier):
+                    barriers.append(item)
                 elif isinstance(item, _PendingPromote):
                     promotes.append(item)
-                elif isinstance(item, _PendingRebalance):
-                    rebalances.append(item)
                 else:
-                    drains.append(item)
+                    rebalances.append(item)
                 if len(batch) >= self.config.batch_size:
                     break
                 try:
@@ -1112,39 +1004,54 @@ class EmbeddingServer:
             for release in releases:
                 deferred.append((release.reply, self._do_release(shard, release)))
 
-            for fault in faults:
-                await self._apply_fault(shard, fault.event)
+            had_faults = bool(faults) or tick.faults_due()
+            if had_faults:
+                # The repair ladder runs solver embeds: off the loop, but
+                # still single-writer (awaited before the engine is touched).
+                outcomes = await asyncio.to_thread(tick.apply_faults, faults)
+                for outcome in outcomes:
+                    await self._notify_repair(shard, outcome)
+                if self._chaos_shard.tick.chaos_complete:
+                    self._chaos_applied.set()
 
             if batch:
                 await self._decide_batch(shard, batch, deferred)
 
-            # Rebalance cycles run between micro-batches, before this
-            # cycle's fsync so applied migrations ride the same sync, and
-            # only when no fault work preempted them this cycle.
-            for rebalance in rebalances:
-                await self._do_rebalance(
-                    shard, rebalance, deferred, had_faults=bool(faults)
+            # Rebalance cycles, then the fsync: applied migrations ride the
+            # same sync, and a cycle that folded faults in reports paused.
+            settled = tick.needs_settle(len(rebalances))
+            if settled:
+                cycles = await asyncio.to_thread(
+                    tick.settle, len(rebalances), repair_in_flight=had_faults
                 )
-
-            wal = shard.engine.wal
-            if wal is not None and wal.pending_count:
-                await asyncio.to_thread(wal.sync)
+                for pending, (report, stats) in zip(rebalances, cycles):
+                    reply = {
+                        "type": "rebalanced",
+                        "msg_id": pending.msg_id,
+                        "network_id": shard.network_id,
+                        "cycle": report.to_dict(),
+                        "rebalance": stats,
+                    }
+                    deferred.append((pending.reply, reply))
             for future, reply in deferred:
                 if not future.done():
                     future.set_result(reply)
 
+            # Standby catch-up after the acks (it never delays a reply) and
+            # before any promotion (the two never overlap on one log).
+            if settled and tick.has_standby:
+                await asyncio.to_thread(tick.poll_standby)
+
             for promote in promotes:
                 await self._do_promote(shard, promote)
 
-            for drain in drains:
-                drain.reply.set_result(None)
-
-            # Holds park this dispatcher last, with the batch fully applied,
-            # so the snapshot thread sees a settled engine.
-            for hold in holds:
-                if not hold.reached.done():
-                    hold.reached.set_result(None)
-                await hold.release.wait()
+            # Barriers come last, with the cycle fully applied; a hold parks
+            # the dispatcher here so the snapshot thread sees a settled engine.
+            for barrier in barriers:
+                if not barrier.reached.done():
+                    barrier.reached.set_result(None)
+                if barrier.release is not None:
+                    await barrier.release.wait()
 
     def _do_release(self, shard: _Shard, release: _PendingRelease) -> dict[str, Any]:
         try:
@@ -1165,7 +1072,7 @@ class EmbeddingServer:
             "ok": True,
         }
 
-    # -- promotion (dispatcher-only, like every other engine swap) -----------------------
+    # -- promotion and rebalancing (dispatcher-only, like every engine mutation) ---------
 
     async def _handle_promote(self, message: dict[str, Any]) -> dict[str, Any]:
         msg_id = int(message.get("msg_id", 0) or 0)
@@ -1173,7 +1080,7 @@ class EmbeddingServer:
             shard = self._shard(protocol.network_id_of(message))
         except ConfigurationError as exc:
             return {"type": "error", "msg_id": msg_id, "reason": str(exc)}
-        if shard.standby is None:
+        if not shard.tick.has_standby:
             return {
                 "type": "error",
                 "msg_id": msg_id,
@@ -1189,28 +1096,18 @@ class EmbeddingServer:
         """Swap the shard's engine for its caught-up standby (fail-over drill).
 
         Runs inside the dispatcher between batches, so the swap can never
-        race a decision: the old primary's writer is detached (final sync),
-        the standby folds in the last records and resumes the same log, and
-        the shard serves its next batch from the promoted engine.
+        race a decision or a standby poll: the old primary's writer is
+        abandoned, the standby folds in the last records and resumes the
+        same log, and the shard serves its next batch from the promoted
+        engine.
         """
-        if shard.standby_task is not None:
-            shard.standby_task.cancel()
-            try:
-                await shard.standby_task
-            except asyncio.CancelledError:
-                pass
-            shard.standby_task = None
         try:
-            engine = await asyncio.to_thread(
-                self.router.promote, shard.network_id
-            )
+            engine = await asyncio.to_thread(shard.tick.promote)
         except (ConfigurationError, WalError) as exc:
             pending.reply.set_result(
                 {"type": "error", "msg_id": pending.msg_id, "reason": str(exc)}
             )
             return
-        shard.swap_engine(engine)
-        shard.standby = None
         pending.reply.set_result(
             {
                 "type": "promoted",
@@ -1221,20 +1118,6 @@ class EmbeddingServer:
                 "active": engine.active_count(),
             }
         )
-
-    # -- rebalancing (dispatcher-only, like every other engine mutation) -----------------
-
-    async def _rebalance_pump(self) -> None:
-        """Tick one rebalance cycle per shard onto every dispatcher queue,
-        unless that shard's previous timer cycle has not finished yet."""
-        while True:
-            await asyncio.sleep(self.config.rebalance_interval)
-            if self._draining:
-                continue
-            for shard in self._shards.values():
-                if not shard.timer_cycle_pending:
-                    shard.timer_cycle_pending = True
-                    shard.queue.put_nowait(_PendingRebalance())
 
     async def _handle_rebalance(self, message: dict[str, Any]) -> dict[str, Any]:
         msg_id = int(message.get("msg_id", 0) or 0)
@@ -1249,77 +1132,13 @@ class EmbeddingServer:
                 "msg_id": msg_id,
                 "network_id": shard.network_id,
                 "cycle": None,
-                "rebalance": shard.rebalancer.stats(),
+                "rebalance": shard.tick.rebalancer.stats(),
             }
         pending = _PendingRebalance(
             msg_id=msg_id, reply=asyncio.get_running_loop().create_future()
         )
         shard.queue.put_nowait(pending)
         return await pending.reply
-
-    async def _do_rebalance(
-        self,
-        shard: _Shard,
-        pending: _PendingRebalance,
-        deferred: list[tuple["asyncio.Future[dict[str, Any]]", dict[str, Any]]],
-        *,
-        had_faults: bool,
-    ) -> None:
-        """Run one guarded cycle off-loop (still single-writer: awaited here).
-
-        ``had_faults`` marks a cycle that just folded fault events in —
-        repair work preempts defrag, so the cycle reports itself paused.
-        The reply (if a client asked) is deferred past the WAL sync below,
-        like any other effect acknowledged this cycle.
-        """
-        try:
-            report = await asyncio.to_thread(
-                shard.rebalancer.run_cycle, repair_in_flight=had_faults
-            )
-        finally:
-            if pending.reply is None:
-                shard.timer_cycle_pending = False
-        if pending.reply is not None:
-            deferred.append(
-                (
-                    pending.reply,
-                    {
-                        "type": "rebalanced",
-                        "msg_id": pending.msg_id,
-                        "network_id": shard.network_id,
-                        "cycle": report.to_dict(),
-                        "rebalance": shard.rebalancer.stats(),
-                    },
-                )
-            )
-
-    # -- fault path (dispatcher-only, like every other engine mutation) ------------------
-
-    async def _chaos_pump(self, script: FaultScript, shard: _Shard) -> None:
-        """Feed the script's events into one shard's queue on the chaos clock."""
-        by_step = script.events_by_step()
-        previous = 0
-        for step in sorted(by_step):
-            delay = (step - previous) * self.config.chaos_tick
-            previous = step
-            if delay > 0:
-                await asyncio.sleep(delay)
-            for event in by_step[step]:
-                shard.queue.put_nowait(_PendingFault(event=event))
-        self._chaos_done.set()
-
-    async def _apply_fault(self, shard: _Shard, event: FaultEvent) -> None:
-        """Fold one fault event into a shard's engine and push the repairs.
-
-        The repair ladder runs solver embeds, so the whole fold happens off
-        the event loop. Still single-writer: this dispatcher awaits the
-        thread before touching the engine again, and nothing else mutates it.
-        """
-        outcomes = await asyncio.to_thread(
-            shard.engine.apply_fault, event, auto_seed=True
-        )
-        for outcome in outcomes:
-            await self._notify_repair(shard, outcome)
 
     async def _notify_repair(self, shard: _Shard, outcome: RepairOutcome) -> None:
         """Push one repair outcome to the submitting peer (engine did the books)."""

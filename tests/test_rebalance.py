@@ -290,6 +290,8 @@ class TestRebalancer:
             RebalanceConfig(min_gain=-0.1)
         with pytest.raises(ValueError, match="cooldown"):
             RebalanceConfig(cooldown=-2)
+        with pytest.raises(ValueError, match="interval"):
+            RebalanceConfig(interval=0.0)
 
     def test_stats_block_carries_engine_totals(self):
         engine, _ = fragmented_engine()
@@ -466,8 +468,8 @@ class TestServiceRebalance:
     def test_background_pump_runs_cycles(self):
         network = service_network(seed=29)
         config = ServiceConfig(
-            workers=0, rebalance=True, rebalance_interval=0.03,
-            rebalance_min_gain=0.001, rebalance_cooldown=1,
+            workers=0,
+            rebalance=RebalanceConfig(interval=0.03, min_gain=0.001, cooldown=1),
         )
 
         async def drive():
@@ -488,11 +490,11 @@ class TestServiceRebalance:
         assert run(drive()) >= 2
 
     def test_slow_timer_cycles_do_not_starve_submits(self, monkeypatch):
-        """A cycle slower than the pump interval must not pile up a backlog:
-        the pump skips a shard's tick while its last timer cycle is queued
-        or running, so every submit is still acknowledged promptly."""
+        """A cycle slower than the timer interval must not pile up a backlog:
+        the next timer cycle is due one interval after the last one ended,
+        so every submit is still acknowledged promptly."""
         network = service_network(seed=31)
-        config = ServiceConfig(workers=0, rebalance=True, rebalance_interval=0.01)
+        config = ServiceConfig(workers=0, rebalance=RebalanceConfig(interval=0.01))
         slow_cycles = 0
         run_cycle = Rebalancer.run_cycle
 
@@ -519,6 +521,39 @@ class TestServiceRebalance:
 
         elapsed, cycles = run(drive())
         assert cycles <= elapsed / 0.05 + 2
+
+
+    def test_timed_wakeups_never_drop_a_queued_item(self):
+        """With a timer due every millisecond the dispatcher keeps timing
+        out of its queue wait; every submit and release still gets a reply."""
+        network = service_network(seed=43)
+        config = ServiceConfig(workers=0, rebalance=RebalanceConfig(interval=0.001))
+        workload = make_workload(network, 24, seed=17)
+
+        async def drive():
+            async with EmbeddingServer(network, config) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    outcomes = []
+                    for rid, dag, src, dst, rate, s in workload:
+                        await asyncio.sleep(0.002)
+                        outcomes.append(
+                            await asyncio.wait_for(
+                                client.submit(rid, dag, src, dst, rate=rate, seed=s), 5
+                            )
+                        )
+                    accepted = [o.request_id for o in outcomes if o.accepted]
+                    released = await asyncio.wait_for(
+                        asyncio.gather(*(client.release(rid) for rid in accepted)), 5
+                    )
+                    stats = await client.stats()
+            return outcomes, released, stats
+
+        outcomes, released, stats = run(drive())
+        assert len(outcomes) == len(workload)
+        assert released and all(released)
+        shard = stats["shards"][DEFAULT_NETWORK_ID]
+        assert shard["active"] == 0
+        assert shard["rebalance"]["cycles"] > 0
 
 
 class TestLoadgenChurn:

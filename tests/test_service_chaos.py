@@ -25,7 +25,9 @@ from repro.exceptions import ServiceUnavailable
 from repro.faults.model import (
     FaultAction,
     FaultEvent,
+    FaultScript,
     FaultSpec,
+    FaultState,
     FaultTarget,
     generate_fault_script,
 )
@@ -154,6 +156,46 @@ class TestChaosEndToEnd:
         # Degradation telemetry made it to the stats surface.
         assert "faults" in mid_stats
         assert mid_stats["faults"]["tracked_embeddings"] >= 0
+
+    def test_chaos_complete_means_every_scripted_event_is_applied(self):
+        """No sleep after ``wait_chaos_complete``: the stats already show the
+        dead elements of the whole script, folded offline."""
+        network = chaos_network(seed=19)
+        spec = FaultSpec(
+            horizon=20, node_mtbf=15.0, link_mtbf=8.0, instance_mtbf=10.0,
+            node_mttr=30.0, link_mttr=30.0, instance_mttr=30.0,
+        )
+        # Cut the trailing recoveries so the script ends with dead elements.
+        full = generate_fault_script(spec, network, rng=29)
+        script = FaultScript(
+            events=tuple(e for e in full if e.time < spec.horizon), horizon=spec.horizon
+        )
+        offline = FaultState()
+        for event in script:
+            offline.apply(event)
+        assert offline.any_dead
+        workload = make_workload(network, 12, seed=3)
+        config = ServiceConfig(
+            batch_size=4, queue_limit=64, workers=0, fault_script=script, chaos_tick=0.01
+        )
+
+        async def drive():
+            async with EmbeddingServer(network, config) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    await asyncio.gather(
+                        *(
+                            client.submit(rid, dag, src, dst, rate=rate, seed=s)
+                            for rid, dag, src, dst, rate, s in workload
+                        )
+                    )
+                    await server.wait_chaos_complete()
+                    return await client.stats()
+
+        faults = run(drive())["faults"]
+        assert faults["chaos_complete"]
+        assert faults["dead_nodes"] == len(offline.dead_nodes)
+        assert faults["dead_links"] == len(offline.dead_links)
+        assert faults["dead_instances"] == len(offline.dead_instances)
 
     def test_degraded_admission_sheds_with_structured_code(self):
         network = chaos_network(seed=3)

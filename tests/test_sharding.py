@@ -14,8 +14,8 @@ import asyncio
 import pytest
 
 from repro.config import NetworkConfig, SfcConfig
-from repro.engine import ShardRouter, state_store
-from repro.faults.model import FaultAction, FaultEvent, FaultTarget
+from repro.engine import RebalanceConfig, ShardRouter, state_store
+from repro.faults.model import FaultAction, FaultEvent, FaultScript, FaultTarget
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
 from repro.service import EmbeddingServer, ServiceClient, ServiceConfig
@@ -183,6 +183,37 @@ class TestShardedDispatch:
         # The miss is not charged to any shard's counters.
         for network_id in networks:
             assert stats["shards"][network_id]["counters"]["submitted"] == 0
+
+
+    def test_one_long_lived_task_per_shard_with_every_timer_on(self, tmp_path):
+        """Chaos, timer rebalancing and standbys all run inside the shard
+        dispatchers: the server adds exactly one task per shard."""
+        networks = two_networks()
+        script = FaultScript(
+            events=(FaultEvent(time=1, action=FaultAction.FAIL, target=FaultTarget.node(2)),),
+            horizon=5,
+        )
+        config = ServiceConfig(
+            workers=0, fault_script=script, chaos_network_id="beta", chaos_tick=0.01,
+            wal_dir=str(tmp_path / "wal"), standby=True,
+            rebalance=RebalanceConfig(interval=0.01),
+        )
+
+        async def drive():
+            before = asyncio.all_tasks()
+            async with EmbeddingServer(networks, config) as server:
+                await asyncio.wait_for(server.wait_chaos_complete(), 5)
+                await asyncio.sleep(0.05)
+                added = [t.get_coro().__qualname__ for t in asyncio.all_tasks() - before]
+                degraded = server.router.get("beta").degraded
+            return added, degraded
+
+        added, degraded = run(drive())
+        # A dispatcher waiting for a timed deadline runs its queue get as a
+        # short-lived task of asyncio.wait_for; nothing else may exist.
+        long_lived = [name for name in added if name != "Queue.get"]
+        assert long_lived == ["EmbeddingServer._dispatch_loop"] * len(networks)
+        assert degraded
 
 
 class TestShardFaultIsolation:

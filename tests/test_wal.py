@@ -16,6 +16,7 @@ Three layers of guarantees, tested bottom-up:
 
 import asyncio
 import json
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -750,9 +751,7 @@ class TestServiceDurability:
         network = engine_network()
         workload = make_workload(network, 24)
         wal_dir = str(tmp_path / "wal")
-        config = ServiceConfig(
-            batch_size=4, workers=0, wal_dir=wal_dir, standby=True, standby_poll=0.01
-        )
+        config = ServiceConfig(batch_size=4, workers=0, wal_dir=wal_dir, standby=True)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -797,6 +796,98 @@ class TestServiceDurability:
         assert shard_stats["ledger_fingerprint"] == ledger_fingerprint(offline.ledger)
         assert shard_stats["standby"] is None
 
+    def test_standby_poll_never_overlaps_a_promotion(self, tmp_path, monkeypatch):
+        """A standby poll stuck in its worker thread must finish before the
+        promotion's own catch-up poll reads the same log tail."""
+        network = engine_network()
+        rid, dag, src, dst, rate, seed = make_workload(network, 1)[0]
+        config = ServiceConfig(
+            batch_size=4, workers=0, wal_dir=str(tmp_path / "wal"), standby=True
+        )
+        lock = threading.Lock()
+        in_flight = peak = 0
+        armed = False
+        held = threading.Event()
+        release = threading.Event()
+        real_poll = StandbyEngine.poll
+
+        def counted_poll(self):
+            nonlocal in_flight, peak, armed
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+                hold, armed = armed, False
+            try:
+                if hold:
+                    held.set()
+                    release.wait(5)
+                return real_poll(self)
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        monkeypatch.setattr(StandbyEngine, "poll", counted_poll)
+
+        async def drive():
+            nonlocal armed
+            async with EmbeddingServer(network, config) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    armed = True
+                    await client.submit(rid, dag, src, dst, rate=rate, seed=seed)
+                    fingerprint = server.router.default.ledger_fingerprint()
+                    try:
+                        assert await asyncio.to_thread(held.wait, 5)
+                        promote = asyncio.ensure_future(client.promote())
+                        await asyncio.sleep(0.3)
+                    finally:
+                        release.set()
+                    reply = await asyncio.wait_for(promote, 5)
+            return fingerprint, reply
+
+        fingerprint, reply = run(drive())
+        assert peak == 1
+        assert reply["type"] == "promoted"
+        assert reply["ledger_fingerprint"] == fingerprint
+
+    def test_standbys_are_caught_up_when_a_drain_replies(self, tmp_path):
+        networks = {"net0": engine_network(17), "net1": engine_network(19)}
+        config = ServiceConfig(
+            batch_size=4, workers=0, wal_dir=str(tmp_path / "wal"), standby=True
+        )
+
+        async def drive():
+            async with EmbeddingServer(networks, config) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    for network_id, network in networks.items():
+                        outcomes = await asyncio.gather(
+                            *(
+                                client.submit(
+                                    rid, dag, src, dst, rate=rate, seed=s,
+                                    network_id=network_id,
+                                )
+                                for rid, dag, src, dst, rate, s in make_workload(network, 8)
+                            )
+                        )
+                        accepted = [o.request_id for o in outcomes if o.accepted]
+                        await client.release(accepted[0], network_id=network_id)
+                    drained = await client.drain()
+                    positions = {
+                        network_id: (
+                            server.router.get_standby(network_id).applied_seq,
+                            server.router.get(network_id).wal.seq,
+                        )
+                        for network_id in networks
+                    }
+            return drained, positions
+
+        drained, positions = run(drive())
+        for network_id in networks:
+            shard = drained["shards"][network_id]
+            assert shard["wal"]["seq"] > 1
+            assert shard["standby"]["applied_seq"] == shard["wal"]["seq"]
+            standby_seq, wal_seq = positions[network_id]
+            assert standby_seq == wal_seq == shard["wal"]["seq"]
+
     def test_promote_without_standby_is_a_structured_error(self, tmp_path):
         network = tight_network()
         config = ServiceConfig(workers=0, wal_dir=str(tmp_path / "wal"))
@@ -810,8 +901,6 @@ class TestServiceDurability:
 
         run(drive())
 
-    def test_config_validation(self, tmp_path):
+    def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="wal_dir"):
             ServiceConfig(standby=True)
-        with pytest.raises(ConfigurationError, match="standby_poll"):
-            ServiceConfig(wal_dir=str(tmp_path), standby=True, standby_poll=0.0)
