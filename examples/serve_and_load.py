@@ -35,12 +35,12 @@ async def main() -> None:
     )
     network = generate_network(cfg, rng=SEED)
     config = ServiceConfig(
-        solver="MBBE", batch_size=8, workers=0, snapshot_path=SNAPSHOT, seed=SEED
+        solver="MBBE", batch_size=8, snapshot_path=SNAPSHOT, seed=SEED
     )
 
     async with EmbeddingServer(network, config) as server:
         host, port = server.address
-        print(f"server on {host}:{port} — {config.solver}, strict dispatch")
+        print(f"server on {host}:{port} — {config.solver}")
 
         async with await ServiceClient.connect(host, port) as client:
             trace = generate_trace(

@@ -138,16 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=int, default=64)
     serve.add_argument("--batch-size", type=int, default=8)
     serve.add_argument("--tick", type=float, default=0.0, help="batch collection window (s)")
-    serve.add_argument("--workers", type=int, default=0, help="solver processes; 0 = inline")
-    serve.add_argument("--admission", type=str, default="fifo")
-    serve.add_argument(
-        "--max-rate", type=float, default=2.0, help="threshold for --admission rate-threshold"
-    )
-    serve.add_argument(
-        "--speculative",
-        action="store_true",
-        help="solve batches in parallel against the batch-start view",
-    )
+    # Kept so command lines passing `--workers 0` still parse; solves always
+    # run inline in a thread.
+    serve.add_argument("--workers", type=int, default=0, choices=[0], help=argparse.SUPPRESS)
     serve.add_argument(
         "--snapshot", type=str, default=None, help="persist state here on drain/snapshot"
     )
@@ -584,7 +577,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .engine import RebalanceConfig, ShardRouter
-    from .service import EmbeddingServer, ServiceConfig, make_policy
+    from .service import EmbeddingServer, ServiceConfig
 
     if args.shards < 1:
         print("dag-sfc serve: --shards must be >= 1", file=sys.stderr)
@@ -623,9 +616,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         batch_size=args.batch_size,
         tick=args.tick,
-        workers=args.workers,
-        speculative=args.speculative,
-        admission=args.admission,
         seed=args.seed,
         snapshot_path=args.snapshot,
         fault_script=fault_script,
@@ -644,12 +634,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else None
         ),
     )
-    policy_kwargs = (
-        {"max_rate": args.max_rate}
-        if args.admission.upper() == "RATE-THRESHOLD"
-        else {}
-    )
-    policy = make_policy(args.admission, **policy_kwargs)
     server_kwargs: dict[str, Any] = {}
     if args.standby and not args.wal:
         print("dag-sfc serve: --standby requires --wal", file=sys.stderr)
@@ -682,7 +666,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server_target = networks
 
     async def _serve() -> None:
-        server = EmbeddingServer(server_target, config, policy=policy, **server_kwargs)
+        server = EmbeddingServer(server_target, config, **server_kwargs)
         host, port = await server.start()
         shard_note = (
             f"{args.shards} shards x {args.network_size} nodes"
@@ -697,10 +681,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if config.rebalance is not None:
             wal_note += f", rebalance every {config.rebalance.interval:g}s"
         print(
-            f"serving {shard_note} on {host}:{port} "
-            f"(solver {config.solver}, policy {policy.name}, "
-            f"{'speculative' if config.speculative else 'strict'} dispatch, "
-            f"workers {config.workers}{wal_note})",
+            f"serving {shard_note} on {host}:{port} (solver {config.solver}{wal_note})",
             flush=True,
         )
         try:

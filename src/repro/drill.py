@@ -87,6 +87,8 @@ CALL_TIMEOUT_S = 30.0
 EXIT_TIMEOUT_S = 30.0
 #: seconds the rebalance crash phase waits for the first applied migration.
 MIGRATION_WAIT_S = 20.0
+#: ``rebalance`` verb calls the crash phase makes before giving up on one.
+MIGRATION_MAX_CYCLES = 20
 #: server log lines a timed-out report carries.
 LOG_TAIL_LINES = 20
 
@@ -127,8 +129,7 @@ def _requests(
 def _serve_command(solver: str, seed: int, *args: str) -> list[str]:
     return [
         sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1", "--port", "0",
-        "--seed", str(seed), "--solver", solver, "--batch-size", "4", "--workers", "0",
-        *args,
+        "--seed", str(seed), "--solver", solver, "--batch-size", "4", *args,
     ]
 
 
@@ -576,6 +577,8 @@ _TIGHT_NET = NetworkConfig(
     vnf_capacity=2.0, link_capacity=2.0,
 )
 _REBALANCE = RebalanceConfig(max_moves=4, candidates=16, min_gain=0.001, cooldown=1)
+#: a rebalance timer interval (s) longer than any drill runs.
+_NO_TIMER_INTERVAL_S = 3600.0
 
 
 def _rebalance_live(*, solver: str, seed: int, workdir: str, cycles: int = 10) -> dict[str, Any]:
@@ -644,10 +647,12 @@ def _rebalance_live(*, solver: str, seed: int, workdir: str, cycles: int = 10) -
 async def _churn_until_migration(
     server: Server, requests: list[EmbeddingRequest]
 ) -> tuple[list[int], list[int], int]:
-    """Fill the substrate, release every other accept, wait for an applied
-    migration, then SIGKILL the server. Departures after the fill (not
-    interleaved with arrivals, which backfill them) leave the fragmented
-    holes the rebalancer exists to recover.
+    """Fill the substrate, release every other accept, run rebalance cycles
+    until one applies a migration, then SIGKILL the server. Departures after
+    the fill (not interleaved with arrivals, which backfill them) leave the
+    fragmented holes the rebalancer exists to recover. Every cycle is a
+    ``rebalance`` verb call made after the releases, so the decisions and
+    the cycles happen in the same order on any host.
 
     Returns (acked accepts, acked releases, migrations observed at kill).
     """
@@ -660,13 +665,13 @@ async def _churn_until_migration(
             if await _call(client.release(rid)):
                 released.append(rid)
         deadline = time.monotonic() + MIGRATION_WAIT_S
-        while time.monotonic() < deadline:
-            stats = await _call(client.stats())
-            shard = stats["shards"][DEFAULT_NETWORK_ID]
-            migrations = int(shard["rebalance"]["migrations_applied"])
+        for _ in range(MIGRATION_MAX_CYCLES):
+            if time.monotonic() >= deadline:
+                break
+            reply = await _call(client.rebalance())
+            migrations = int(reply["rebalance"]["migrations_applied"])
             if migrations >= 1:
                 break
-            await asyncio.sleep(0.1)
         server.kill()
     finally:
         await _close(client)
@@ -675,9 +680,12 @@ async def _churn_until_migration(
 
 def _rebalance_crash(*, solver: str, seed: int, workdir: str) -> dict[str, Any]:
     network = generate_network(_TIGHT_NET, rng=seed)
+    # The timer interval outlasts the drill, so no timer cycle ever runs:
+    # ``--rebalance`` only carries the min-gain and cooldown rails to the
+    # cycles the ``rebalance`` verb runs.
     command = _wal_serve_command(
         _TIGHT_NET, workdir, solver, seed,
-        "--rebalance", "--rebalance-interval", "0.05",
+        "--rebalance", "--rebalance-interval", str(_NO_TIMER_INTERVAL_S),
         "--rebalance-min-gain", str(_REBALANCE.min_gain),
         "--rebalance-cooldown", str(_REBALANCE.cooldown),
     )

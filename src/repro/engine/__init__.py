@@ -18,9 +18,7 @@ Both are thin drivers over it now:
   defrag loop planning pinned re-embeds and applying them through the
   engine's atomic :meth:`~repro.engine.core.EmbeddingEngine.migrate`;
 * :mod:`repro.engine.state_store` — fingerprint-guarded snapshot/restore
-  (single and sharded document kinds);
-* :mod:`repro.engine.worker` — the pool-side solve with per-process solver
-  reuse, for transports that run solves off their event loop.
+  (single and sharded document kinds).
 
 Layering rule (enforced by reprolint's RPL601): the service transport
 imports solvers, the reservation ledger, and the repair machinery **only**
@@ -55,7 +53,6 @@ from .state_store import (
     load_snapshot,
     network_fingerprint,
 )
-from .worker import solve_on_view
 
 __all__ = [
     "ENGINE_COUNTER_KEYS",
@@ -82,7 +79,6 @@ __all__ = [
     "SHARDED_SNAPSHOT_KIND",
     "network_fingerprint",
     "load_snapshot",
-    "solve_on_view",
     "StandbyEngine",
     "WalRecord",
     "WalWriter",

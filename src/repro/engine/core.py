@@ -12,12 +12,11 @@ lifecycle as plain synchronous methods:
   active faults; the projection is never built fault-free, keeping the
   no-chaos pipeline bit-identical to a state machine without faults);
 * :meth:`solve` / :meth:`commit` — the two halves of one decision, split
-  so a transport can run solves elsewhere (worker pool, thread) and feed
-  the results back into the sole state mutator;
-* :meth:`submit` / :meth:`submit_batch` — synchronous compositions of the
-  two for in-process drivers (the offline simulator, tests), including the
-  strict vs speculative batch-view policy;
-* :meth:`release`, :meth:`apply_fault`, :meth:`stats`, :meth:`drain`,
+  so a transport can run the solve in a thread and feed the result back
+  into the sole state mutator;
+* :meth:`submit` — the synchronous composition of the two for in-process
+  drivers (the offline simulator, tests);
+* :meth:`release`, :meth:`apply_fault`, :meth:`stats`,
   :meth:`save_snapshot` / :meth:`restore` — departures, chaos, telemetry,
   durability;
 * :meth:`migrate` — the rebalancer's atomic apply: release-old +
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 from ..constraints.base import ConstraintSet
 from ..embedding.base import Embedder, EmbeddingResult
@@ -178,8 +177,6 @@ class EmbeddingEngine:
     ) -> None:
         self.network = network
         self.solver: Embedder = solver if isinstance(solver, Embedder) else make_solver(solver)
-        #: registry name for transports that ship solves to worker processes.
-        self.solver_name = self.solver.name
         #: master seed for engine-derived solver streams.
         self.seed = seed
         if ledger is not None and ledger.state.network is not network:
@@ -199,7 +196,7 @@ class EmbeddingEngine:
         self._tracked: dict[int, EmbeddedRequest] = {}
         # The repair ladder plans in-process on read-only views of this
         # state (a transport's dispatcher is the sole writer, so repairs
-        # cannot overlap a pooled solve commit); _apply applies its effects.
+        # cannot overlap a commit); _apply applies its effects.
         self._repair = RepairEngine(self.ledger, self.solver, self._faults, self._tracked)
         # decision_index and dispatched advance in lockstep, so an engine
         # restored from a ledger-only snapshot continues the decision
@@ -309,16 +306,17 @@ class EmbeddingEngine:
         """Apply one solve outcome to the authoritative state (sync, atomic).
 
         Re-validates capacity through the ledger's all-or-nothing reserve:
-        a speculative solve whose resources were taken by an earlier commit
-        comes back as a ``capacity_conflict`` rejection instead of corrupting
-        the residual state.
+        an embedding that no longer fits (a solve on a stale view, or a
+        solver that returned an infeasible one) comes back as a
+        ``capacity_conflict`` rejection instead of corrupting the residual
+        state.
         """
         effect = self._decide(request, result)
         try:
             self._apply(effect)
         except CapacityError as exc:
-            # Only reachable with stale views (speculative batches): an
-            # earlier commit consumed the capacity this solve assumed.
+            # Safety net: solves run on the view the previous commit left,
+            # so only a solver bug or a caller's stale view lands here.
             effect = self._rejection(
                 request, effect.decision_index, "capacity_conflict", str(exc)
             )
@@ -348,9 +346,9 @@ class EmbeddingEngine:
             )
         assert result.cost is not None
         if request.constraints and result.embedding is not None:
-            # Commit-time re-validation: a speculative solve (or a buggy
-            # out-of-process worker) may hand back an embedding that no
-            # longer satisfies the request's registered rules.
+            # Commit-time re-validation: a buggy solver (or a solve on a
+            # stale view) may hand back an embedding that does not satisfy
+            # the request's registered rules.
             violation = request.constraints.check(
                 self.view(), result.embedding, request.flow
             )
@@ -411,27 +409,6 @@ class EmbeddingEngine:
         result = self.solve(request, rng=rng)
         self.commit(request, result)
         return result
-
-    def submit_batch(
-        self,
-        requests: Sequence[EmbeddingRequest],
-        rng: RngStream = None,
-        *,
-        speculative: bool = False,
-    ) -> list[Decision]:
-        """Decide one micro-batch synchronously (the two dispatch modes).
-
-        * **strict** — each member solves against the residual view left by
-          the previous commit (bit-identical to submitting them one by one);
-        * **speculative** — every member solves against the batch-start
-          view, then commits in order with re-validation; losers of the
-          capacity race come back as ``capacity_conflict``.
-        """
-        if speculative and len(requests) > 1:
-            batch_view = self.view()
-            results = [self.solve(r, view=batch_view, rng=rng) for r in requests]
-            return [self.commit(r, res) for r, res in zip(requests, results)]
-        return [self.commit(r, self.solve(r, rng=rng)) for r in requests]
 
     def release(self, request_id: int) -> None:
         """Return all resources held by an accepted request.
@@ -601,7 +578,7 @@ class EmbeddingEngine:
         if not os.path.exists(path) or os.path.getsize(path) == 0:
             header = wal_records.header_payload(
                 network_fingerprint=self.fingerprint,
-                solver=self.solver_name,
+                solver=self.solver.name,
                 seed=self.seed,
                 network_id=network_id,
             )

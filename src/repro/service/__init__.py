@@ -3,13 +3,12 @@
 Everything the one-shot entry points (``dag-sfc solve``, the offline
 :class:`~repro.sim.online.OnlineSimulator`) cannot do: a long-running
 asyncio TCP server that admits a *stream* of tenant requests under explicit
-backpressure, micro-batches solves onto a worker pool, and survives
-restarts via state snapshots. Every embedding decision — solve, commit,
+backpressure, decides them one at a time in arrival order on the live
+residual view, and survives restarts via snapshots and write-ahead logs. Every embedding decision — solve, commit,
 repair, snapshot — lives in the transport-agnostic :mod:`repro.engine`; one
 server can shard across several substrate networks, one engine each.
 
 * :mod:`repro.service.protocol` — the versioned JSON-lines wire protocol;
-* :mod:`repro.service.admission` — pluggable admission policies + registry;
 * :mod:`repro.service.server` — the transport (queueing, dispatch, shards);
 * :mod:`repro.service.client` — multiplexing async client;
 * :mod:`repro.service.retry` — bounded-retry client wrapper (chaos-safe);
@@ -19,15 +18,6 @@ See ``docs/serving.md`` for the architecture and failure modes, and
 ``docs/fault_tolerance.md`` for chaos mode and repair notifications.
 """
 
-from .admission import (
-    AdmissionPolicy,
-    CheapestFirstAdmission,
-    FifoAdmission,
-    RateThresholdAdmission,
-    available_policies,
-    make_policy,
-    register_policy,
-)
 from .client import ServiceClient, SubmitOutcome
 from .loadgen import LoadReport, run_load, write_report
 from .protocol import (
@@ -42,13 +32,6 @@ from .retry import ResilientClient, RetryPolicy
 from .server import EmbeddingServer, ServiceConfig
 
 __all__ = [
-    "AdmissionPolicy",
-    "FifoAdmission",
-    "RateThresholdAdmission",
-    "CheapestFirstAdmission",
-    "available_policies",
-    "make_policy",
-    "register_policy",
     "ServiceClient",
     "SubmitOutcome",
     "ResilientClient",

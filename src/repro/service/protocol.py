@@ -98,9 +98,8 @@ REJECT_CODES = (
     "queue_full",  # bounded submit queue is at capacity (backpressure)
     "draining",  # server no longer admits new work
     "duplicate_id",  # request id already active or already queued
-    "admission",  # an admission policy refused the request
     "no_solution",  # the solver found no feasible embedding
-    "capacity_conflict",  # speculative batch member lost its capacity race
+    "capacity_conflict",  # the solved embedding no longer fit at commit
     "degraded",  # admission tightened while substrate faults are active
     "unknown_network",  # the named shard is not served here
     "constraint_violation",  # a registered constraint rejected the embedding

@@ -11,7 +11,7 @@ turns all three into one behaviour: retry up to
 jitter (the whole stack stays replayable — no unseeded randomness),
 reconnecting first whenever the transport broke.
 
-Permanent rejections (``no_solution``, ``duplicate_id``, ``admission``,
+Permanent rejections (``no_solution``, ``duplicate_id``,
 ``capacity_conflict``) are returned immediately: retrying them would only
 re-ask a question whose answer cannot change.
 """

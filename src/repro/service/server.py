@@ -7,45 +7,36 @@ served substrate network, resolved through a
 :class:`~repro.engine.router.ShardRouter`. The server holds **no** solver,
 ledger, or repair logic of its own; the offline
 :class:`~repro.sim.online.OnlineSimulator` drives the very same engine, so
-offline replay ≡ strict service decisions holds by construction.
+offline replay ≡ service decisions holds by construction.
 
 Architecture (single-writer per shard, explicit backpressure)::
 
-    connections ──screen──▶ shard queue ──▶ shard dispatcher ──▶ worker pool
+    connections ──screen──▶ shard queue ──▶ shard dispatcher ──▶ solve thread
         ▲                                       │ engine.commit (sole writer)
         └──────────── replies (by msg_id) ◀─────┘
 
-* Every connection handler only *screens* (draining / duplicate /
-  admission-policy / queue bound) and enqueues; structured rejections are
-  produced instead of blocking or crashing when the bounded queue is full.
+* Every connection handler only *screens* (draining / duplicate / queue
+  bound) and enqueues; structured rejections are produced instead of
+  blocking or crashing when the bounded queue is full.
 * One dispatcher task per shard is the sole mutator of that shard's engine.
   Per tick it pulls a **micro-batch** (up to ``batch_size`` submits, after
-  an optional ``tick``-long collection window), lets the admission policy
-  order it, and feeds each member through ``engine.commit``. Releases
-  bypass the submit bound and are applied before the batch — the
-  departures-before-arrivals convention of :func:`repro.sim.trace.replay`.
-* Solves run off the event loop: in a ``ProcessPoolExecutor`` reusing one
-  solver instance per worker process (``workers >= 1``, see
-  :mod:`repro.engine.worker`) or inline in a thread (``workers = 0``).
+  an optional ``tick``-long collection window) and decides its members in
+  arrival order. Releases bypass the submit bound and are applied before
+  the batch — the departures-before-arrivals convention of
+  :func:`repro.sim.trace.replay`.
 
-Two dispatch modes (the engine's strict/speculative split):
-
-* **strict** (default): batch members are solved *sequentially*, each
-  against the residual view left by the previous commit. Acceptance
-  decisions and costs are then bit-identical to replaying the same decision
-  order through an offline :class:`~repro.sim.online.OnlineSimulator` — the
-  property the end-to-end tests assert.
-* **speculative** (``speculative=True``): batch members are solved in
-  parallel against the batch-start view, then committed in policy order
-  with re-validation; a member whose resources were taken by an earlier
-  commit is rejected with the structured code ``capacity_conflict``.
-  Higher throughput, slightly stale views — the classic serving trade-off.
+One decision path: each submit is solved in a thread on the residual view
+left by the previous commit (:func:`solve_on_view`), then committed before
+the next one is solved. Acceptance decisions and costs are therefore
+bit-identical to replaying the same decision order through an offline
+:class:`~repro.sim.online.OnlineSimulator` — the property the end-to-end
+tests assert.
 
 Sharding: the server may serve several independent substrates at once
 (protocol v2); ``submit``/``release`` carry an optional ``network_id``,
 messages without one land on the default shard. Shards are fully isolated —
-separate queues, dispatchers, engines, and admission state, so a fault (or
-a drained queue) on one shard never degrades another.
+separate queues, dispatchers, engines, and degraded-queue state, so a fault
+(or a drained queue) on one shard never degrades another.
 
 Timed work: each dispatcher also drives its shard's
 :class:`~repro.engine.tick.ShardTick`, so it stays the shard's only
@@ -67,9 +58,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -88,17 +77,26 @@ from ..engine import (
     StandbyEngine,
     advertised_vnf_types,
     shard_wal_path,
-    solve_on_view,
 )
 from ..exceptions import ConfigurationError, WalError
 from ..faults.model import FaultEvent, FaultScript
 from ..network.cloud import CloudNetwork
 from ..utils.stats import percentile
 from . import protocol
-from .admission import AdmissionPolicy, make_policy
 from .protocol import MAX_LINE_BYTES, SubmitIntent
 
-__all__ = ["ServiceConfig", "EmbeddingServer"]
+__all__ = ["ServiceConfig", "EmbeddingServer", "solve_on_view"]
+
+
+def solve_on_view(
+    engine: EmbeddingEngine, intent: SubmitIntent, view: CloudNetwork
+) -> EmbeddingResult:
+    """Solve one submit on ``view`` with the engine's solver and seed stream.
+
+    The dispatcher looks this module global up for every submit and runs
+    it in a worker thread, so a tracer can wrap it to time each solve.
+    """
+    return engine.solve(intent, view=view, rng=engine.solve_seed(intent))
 
 
 @dataclass(frozen=True)
@@ -116,11 +114,6 @@ class ServiceConfig:
     #: seconds a dispatcher lingers collecting a batch after the first
     #: submit arrives; 0 = dispatch whatever is queued right now.
     tick: float = 0.0
-    #: worker processes for solves; 0 = solve inline in a thread.
-    workers: int = 0
-    #: parallel in-batch solving against the batch-start view (see module doc).
-    speculative: bool = False
-    admission: str = "fifo"
     #: master seed for server-derived solver streams.
     seed: int = 0
     #: snapshot written here on drain and on `snapshot` requests.
@@ -155,8 +148,6 @@ class ServiceConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.tick < 0:
             raise ConfigurationError(f"tick must be >= 0, got {self.tick}")
-        if self.workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
         if self.chaos_tick <= 0:
             raise ConfigurationError(f"chaos_tick must be > 0, got {self.chaos_tick}")
         if not (0.0 < self.degraded_queue_factor <= 1.0):
@@ -232,7 +223,6 @@ _Pending = (
 _TRANSPORT_COUNTER_KEYS = (
     "submitted",
     "shed_queue_full",
-    "shed_admission",
     "shed_duplicate",
     "shed_draining",
     "shed_degraded",
@@ -282,7 +272,6 @@ class EmbeddingServer:
         network: CloudNetwork | Mapping[str, CloudNetwork] | ShardRouter,
         config: ServiceConfig | None = None,
         *,
-        policy: AdmissionPolicy | None = None,
         ledger: ReservationLedger | None = None,
         counters: dict[str, float] | None = None,
         n_vnf_types: int | None = None,
@@ -315,7 +304,6 @@ class EmbeddingServer:
             self.router = ShardRouter({DEFAULT_NETWORK_ID: engine})
         #: the default shard's substrate (single-network callers' view).
         self.network = self.router.default.network
-        self.policy = policy if policy is not None else make_policy(self.config.admission)
         if (
             self.config.fault_script is not None
             and self.config.chaos_network_id is not None
@@ -357,7 +345,6 @@ class EmbeddingServer:
         self._conn_tasks: set[asyncio.Task[None]] = set()
         self._server: asyncio.Server | None = None
         self._address: tuple[str, int] | None = None
-        self._executor: ProcessPoolExecutor | None = None
         self._chaos_shard = self._shards[chaos_id]
         #: set by the chaos shard's dispatcher once the whole script is applied.
         self._chaos_applied = asyncio.Event()
@@ -392,8 +379,6 @@ class EmbeddingServer:
         """Bind the socket and start the dispatchers; returns (host, port)."""
         if self._server is not None:
             raise ConfigurationError("server is already started")
-        if self.config.workers > 0:
-            self._executor = ProcessPoolExecutor(max_workers=self.config.workers)
         if self.config.wal_dir is not None:
             # Blocking file IO (open/fsync per shard log) stays off the loop.
             await asyncio.to_thread(self._setup_wal)
@@ -445,9 +430,6 @@ class EmbeddingServer:
             # Sync + close every shard log off the loop; anything never
             # acknowledged may land in a torn tail, which recovery truncates.
             await asyncio.to_thread(self._close_wals)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
         self._stop_event.set()
 
     def _flush_queue(self, shard: _Shard) -> None:
@@ -628,8 +610,6 @@ class EmbeddingServer:
         dispatched = merged["dispatched"]
         return {
             "solver": self.config.solver,
-            "policy": self.policy.name,
-            "speculative": self.config.speculative,
             "counters": merged,
             "acceptance_ratio": accepted / dispatched if dispatched else 1.0,
             "active": self.router.active_count(),
@@ -804,12 +784,6 @@ class EmbeddingServer:
                 "duplicate_id",
                 f"request id {intent.request_id} is already active or queued",
             )
-        refusal = self.policy.screen(
-            intent, queue_depth=shard.queued_submits, queue_limit=self.config.queue_limit
-        )
-        if refusal is not None:
-            shard.counters["shed_admission"] += 1
-            return self._reject(intent.msg_id, intent.request_id, "admission", refusal)
         if shard.engine.degraded:
             # Active faults on this shard: solver time is being spent on
             # repairs, so shed earlier (with a retryable, self-describing code).
@@ -1191,28 +1165,12 @@ class EmbeddingServer:
         batch: list[_PendingSubmit],
         deferred: list[tuple["asyncio.Future[dict[str, Any]]", dict[str, Any]]],
     ) -> None:
-        by_arrival = {p.intent.arrival_index: p for p in batch}
-        ordered = self.policy.order([p.intent for p in batch])
-        if len(ordered) != len(batch) or {
-            i.arrival_index for i in ordered
-        } != set(by_arrival):
-            raise ConfigurationError(
-                f"admission policy {self.policy.name!r} must permute the batch"
-            )
-        if self.config.speculative and len(ordered) > 1:
-            view = shard.engine.view()
-            results = await asyncio.gather(
-                *(self._run_solver(shard, intent, view) for intent in ordered)
-            )
-        else:
-            results = None
-        for position, intent in enumerate(ordered):
-            pending = by_arrival[intent.arrival_index]
-            if results is not None:
-                result = results[position]
-            else:
-                result = await self._run_solver(shard, intent, shard.engine.view())
-            decision = shard.engine.commit(intent, result)
+        """Decide each member in arrival order, on the view the last commit left."""
+        engine = shard.engine
+        for pending in batch:
+            intent = pending.intent
+            result = await asyncio.to_thread(solve_on_view, engine, intent, engine.view())
+            decision = engine.commit(intent, result)
             if (
                 decision.accepted
                 and pending.writer is not None
@@ -1222,22 +1180,3 @@ class EmbeddingServer:
             shard.queued_submits -= 1
             shard.pending_ids.discard(intent.request_id)
             deferred.append((pending.reply, self._decision_reply(decision)))
-
-    async def _run_solver(
-        self, shard: _Shard, intent: SubmitIntent, view: CloudNetwork
-    ) -> EmbeddingResult:
-        seed = shard.engine.solve_seed(intent)
-        call = functools.partial(
-            solve_on_view,
-            self.config.solver,
-            view,
-            intent.dag,
-            intent.source,
-            intent.dest,
-            intent.rate,
-            seed,
-            intent.constraints.specs() if intent.constraints else None,
-        )
-        if self._executor is not None:
-            return await asyncio.get_running_loop().run_in_executor(self._executor, call)
-        return await asyncio.to_thread(call)

@@ -5,7 +5,7 @@ The paper embeds one flow into a fresh network; a provider actually faces a
 module is the synchronous driver over the shared
 :class:`~repro.engine.core.EmbeddingEngine` — the same state machine the
 embedding service runs behind its asyncio transport, so an offline replay
-and a strict-mode service run decide identically by construction:
+and a service run decide identically by construction:
 
 * the network's remaining capacity lives in a
   :class:`~repro.network.state.ResidualState`;
@@ -142,9 +142,9 @@ class OnlineSimulator:
         built on first use (``config`` applies then and is ignored on later
         calls), so cooldown state carries across cycles exactly as it does
         in the service. An offline replay that interleaves the same
-        arrivals, departures, and cycle points as a strict-mode service run
-        therefore plans and applies the identical migrations — the
-        decision-identity property ``tests/test_rebalance.py`` checks.
+        arrivals, departures, and cycle points as a service run therefore
+        plans and applies the identical migrations — the decision-identity
+        property ``tests/test_rebalance.py`` checks.
         """
         if self._rebalancer is None:
             self._rebalancer = Rebalancer(self.engine, config)

@@ -1,8 +1,8 @@
 """RPL601-clean fixture: transport code reaching domain logic via the engine."""
 
-from repro.engine import EmbeddingEngine, ReservationLedger, solve_on_view
+from repro.engine import EmbeddingEngine, ReservationLedger, ShardRouter
 from repro.network.cloud import CloudNetwork
 
 
 def build(network: CloudNetwork) -> tuple[object, object, object]:
-    return EmbeddingEngine, ReservationLedger, solve_on_view
+    return EmbeddingEngine, ReservationLedger, ShardRouter

@@ -19,6 +19,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "9z"])
 
+    def test_serve_keeps_only_workers_zero(self):
+        args = build_parser().parse_args(["serve", "--workers", "0"])
+        assert args.workers == 0
+
+    @pytest.mark.parametrize(
+        "retired", [["--workers", "2"], ["--speculative"], ["--admission", "fifo"]]
+    )
+    def test_serve_rejects_retired_dispatch_flags(self, retired):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", *retired])
+        assert info.value.code == 2
+
 
 class TestCommands:
     def test_list_solvers(self, capsys):

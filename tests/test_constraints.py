@@ -531,7 +531,7 @@ class TestWireProtocol:
         ).spec()]
 
         async def drive():
-            async with EmbeddingServer(net, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(net, ServiceConfig()) as server:
                 host, port = server.address
                 async with await ServiceClient.connect(host, port) as client:
                     good = await client.submit(

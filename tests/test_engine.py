@@ -115,32 +115,25 @@ class TestEngineLifecycle:
     def test_decision_indices_are_engine_global(self):
         engine = EmbeddingEngine(engine_network(), "MBBE")
         requests = make_requests(engine.network, 6)
-        decisions = engine.submit_batch(requests)
+        decisions = [engine.commit(r, engine.solve(r)) for r in requests]
         assert [d.decision_index for d in decisions] == list(range(6))
         accepted = [d for d in decisions if d.accepted]
         assert [d.commit_index for d in accepted] == list(range(len(accepted)))
 
-    def test_strict_batch_equals_sequential_submits(self):
-        network = engine_network()
-        requests = make_requests(network, 12)
-        batch_engine = EmbeddingEngine(network, make_solver("MBBE"))
-        one_by_one = EmbeddingEngine(network, make_solver("MBBE"))
-        decisions = batch_engine.submit_batch(requests, rng=7)
-        for request in requests:
-            one_by_one.submit(request, rng=7)
-        assert len(decisions) == len(requests)
-        assert batch_engine.counters == one_by_one.counters
-        assert state_store.snapshot_to_dict(
-            batch_engine.ledger, counters={}
-        ) == state_store.snapshot_to_dict(one_by_one.ledger, counters={})
-
     def test_speculative_batch_reports_capacity_conflict(self):
+        # Two solves on one view, then two commits: the second embedding no
+        # longer fits, and commit's safety net rejects it without touching
+        # the ledger.
         engine = EmbeddingEngine(tight_network(), "MBBE")
         requests = [line_request(1, seed=0), line_request(2, seed=0)]
-        decisions = engine.submit_batch(requests, rng=0, speculative=True)
+        view = engine.view()
+        results = [engine.solve(r, view=view, rng=0) for r in requests]
+        assert all(result.success for result in results)
+        decisions = [engine.commit(r, result) for r, result in zip(requests, results)]
         assert [d.accepted for d in decisions] == [True, False]
         assert decisions[1].code == "capacity_conflict"
         assert engine.counters["rejected_conflict"] == 1
+        assert list(engine.active_ids()) == [1]
 
     def test_solve_seed_prefers_request_seed(self):
         engine = EmbeddingEngine(tight_network(), "MBBE", seed=123)
@@ -247,7 +240,7 @@ class TestGoldenEquivalence:
         network = engine_network()
         requests = make_requests(network, 30)
         released = [r.request_id for r in requests[::3]]
-        config = ServiceConfig(batch_size=1, queue_limit=64, workers=0)
+        config = ServiceConfig(batch_size=1, queue_limit=64)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:

@@ -412,7 +412,7 @@ class TestServiceRebalance:
         network = service_network()
 
         async def drive():
-            async with EmbeddingServer(network, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(network, ServiceConfig()) as server:
                 host, port = server.address
                 client = await ServiceClient.connect(host, port)
                 await churny_fill(client, network, 20)
@@ -439,7 +439,7 @@ class TestServiceRebalance:
         network = service_network(seed=23)
 
         async def drive():
-            async with EmbeddingServer(network, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(network, ServiceConfig()) as server:
                 host, port = server.address
                 client = await ServiceClient.connect(host, port)
                 await churny_fill(client, network, 16, seed=5)
@@ -468,7 +468,6 @@ class TestServiceRebalance:
     def test_background_pump_runs_cycles(self):
         network = service_network(seed=29)
         config = ServiceConfig(
-            workers=0,
             rebalance=RebalanceConfig(interval=0.03, min_gain=0.001, cooldown=1),
         )
 
@@ -494,7 +493,7 @@ class TestServiceRebalance:
         the next timer cycle is due one interval after the last one ended,
         so every submit is still acknowledged promptly."""
         network = service_network(seed=31)
-        config = ServiceConfig(workers=0, rebalance=RebalanceConfig(interval=0.01))
+        config = ServiceConfig(rebalance=RebalanceConfig(interval=0.01))
         slow_cycles = 0
         run_cycle = Rebalancer.run_cycle
 
@@ -527,7 +526,7 @@ class TestServiceRebalance:
         """With a timer due every millisecond the dispatcher keeps timing
         out of its queue wait; every submit and release still gets a reply."""
         network = service_network(seed=43)
-        config = ServiceConfig(workers=0, rebalance=RebalanceConfig(interval=0.001))
+        config = ServiceConfig(rebalance=RebalanceConfig(interval=0.001))
         workload = make_workload(network, 24, seed=17)
 
         async def drive():
@@ -566,7 +565,7 @@ class TestLoadgenChurn:
         )
 
         async def drive(churn):
-            async with EmbeddingServer(network, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(network, ServiceConfig()) as server:
                 host, port = server.address
                 client = await ServiceClient.connect(host, port)
                 # release=False: only the churned share ever departs.
@@ -598,7 +597,7 @@ class TestResilientRebalance:
         network = service_network(seed=37)
 
         async def drive():
-            server = EmbeddingServer(network, ServiceConfig(workers=0))
+            server = EmbeddingServer(network, ServiceConfig())
             host, port = await server.start()
             await server.stop()
             policy = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.02)
@@ -617,7 +616,7 @@ class TestResilientRebalance:
         network = service_network(seed=41)
 
         async def drive():
-            async with EmbeddingServer(network, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(network, ServiceConfig()) as server:
                 host, port = server.address
                 policy = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.05)
                 async with ResilientClient(host, port, policy=policy, rng=2) as rc:

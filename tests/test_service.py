@@ -1,11 +1,10 @@
-"""The embedding service: protocol, admission, ledger, snapshots, and e2e.
+"""The embedding service: protocol, ledger, snapshots, and e2e.
 
 The end-to-end tests run the real asyncio server in-process (ephemeral
 loopback port, inline solves) and drive it with the real client. The
-central property: in strict dispatch mode the server's accept/reject
-decisions and costs are identical to replaying the same requests, in the
-server's decision order, through the offline
-:class:`~repro.sim.online.OnlineSimulator`.
+central property: the server's accept/reject decisions and costs are
+identical to replaying the same requests, in the server's decision order,
+through the offline :class:`~repro.sim.online.OnlineSimulator`.
 
 Plain ``asyncio.run`` per test — no asyncio pytest plugin is assumed.
 """
@@ -31,17 +30,9 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     SubmitIntent,
-    available_policies,
-    make_policy,
-    register_policy,
 )
 from repro.engine import state_store
 from repro.service import protocol
-from repro.service.admission import (
-    AdmissionPolicy,
-    CheapestFirstAdmission,
-    RateThresholdAdmission,
-)
 from repro.service.loadgen import percentile
 from repro.sfc.builder import DagSfcBuilder
 from repro.sfc.generator import generate_dag_sfc
@@ -129,52 +120,6 @@ class TestProtocol:
             protocol.submit_from_message({**good, "rate": 0.0})
         with pytest.raises(ProtocolError, match="malformed submit"):
             protocol.submit_from_message({**good, "dag": {"layers": "zap"}})
-
-
-# -- admission --------------------------------------------------------------------
-
-
-def intent(rid: int, *, rate: float = 1.0, arrival_index: int = 0) -> SubmitIntent:
-    return SubmitIntent(
-        request_id=rid, dag=single_vnf_dag(), source=0, dest=2,
-        flow=FlowConfig(rate=rate), arrival_index=arrival_index,
-    )
-
-
-class TestAdmission:
-    def test_registry(self):
-        assert set(available_policies()) >= {"FIFO", "RATE-THRESHOLD", "CHEAPEST-FIRST"}
-        assert make_policy("fifo").name == "fifo"
-        with pytest.raises(ConfigurationError, match="unknown admission policy"):
-            make_policy("nope")
-
-    def test_register_policy_rejects_duplicates(self):
-        class Custom(AdmissionPolicy):
-            name = "custom-test"
-
-        register_policy("custom-test", Custom)
-        assert make_policy("CUSTOM-test").name == "custom-test"
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_policy("Custom-Test", Custom)
-
-    def test_fifo_keeps_order(self):
-        batch = [intent(i, arrival_index=i) for i in range(4)]
-        assert make_policy("fifo").order(batch) == batch
-
-    def test_rate_threshold_screens(self):
-        policy = RateThresholdAdmission(max_rate=1.0)
-        assert policy.screen(intent(0, rate=0.5), queue_depth=0, queue_limit=8) is None
-        refusal = policy.screen(intent(1, rate=2.0), queue_depth=0, queue_limit=8)
-        assert refusal is not None and "threshold" in refusal
-        with pytest.raises(ConfigurationError):
-            RateThresholdAdmission(max_rate=0.0)
-
-    def test_cheapest_first_orders_by_work_then_arrival(self):
-        light = intent(0, rate=1.0, arrival_index=2)
-        heavy = intent(1, rate=3.0, arrival_index=0)
-        tied = intent(2, rate=1.0, arrival_index=1)
-        ordered = CheapestFirstAdmission().order([heavy, light, tied])
-        assert [i.request_id for i in ordered] == [2, 0, 1]
 
 
 # -- reservation ledger -----------------------------------------------------------
@@ -311,7 +256,7 @@ class TestServerEndToEnd:
         """50 concurrent submits == offline simulator in decision order."""
         network = service_network()
         workload = make_workload(network, 50)
-        config = ServiceConfig(batch_size=4, queue_limit=128, workers=0)
+        config = ServiceConfig(batch_size=4, queue_limit=128)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -335,7 +280,7 @@ class TestServerEndToEnd:
         assert stats["counters"]["accepted"] == len(accepted)
 
         # Offline replay in the server's decision order must reproduce every
-        # decision and every accepted cost exactly (strict-mode guarantee).
+        # decision and every accepted cost exactly.
         sim = OnlineSimulator(network, make_solver(config.solver))
         by_rid = {w[0]: w for w in workload}
         for outcome in sorted(outcomes, key=lambda o: o.decision_index):
@@ -353,7 +298,7 @@ class TestServerEndToEnd:
     def test_queue_overflow_yields_structured_rejections(self):
         network = service_network()
         workload = make_workload(network, 10)
-        config = ServiceConfig(queue_limit=2, batch_size=1, tick=0.2, workers=0)
+        config = ServiceConfig(queue_limit=2, batch_size=1, tick=0.2)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -379,33 +324,9 @@ class TestServerEndToEnd:
         decided = [o for o in outcomes if o.code != "queue_full"]
         assert all(o.accepted or o.code in protocol.REJECT_CODES for o in decided)
 
-    def test_speculative_batch_conflicts_are_structured(self):
-        # Only one embedding fits the tight line network: a speculative
-        # 3-batch must accept exactly one and reject the rest as conflicts.
-        network = tight_network()
-        config = ServiceConfig(
-            batch_size=3, tick=0.2, speculative=True, workers=0, queue_limit=8
-        )
-
-        async def drive():
-            async with EmbeddingServer(network, config) as server:
-                host, port = server.address
-                async with await ServiceClient.connect(host, port) as client:
-                    return await asyncio.gather(
-                        *(
-                            client.submit(rid, single_vnf_dag(), 0, 2, seed=rid)
-                            for rid in range(3)
-                        )
-                    )
-
-        outcomes = run(drive())
-        assert sum(o.accepted for o in outcomes) == 1
-        conflicts = [o for o in outcomes if o.code == "capacity_conflict"]
-        assert len(conflicts) == 2
-
     def test_duplicate_and_draining_rejections(self):
         network = tight_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -422,26 +343,9 @@ class TestServerEndToEnd:
         assert dup.code == "duplicate_id" and not dup.accepted
         assert late.code == "draining" and not late.accepted
 
-    def test_admission_policy_rejections(self):
-        network = tight_network()
-        config = ServiceConfig(workers=0, admission="rate-threshold")
-
-        async def drive():
-            async with EmbeddingServer(
-                network, config, policy=RateThresholdAdmission(max_rate=0.75)
-            ) as server:
-                host, port = server.address
-                async with await ServiceClient.connect(host, port) as client:
-                    return await client.submit(
-                        1, single_vnf_dag(), 0, 2, rate=1.0, seed=1
-                    )
-
-        outcome = run(drive())
-        assert outcome.code == "admission" and not outcome.accepted
-
     def test_release_roundtrip_over_the_wire(self):
         network = tight_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -463,7 +367,7 @@ class TestServerEndToEnd:
 
     def test_malformed_submit_yields_error_reply(self):
         network = tight_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -479,7 +383,7 @@ class TestServerEndToEnd:
         network = service_network()
         workload = make_workload(network, 8)
         snap = str(tmp_path / "state.json")
-        config = ServiceConfig(workers=0, batch_size=4, snapshot_path=snap)
+        config = ServiceConfig(batch_size=4, snapshot_path=snap)
 
         async def first_life():
             async with EmbeddingServer(network, config) as server:
@@ -528,7 +432,7 @@ class TestServerEndToEnd:
 
     def test_drain_shutdown_stops_the_server(self):
         network = tight_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             server = EmbeddingServer(network, config)
@@ -548,8 +452,6 @@ class TestServerEndToEnd:
             ServiceConfig(batch_size=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(tick=-0.1)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(workers=-1)
 
 
 # -- event-loop offload regressions -----------------------------------------------
@@ -583,7 +485,7 @@ class TestAsyncOffload:
 
         network = service_network()
         snap = str(tmp_path / "state.json")
-        config = ServiceConfig(workers=0, snapshot_path=snap)
+        config = ServiceConfig(snapshot_path=snap)
 
         async def drive() -> float:
             async with EmbeddingServer(network, config) as server:
@@ -615,7 +517,7 @@ class TestAsyncOffload:
         network = service_network()
         workload = make_workload(network, 12)
         snap = str(tmp_path / "state.json")
-        config = ServiceConfig(workers=0, batch_size=3, snapshot_path=snap)
+        config = ServiceConfig(batch_size=3, snapshot_path=snap)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -647,7 +549,7 @@ class TestAsyncOffload:
         from repro.faults.model import FaultAction, FaultEvent, FaultTarget
 
         network = service_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
         real_apply = EmbeddingEngine.apply_fault
 
         def slow_apply(engine, event, rng=None, *, auto_seed=False):

@@ -86,7 +86,7 @@ class TestChaosEndToEnd:
         assert len(script) > 0
         workload = make_workload(network, 36)
         config = ServiceConfig(
-            batch_size=4, queue_limit=128, workers=0,
+            batch_size=4, queue_limit=128,
             fault_script=script, chaos_tick=0.01,
         )
 
@@ -176,7 +176,7 @@ class TestChaosEndToEnd:
         assert offline.any_dead
         workload = make_workload(network, 12, seed=3)
         config = ServiceConfig(
-            batch_size=4, queue_limit=64, workers=0, fault_script=script, chaos_tick=0.01
+            batch_size=4, queue_limit=64, fault_script=script, chaos_tick=0.01
         )
 
         async def drive():
@@ -200,7 +200,7 @@ class TestChaosEndToEnd:
     def test_degraded_admission_sheds_with_structured_code(self):
         network = chaos_network(seed=3)
         config = ServiceConfig(
-            batch_size=1, queue_limit=6, tick=0.2, workers=0,
+            batch_size=1, queue_limit=6, tick=0.2,
             degraded_queue_factor=0.34,
         )
         workload = make_workload(network, 8, seed=5)
@@ -256,7 +256,7 @@ class TestChaosEndToEnd:
 
     def test_resilient_client_rides_out_transient_sheds(self):
         network = chaos_network(seed=7)
-        config = ServiceConfig(batch_size=1, queue_limit=1, tick=0.05, workers=0)
+        config = ServiceConfig(batch_size=1, queue_limit=1, tick=0.05)
         workload = make_workload(network, 6, seed=9)
 
         async def drive():
@@ -286,7 +286,7 @@ class TestChaosEndToEnd:
         network = chaos_network(seed=13)
 
         async def drive():
-            server = EmbeddingServer(network, ServiceConfig(workers=0))
+            server = EmbeddingServer(network, ServiceConfig())
             host, port = await server.start()
             client = await ServiceClient.connect(host, port)
             await server.stop()

@@ -64,7 +64,7 @@ async def wait_until(predicate, *, timeout: float = 5.0, interval: float = 0.01)
 class TestShardedHello:
     def test_hello_advertises_every_shard(self):
         networks = two_networks()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             async with EmbeddingServer(networks, config) as server:
@@ -92,7 +92,7 @@ class TestShardedDispatch:
     def test_concurrent_clients_on_disjoint_shards(self):
         """Same request ids on two shards: independent id spaces, both served."""
         networks = two_networks()
-        config = ServiceConfig(batch_size=4, queue_limit=128, workers=0)
+        config = ServiceConfig(batch_size=4, queue_limit=128)
         workloads = {
             network_id: make_workload(network, 20, seed=seed)
             for (network_id, network), seed in zip(networks.items(), (11, 12))
@@ -145,7 +145,7 @@ class TestShardedDispatch:
 
     def test_default_shard_when_network_id_omitted(self):
         networks = two_networks()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
         workload = make_workload(networks["alpha"], 4)
 
         async def drive():
@@ -162,7 +162,7 @@ class TestShardedDispatch:
 
     def test_unknown_network_is_a_structured_rejection(self):
         networks = two_networks()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
         (rid, dag, src, dst, rate, s) = make_workload(networks["alpha"], 1)[0]
 
         async def drive():
@@ -194,7 +194,7 @@ class TestShardedDispatch:
             horizon=5,
         )
         config = ServiceConfig(
-            workers=0, fault_script=script, chaos_network_id="beta", chaos_tick=0.01,
+            fault_script=script, chaos_network_id="beta", chaos_tick=0.01,
             wal_dir=str(tmp_path / "wal"), standby=True,
             rebalance=RebalanceConfig(interval=0.01),
         )
@@ -219,7 +219,7 @@ class TestShardedDispatch:
 class TestShardFaultIsolation:
     def test_fault_on_one_shard_leaves_the_other_undegraded(self):
         networks = two_networks()
-        config = ServiceConfig(batch_size=4, workers=0, degraded_queue_factor=0.5)
+        config = ServiceConfig(batch_size=4, degraded_queue_factor=0.5)
         workload = make_workload(networks["alpha"], 6)
 
         async def drive():
@@ -261,7 +261,7 @@ class TestShardFaultIsolation:
 
     def test_recovery_clears_the_aggregate_flag(self):
         networks = two_networks()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             async with EmbeddingServer(networks, config) as server:
@@ -298,7 +298,7 @@ class TestShardedDurability:
     def test_sharded_snapshot_roundtrip(self, tmp_path):
         networks = two_networks()
         snap = str(tmp_path / "sharded.json")
-        config = ServiceConfig(batch_size=4, workers=0, snapshot_path=snap)
+        config = ServiceConfig(batch_size=4, snapshot_path=snap)
         workloads = {
             "alpha": make_workload(networks["alpha"], 8, seed=11),
             "beta": make_workload(networks["beta"], 8, seed=12),
@@ -360,7 +360,7 @@ class TestShardedDurability:
     def test_snapshot_restore_rejects_mismatched_shard_set(self, tmp_path):
         networks = two_networks()
         snap = str(tmp_path / "sharded.json")
-        config = ServiceConfig(workers=0, snapshot_path=snap)
+        config = ServiceConfig(snapshot_path=snap)
 
         async def drive():
             async with EmbeddingServer(networks, config) as server:
@@ -382,7 +382,7 @@ class TestShardedDurability:
 
     def test_drain_covers_every_shard(self):
         networks = two_networks()
-        config = ServiceConfig(batch_size=4, workers=0)
+        config = ServiceConfig(batch_size=4)
         workloads = {
             "alpha": make_workload(networks["alpha"], 5, seed=11),
             "beta": make_workload(networks["beta"], 5, seed=12),

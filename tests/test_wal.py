@@ -712,7 +712,7 @@ class TestServiceDurability:
         network = engine_network()
         workload = make_workload(network, 20)
         wal_dir = str(tmp_path / "wal")
-        config = ServiceConfig(batch_size=4, workers=0, wal_dir=wal_dir)
+        config = ServiceConfig(batch_size=4, wal_dir=wal_dir)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -751,7 +751,7 @@ class TestServiceDurability:
         network = engine_network()
         workload = make_workload(network, 24)
         wal_dir = str(tmp_path / "wal")
-        config = ServiceConfig(batch_size=4, workers=0, wal_dir=wal_dir, standby=True)
+        config = ServiceConfig(batch_size=4, wal_dir=wal_dir, standby=True)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -802,7 +802,7 @@ class TestServiceDurability:
         network = engine_network()
         rid, dag, src, dst, rate, seed = make_workload(network, 1)[0]
         config = ServiceConfig(
-            batch_size=4, workers=0, wal_dir=str(tmp_path / "wal"), standby=True
+            batch_size=4, wal_dir=str(tmp_path / "wal"), standby=True
         )
         lock = threading.Lock()
         in_flight = peak = 0
@@ -852,7 +852,7 @@ class TestServiceDurability:
     def test_standbys_are_caught_up_when_a_drain_replies(self, tmp_path):
         networks = {"net0": engine_network(17), "net1": engine_network(19)}
         config = ServiceConfig(
-            batch_size=4, workers=0, wal_dir=str(tmp_path / "wal"), standby=True
+            batch_size=4, wal_dir=str(tmp_path / "wal"), standby=True
         )
 
         async def drive():
@@ -890,7 +890,7 @@ class TestServiceDurability:
 
     def test_promote_without_standby_is_a_structured_error(self, tmp_path):
         network = tight_network()
-        config = ServiceConfig(workers=0, wal_dir=str(tmp_path / "wal"))
+        config = ServiceConfig(wal_dir=str(tmp_path / "wal"))
 
         async def drive():
             async with EmbeddingServer(network, config) as server:

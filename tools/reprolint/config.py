@@ -162,7 +162,6 @@ class LintConfig:
         "apply_fault",
         "apply",
         "submit",
-        "submit_batch",
         "rollback",
         "restore",
     )
