@@ -4,39 +4,34 @@
 Starts a real `EmbeddingServer` on an ephemeral loopback port, connects the
 real async client, and drives it with an open-loop replay of a generated
 arrival trace — the same moving parts `dag-sfc serve` / `dag-sfc loadgen`
-wire up across two processes (see docs/serving.md). Along the way it
-snapshots the server's state, restarts a second server from the snapshot,
-and shows that the restored residual capacity is identical.
+wire up across two processes (see docs/serving.md). The server writes one
+write-ahead log per shard into a temporary directory; the `snapshot` verb
+appends a checkpoint to it, and a second server restarted through
+`ShardRouter.restore` (the last checkpoint plus the records after it) shows
+that the restored residual capacity is identical.
 
 Run:  python examples/serve_and_load.py
 """
 
 import asyncio
+import tempfile
 
 from repro import NetworkConfig, SfcConfig, generate_network
-from repro.service import (
-    EmbeddingServer,
-    ServiceClient,
-    ServiceConfig,
-    load_snapshot,
-)
+from repro.engine import DEFAULT_NETWORK_ID, ShardRouter
+from repro.service import EmbeddingServer, ServiceClient, ServiceConfig
 from repro.service.loadgen import run_load
-from repro.engine.state_store import snapshot_to_dict
 from repro.sim.trace import generate_trace
 
 SEED = 23
-SNAPSHOT = "service_snapshot_example.json"
 
 
-async def main() -> None:
+async def main(wal_dir: str) -> None:
     cfg = NetworkConfig(
         size=60, connectivity=5.0, n_vnf_types=8, deploy_ratio=0.4,
         vnf_capacity=4.0, link_capacity=4.0,
     )
     network = generate_network(cfg, rng=SEED)
-    config = ServiceConfig(
-        solver="MBBE", batch_size=8, snapshot_path=SNAPSHOT, seed=SEED
-    )
+    config = ServiceConfig(solver="MBBE", batch_size=8, wal_dir=wal_dir, seed=SEED)
 
     async with EmbeddingServer(network, config) as server:
         host, port = server.address
@@ -56,18 +51,22 @@ async def main() -> None:
             print(report.format_table())
 
             reply = await client.snapshot()
-            print(f"\nsnapshot: {reply['active']} active reservations -> {reply['path']}")
-        before = snapshot_to_dict(server.ledger, counters={})
+            seq = reply["checkpoints"][DEFAULT_NETWORK_ID]
+            print(f"\nsnapshot: {reply['active']} active reservations -> "
+                  f"checkpoint at WAL seq {seq}")
+        before = server.router.default.ledger_fingerprint()
 
-    # "Crash", then resume a fresh server from the on-disk snapshot.
-    ledger, counters = load_snapshot(SNAPSHOT, network)
-    async with EmbeddingServer(network, config, ledger=ledger, counters=counters) as server:
-        after = snapshot_to_dict(server.ledger, counters={})
-        same = after["reservations"] == before["reservations"]
-        print(f"restarted from snapshot: {len(server.ledger)} reservations restored, "
+    # "Crash", then resume a fresh server from the shard's log.
+    router, leftovers = ShardRouter.restore(
+        {DEFAULT_NETWORK_ID: network}, config.solver, wal_dir, seed=SEED
+    )
+    async with EmbeddingServer(router, config, transport_counters=leftovers) as server:
+        same = server.router.default.ledger_fingerprint() == before
+        print(f"restarted from the WAL: {len(server.ledger)} reservations restored, "
               f"residual state identical: {same}")
         assert same
 
 
 if __name__ == "__main__":
-    asyncio.run(main())
+    with tempfile.TemporaryDirectory(prefix="dagsfc-example-") as wal_dir:
+        asyncio.run(main(wal_dir))

@@ -142,12 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     # run inline in a thread.
     serve.add_argument("--workers", type=int, default=0, choices=[0], help=argparse.SUPPRESS)
     serve.add_argument(
-        "--snapshot", type=str, default=None, help="persist state here on drain/snapshot"
-    )
-    serve.add_argument(
         "--resume",
         action="store_true",
-        help="restore reservations and counters from --snapshot before serving",
+        help=(
+            "restore every shard from its --wal log (last checkpoint plus the "
+            "records after it) before serving"
+        ),
     )
     serve.add_argument(
         "--wal",
@@ -156,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "write-ahead log directory (one log per shard): every commit is "
-            "fsynced before it is acknowledged, and --resume replays the logs "
-            "past the snapshot (the snapshot itself becomes optional)"
+            "fsynced before it is acknowledged; the snapshot verb appends a "
+            "checkpoint to every log"
         ),
     )
     serve.add_argument(
@@ -582,6 +582,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("dag-sfc serve: --shards must be >= 1", file=sys.stderr)
         return 2
+    for flag, given in (("--standby", args.standby), ("--resume", args.resume)):
+        if given and not args.wal:
+            print(f"dag-sfc serve: {flag} requires --wal", file=sys.stderr)
+            return 2
     net_cfg = NetworkConfig(
         size=args.network_size,
         connectivity=args.connectivity,
@@ -617,7 +621,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         tick=args.tick,
         seed=args.seed,
-        snapshot_path=args.snapshot,
         fault_script=fault_script,
         chaos_network_id=chaos_shard,
         chaos_tick=args.chaos_tick,
@@ -635,25 +638,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
     server_kwargs: dict[str, Any] = {}
-    if args.standby and not args.wal:
-        print("dag-sfc serve: --standby requires --wal", file=sys.stderr)
-        return 2
-    if args.resume and not args.snapshot and not args.wal:
-        print("dag-sfc serve: --resume requires --snapshot (or --wal)", file=sys.stderr)
-        return 2
     if args.resume:
-        # Snapshot + optional per-shard log replay (with --wal the snapshot
-        # may be absent or stale: the logs carry everything acknowledged
-        # past it). The snapshot's counter dicts carry the transport keys
-        # alongside the engine's; the leftovers rehydrate them.
+        # Each shard: its log's last checkpoint + the records after it. The
+        # checkpoint's counters carry the transport keys alongside the
+        # engine's; the leftovers rehydrate them.
         router, leftovers = ShardRouter.restore(
-            networks, args.solver, args.snapshot, seed=args.seed, wal_dir=args.wal
+            networks, args.solver, args.wal, seed=args.seed
         )
-        wal_note = f" + wal {args.wal}" if args.wal else ""
         print(
             f"resumed {router.active_count()} active reservations across "
-            f"{len(router)} shard(s) from "
-            f"{args.snapshot or '(no snapshot)'}{wal_note}"
+            f"{len(router)} shard(s) from {args.wal}"
         )
         server_target: Any = router
         server_kwargs = {"transport_counters": leftovers}

@@ -26,7 +26,7 @@ new rule, this module defines one protocol every rule speaks:
   solve → verify → reprice loop in :meth:`Embedder.embed`;
 * **serialized spec** — :meth:`Constraint.spec` /
   :meth:`Constraint.from_spec` round-trip a constraint through the JSON
-  wire protocol, the WAL, and snapshots.
+  wire protocol and the WAL.
 
 Constraints are **frozen dataclasses**: hashable, comparable, and safe to
 embed in :class:`~repro.engine.request.EmbeddingRequest`. A

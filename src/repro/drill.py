@@ -23,7 +23,9 @@ unless ``ok``.
   ``net1``, so every timer a shard tick schedules runs in one process: one
   load burst per shard, a ``promote`` of ``net0`` that must succeed, then
   one burst per constraint plugin on the promoted ``net0``, each of which
-  must accept work; the drained snapshot must hold both shards.
+  must accept work; a ``snapshot`` before the drain must leave a
+  ``checkpoint`` record in both shard logs (``net0``'s written by the
+  promoted standby).
 
 No wait on a spawned server is unbounded: its output goes to a log file that
 is polled for the listening banner, and every client call and process exit
@@ -64,7 +66,7 @@ from .sfc.generator import generate_dag_sfc
 from .sim.trace import TraceEvent, generate_trace
 from .utils.rng import as_generator, trial_seed
 from .utils.stats import percentile
-from .wal.log import shard_wal_path
+from .wal.log import read_wal, shard_wal_path
 from .wal.standby import StandbyEngine
 
 __all__ = [
@@ -136,14 +138,13 @@ def _serve_command(solver: str, seed: int, *args: str) -> list[str]:
 def _wal_serve_command(
     net: NetworkConfig, workdir: str, solver: str, seed: int, *args: str
 ) -> list[str]:
-    """``serve`` on ``net`` with a WAL and snapshot in ``workdir``, resuming."""
+    """``serve`` on ``net`` with a WAL in ``workdir``, resuming from it."""
     return _serve_command(
         solver, seed,
         "--network-size", str(net.size), "--connectivity", str(net.connectivity),
         "--n-vnf-types", str(net.n_vnf_types), "--deploy-ratio", str(net.deploy_ratio),
         "--vnf-capacity", str(net.vnf_capacity), "--link-capacity", str(net.link_capacity),
-        "--wal", os.path.join(workdir, "wal"),
-        "--snapshot", os.path.join(workdir, "state.json"), "--resume",
+        "--wal", os.path.join(workdir, "wal"), "--resume",
         *args,
     )
 
@@ -274,8 +275,8 @@ def _restore(
     """Recovery from the default shard's log alone, timed cold."""
     started = time.perf_counter()
     restored, _ = EmbeddingEngine.restore(
-        network, solver, None, seed=seed,
-        wal_path=shard_wal_path(os.path.join(workdir, "wal"), DEFAULT_NETWORK_ID),
+        network, solver,
+        shard_wal_path(os.path.join(workdir, "wal"), DEFAULT_NETWORK_ID), seed=seed,
     )
     return restored, time.perf_counter() - started
 
@@ -622,7 +623,7 @@ def _rebalance_live(*, solver: str, seed: int, workdir: str, cycles: int = 10) -
     fingerprint = engine.ledger_fingerprint()
 
     # Offline replay: the log alone reproduces ledger + move counters.
-    restored, _ = EmbeddingEngine.restore(network, solver, None, seed=seed, wal_path=wal_path)
+    restored, _ = EmbeddingEngine.restore(network, solver, wal_path, seed=seed)
     # Fail-over: a standby that tailed the log takes over mid-defrag.
     promoted = standby.promote(attach_writer=False)
     engine.detach_wal()
@@ -770,10 +771,13 @@ async def _burst(
     return {k: doc[k] for k in ("submitted", "accepted", "rejects_by_code", "acceptance_ratio")}
 
 
-async def _shard_bursts(server: Server, seed: int) -> tuple[dict[str, dict[str, Any]], str]:
-    """Bursts keyed ``network_id`` or ``network_id+constraint``, plus the
-    reply type of the ``net0`` promotion between the first two bursts and
-    the constraint bursts."""
+async def _shard_bursts(
+    server: Server, seed: int
+) -> tuple[dict[str, dict[str, Any]], str, dict[str, int]]:
+    """Bursts keyed ``network_id`` or ``network_id+constraint``, the reply
+    type of the ``net0`` promotion between the first two bursts and the
+    constraint bursts, and the per-shard checkpoint seqs of the ``snapshot``
+    taken before the drain."""
     client = await _call(ServiceClient.connect(server.host, server.port))
     try:
         net0, net1 = await asyncio.gather(
@@ -789,41 +793,43 @@ async def _shard_bursts(server: Server, seed: int) -> tuple[dict[str, dict[str, 
             bursts[f"net0+{constraint}"] = await _burst(
                 client, "net0", seed + 2 + 2 * index, 20000 * index, constraint
             )
+        try:
+            checkpoints = (await _call(client.snapshot()))["checkpoints"]
+        except ServiceError:
+            checkpoints = {}
         await _call(client.drain(shutdown=True))
     finally:
         await _close(client)
-    return bursts, promoted
+    return bursts, promoted, checkpoints
 
 
 def _shards(*, solver: str, seed: int) -> dict[str, Any]:
     with tempfile.TemporaryDirectory(prefix="dagsfc-drill-") as workdir:
-        snapshot = os.path.join(workdir, "state.json")
+        wal_dir = os.path.join(workdir, "wal")
         command = _serve_command(
-            solver, seed, "--network-size", "40", "--shards", "2", "--snapshot", snapshot,
-            "--wal", os.path.join(workdir, "wal"), "--standby", "--rebalance",
+            solver, seed, "--network-size", "40", "--shards", "2",
+            "--wal", wal_dir, "--standby", "--rebalance",
             "--chaos", "horizon=60,link=20,instance=30", "--chaos-shard", "net1",
         )
         with served(command, workdir, "bursts") as server:
-            bursts, promoted = asyncio.run(_shard_bursts(server, seed))
+            bursts, promoted, checkpoints = asyncio.run(_shard_bursts(server, seed))
             exit_code = server.wait()
-        try:
-            with open(snapshot, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            doc = {}
-    kind, shards = doc.get("kind"), sorted(doc.get("shards", {}))
+        # Shards whose log holds a checkpoint record at the replied seq.
+        found: list[str] = []
+        for network_id, seq in sorted(checkpoints.items()):
+            records = read_wal(shard_wal_path(wal_dir, network_id)).records
+            if seq < len(records) and records[seq].type == "checkpoint":
+                found.append(network_id)
     return _report(
         "shards", solver, seed,
         bursts=bursts,
         net0_promote=promoted,
         server_exit_code=exit_code,
-        snapshot_kind=kind,
-        snapshot_shards=shards,
+        checkpoints=checkpoints,
         ok=all(b["accepted"] > 0 for key, b in bursts.items() if key.startswith("net0"))
         and promoted == "promoted"
         and exit_code == 0
-        and kind == "service-state-sharded"
-        and shards == ["net0", "net1"],
+        and found == ["net0", "net1"],
     )
 
 

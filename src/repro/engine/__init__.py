@@ -17,8 +17,8 @@ Both are thin drivers over it now:
 * :mod:`repro.engine.rebalance` — :class:`Rebalancer`, the background
   defrag loop planning pinned re-embeds and applying them through the
   engine's atomic :meth:`~repro.engine.core.EmbeddingEngine.migrate`;
-* :mod:`repro.engine.state_store` — fingerprint-guarded snapshot/restore
-  (single and sharded document kinds).
+* :mod:`repro.engine.state_store` — the canonical reservation record and
+  the substrate fingerprint every write-ahead log header carries.
 
 Layering rule (enforced by reprolint's RPL601): the service transport
 imports solvers, the reservation ledger, and the repair machinery **only**
@@ -47,12 +47,7 @@ from .rebalance import (
 from .request import EmbeddingRequest
 from .router import DEFAULT_NETWORK_ID, ShardRouter, advertised_vnf_types
 from .tick import ShardTick
-from .state_store import (
-    SHARDED_SNAPSHOT_KIND,
-    SNAPSHOT_KIND,
-    load_snapshot,
-    network_fingerprint,
-)
+from .state_store import network_fingerprint
 
 __all__ = [
     "ENGINE_COUNTER_KEYS",
@@ -75,10 +70,7 @@ __all__ = [
     "RepairOutcome",
     "Reservation",
     "ReservationLedger",
-    "SNAPSHOT_KIND",
-    "SHARDED_SNAPSHOT_KIND",
     "network_fingerprint",
-    "load_snapshot",
     "StandbyEngine",
     "WalRecord",
     "WalWriter",

@@ -17,8 +17,9 @@ lifecycle as plain synchronous methods:
 * :meth:`submit` — the synchronous composition of the two for in-process
   drivers (the offline simulator, tests);
 * :meth:`release`, :meth:`apply_fault`, :meth:`stats`,
-  :meth:`save_snapshot` / :meth:`restore` — departures, chaos, telemetry,
-  durability;
+  :meth:`checkpoint` / :meth:`restore` — departures, chaos, telemetry,
+  durability (the write-ahead log is a shard's only durable artifact:
+  restore loads its last checkpoint and replays the records after it);
 * :meth:`migrate` — the rebalancer's atomic apply: release-old +
   reserve-new as one ledger effect with apply-time re-validation, rolled
   back cleanly on conflict and logged as one ``migrate`` WAL record.
@@ -50,7 +51,6 @@ from ..exceptions import (
     CapacityError,
     ConfigurationError,
     LedgerError,
-    SnapshotError,
     WalError,
 )
 from ..faults.model import FaultAction, FaultEvent, FaultState, degrade_network
@@ -106,7 +106,7 @@ ENGINE_COUNTER_KEYS = (
 FLOAT_COUNTER_KEYS = frozenset({"total_cost_accepted", "repair_cost_delta"})
 
 #: Counters of the migrate transaction, kept in a block of their own so the
-#: historical wire/snapshot counter order (and every golden gated on it)
+#: historical wire/checkpoint counter order (and every golden gated on it)
 #: stays byte-identical while the rebalancer is off. ``cost_recovered`` is
 #: a float (accumulated objective), the other two are event counts.
 REBALANCE_COUNTER_KEYS = (
@@ -172,39 +172,26 @@ class EmbeddingEngine:
         solver: Embedder | str,
         *,
         seed: int = 0,
-        ledger: ReservationLedger | None = None,
-        counters: Mapping[str, float] | None = None,
     ) -> None:
         self.network = network
         self.solver: Embedder = solver if isinstance(solver, Embedder) else make_solver(solver)
         #: master seed for engine-derived solver streams.
         self.seed = seed
-        if ledger is not None and ledger.state.network is not network:
-            raise ConfigurationError("restored ledger belongs to a different network")
-        self.ledger = ledger if ledger is not None else ReservationLedger(ResidualState(network))
+        self.ledger = ReservationLedger(ResidualState(network))
         # Event counts stay ints; only accumulated costs are floats.
         self.counters: dict[str, float] = {key: 0 for key in ENGINE_COUNTER_KEYS}
         for key in FLOAT_COUNTER_KEYS:
             self.counters[key] = 0.0
-        if counters:
-            for key, value in counters.items():
-                if key in self.counters:
-                    self.counters[key] = (
-                        float(value) if key in FLOAT_COUNTER_KEYS else int(value)
-                    )
         self._faults = FaultState()
         self._tracked: dict[int, EmbeddedRequest] = {}
         # The repair ladder plans in-process on read-only views of this
         # state (a transport's dispatcher is the sole writer, so repairs
         # cannot overlap a commit); _apply applies its effects.
         self._repair = RepairEngine(self.ledger, self.solver, self._faults, self._tracked)
-        # decision_index and dispatched advance in lockstep, so an engine
-        # restored from a ledger-only snapshot continues the decision
-        # sequence instead of restarting it.
-        self._decision_counter = int(self.counters["dispatched"])
+        self._decision_counter = 0
         self._fault_counter = 0
         # Migrate-transaction counters live outside ``counters`` so the
-        # historical snapshot/wire counter order stays byte-identical.
+        # historical checkpoint/wire counter order stays byte-identical.
         self.rebalance_counters: dict[str, float] = {
             key: 0 for key in REBALANCE_COUNTER_KEYS
         }
@@ -556,8 +543,8 @@ class EmbeddingEngine:
 
         The writer must describe *this* engine (header fingerprint) and be
         positioned exactly at the state the engine already reflects — a
-        fresh log for a fresh engine, or a resumed log whose records were
-        replayed into this engine (``restore`` with ``wal_path``).
+        fresh log for a fresh engine, or a resumed log this engine was
+        restored from (:meth:`restore`).
         """
         if self._wal is not None:
             raise ConfigurationError("engine already has a WAL attached")
@@ -565,8 +552,8 @@ class EmbeddingEngine:
         if writer.seq != self._applied_wal_seq:
             raise WalError(
                 f"WAL {writer.path!r} is at seq {writer.seq} but the engine "
-                f"reflects seq {self._applied_wal_seq}; restore with its "
-                "wal_path (serve --resume --wal) before attaching"
+                f"reflects seq {self._applied_wal_seq}; restore from it "
+                "(serve --resume --wal) before attaching"
             )
         self._wal = writer
 
@@ -607,74 +594,50 @@ class EmbeddingEngine:
             self._wal.abandon()
             self._wal = None
 
-    def wal_position(self) -> dict[str, Any] | None:
-        """The durable log position (``{"seq", "chain"}``), syncing first.
-
-        Snapshots embed this so restore replays only the suffix; syncing
-        here guarantees a snapshot never claims a position whose records
-        are not yet on disk.
-        """
-        if self._wal is None:
-            return None
-        self._wal.sync()
-        return {"seq": self._wal.seq, "chain": self._wal.chain}
-
-    def note_wal_position(self, seq: int) -> None:
-        """Declare the log position this engine's state already reflects."""
-        self._applied_wal_seq = max(self._applied_wal_seq, int(seq))
-
     def _append(self, effect: wal_records.Effect) -> None:
         if self._wal is not None:
             self._applied_wal_seq = self._wal.append_record(
                 effect.type, effect.to_payload()
             )
 
+    def checkpoint(self, extra_counters: Mapping[str, float] | None = None) -> int:
+        """Append the whole engine state as one ``checkpoint`` record and sync.
+
+        :meth:`restore` loads the log's last checkpoint and replays only the
+        records after it. ``extra_counters`` (transport counters) ride along
+        and come back from :meth:`restore` as its leftovers. Returns the
+        record's seq (blocking IO).
+        """
+        if self._wal is None:
+            raise ConfigurationError("checkpoint needs an attached write-ahead log")
+        self._applied_wal_seq = self._wal.append_record(
+            wal_records.CHECKPOINT, self.checkpoint_payload(extra_counters)
+        )
+        self._wal.sync()
+        return self._applied_wal_seq
+
     def apply_wal_record(self, record: WalRecord) -> None:
         """Re-apply one logged state transition (deterministic replay).
 
-        Raises :class:`~repro.exceptions.WalError` when the record cannot
-        be applied to the current state — the log and the starting state
-        (snapshot) do not belong together.
+        A ``checkpoint`` mutates nothing: it is checked against the state
+        replay reached. Raises :class:`~repro.exceptions.WalError` when a
+        record cannot be applied to, or disagrees with, the current state —
+        the log and the starting state do not belong together.
         """
         if record.type == wal_records.HEADER:
             wal_records.check_header(record.payload, network_fingerprint=self.fingerprint)
         else:
             try:
-                self._apply(wal_records.decode_effect(record.type, record.payload))
+                if record.type == wal_records.CHECKPOINT:
+                    self._verify_checkpoint(record.payload)
+                else:
+                    self._apply(wal_records.decode_effect(record.type, record.payload))
             except (CapacityError, LedgerError, WalError) as exc:
                 raise WalError(
                     f"replaying the {record.type} record at seq {record.seq} "
                     f"diverged: {exc}"
                 ) from exc
         self._applied_wal_seq = record.seq
-
-    def replay_wal(self, path: str, *, after_seq: int = 0) -> int:
-        """Replay every record past ``after_seq`` from the log at ``path``.
-
-        Returns the number of records applied. The log's header is always
-        identity-checked; a torn tail is tolerated (those records were
-        never acknowledged).
-        """
-        scan = read_wal(path)
-        if not scan.records:
-            return 0
-        wal_records.check_header(
-            scan.records[0].payload, network_fingerprint=self.fingerprint
-        )
-        last_seq = scan.records[-1].seq
-        if last_seq < after_seq:
-            raise WalError(
-                f"snapshot reflects WAL seq {after_seq} but {path!r} ends at "
-                f"{last_seq}"
-            )
-        applied = 0
-        for record in scan.records[1:]:
-            if record.seq <= after_seq:
-                continue
-            self.apply_wal_record(record)
-            applied += 1
-        self._applied_wal_seq = max(self._applied_wal_seq, last_seq)
-        return applied
 
     # -- the effect path ------------------------------------------------------------
 
@@ -797,139 +760,164 @@ class EmbeddingEngine:
             },
         }
 
-    def snapshot_doc(
-        self, *, extra_counters: Mapping[str, float] | None = None
+    def checkpoint_payload(
+        self, extra_counters: Mapping[str, float] | None = None
     ) -> dict[str, Any]:
-        """The versioned snapshot document (engine + transport counters).
+        """The body of a ``checkpoint`` record (engine + transport counters).
 
-        Besides the ledger it carries every piece of state replay depends
-        on — tracked embeddings (in the commit record's codecs), the dead
-        element sets, the decision and fault sequence counters and the
+        Besides the reservations it carries every piece of state replay
+        depends on — tracked embeddings (in the commit record's codecs), the
+        dead element sets, the decision and fault sequence counters and the
         rebalance counters — so a restored engine is the engine that wrote
         it, not just its reservations.
         """
         counters: dict[str, float] = dict(extra_counters or {})
         counters.update(self.counters)
+        return {
+            "counters": counters,
+            "tracked": [
+                wal_records.tracked_to_payload(entry)
+                for _, entry in sorted(self._tracked.items())
+            ],
+            **self._replayed_state(),
+        }
+
+    def _replayed_state(self) -> dict[str, Any]:
+        """The checkpoint fields replay reproduces exactly, encoded as in the
+        record: reservations, dead sets, sequence and rebalance counters."""
         dead_nodes, dead_links, dead_instances = self._faults.dead_sets()
-        return state_store.snapshot_to_dict(
-            self.ledger,
-            counters=counters,
-            wal=self.wal_position(),
-            engine={
-                "tracked": [
-                    wal_records.tracked_to_payload(entry)
-                    for _, entry in sorted(self._tracked.items())
-                ],
-                "faults": {
-                    "dead_nodes": sorted(dead_nodes),
-                    "dead_links": sorted(dead_links),
-                    "dead_instances": sorted(dead_instances),
-                },
-                "sequence": {
-                    "decision": self._decision_counter,
-                    "fault": self._fault_counter,
-                },
-                "rebalance_counters": dict(self.rebalance_counters),
+        return {
+            "reservations": [
+                state_store.reservation_to_record(request_id, reservation)
+                for request_id, reservation in self.ledger.reservations()
+            ],
+            "faults": {
+                "dead_nodes": sorted(dead_nodes),
+                "dead_links": [list(link) for link in sorted(dead_links)],
+                "dead_instances": [list(inst) for inst in sorted(dead_instances)],
             },
-        )
+            "sequence": {
+                "decision": self._decision_counter,
+                "fault": self._fault_counter,
+            },
+            "rebalance_counters": dict(self.rebalance_counters),
+        }
 
-    def save_snapshot(
-        self, path: str, *, extra_counters: Mapping[str, float] | None = None
-    ) -> None:
-        """Atomically persist the snapshot document to ``path``.
+    def _verify_checkpoint(self, payload: Mapping[str, Any]) -> None:
+        """Raise :class:`WalError` unless a checkpoint matches this state.
 
-        With a WAL attached the document embeds the (synced) log position,
-        so a later restore replays only records past the snapshot.
+        Compared: the reservations (what the ledger fingerprint hashes), the
+        engine counters, the sequence counters, the dead sets, the tracked
+        ids and the rebalance counters except ``migrations_conflicted`` — a
+        rolled-back move leaves no record, so replay cannot count it.
+        Embedding bodies are not compared: the codec reorders link uses.
+        Built from live state, so no embedding is encoded to check one.
         """
-        state_store.write_document(path, self.snapshot_doc(extra_counters=extra_counters))
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        network: CloudNetwork,
-        solver: Embedder | str,
-        doc: Mapping[str, Any] | None,
-        *,
-        seed: int = 0,
-    ) -> tuple["EmbeddingEngine", dict[str, float]]:
-        """Build an engine from one ``service-state`` (sub)document.
+        def replayable(
+            doc: Mapping[str, Any], counters: Mapping[str, float], tracked: list[int]
+        ) -> dict[str, Any]:
+            rebalance = dict(doc["rebalance_counters"])
+            rebalance.pop("migrations_conflicted", None)
+            return {
+                "ledger": doc["reservations"],
+                "counters": {key: counters.get(key) for key in ENGINE_COUNTER_KEYS},
+                "sequence": doc["sequence"],
+                "faults": doc["faults"],
+                "tracked ids": tracked,
+                "rebalance counters": rebalance,
+            }
 
-        The single snapshot loader behind :meth:`restore`,
-        :meth:`~repro.engine.router.ShardRouter.restore` and
-        :class:`~repro.wal.standby.StandbyEngine`; ``doc=None`` yields a
-        fresh engine. Documents written before the engine-state keys
-        existed restore as before: nothing tracked, a pristine substrate,
-        and the decision sequence continued from ``dispatched``. Returns
-        the engine plus the leftover (transport-level) counters.
-        """
-        if doc is None:
-            return cls(network, solver, seed=seed), {}
-        ledger, counters = state_store.ledger_from_dict(doc, network)
-        engine = cls(network, solver, seed=seed, ledger=ledger, counters=counters)
+        ours = replayable(self._replayed_state(), self.counters, sorted(self._tracked))
         try:
-            for payload in doc.get("tracked", ()):
-                entry = wal_records.tracked_from_payload(payload)
-                if not ledger.is_active(entry.request_id):
-                    raise SnapshotError(
-                        f"snapshot tracks request {entry.request_id}, which "
+            theirs = replayable(
+                payload,
+                payload["counters"],
+                [entry["request_id"] for entry in payload["tracked"]],
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise WalError(f"malformed checkpoint record payload: {exc!r}") from None
+        drift = [key for key in ours if ours[key] != theirs[key]]
+        if drift:
+            raise WalError(f"the checkpoint disagrees on {', '.join(drift)}")
+
+    def _load_checkpoint(self, record: WalRecord) -> dict[str, float]:
+        """Seed this fresh engine from a checkpoint; returns its leftover
+        (transport) counters.
+
+        Every reservation is re-claimed through the capacity-checked
+        reserve, so a checkpoint that over-commits the substrate raises
+        instead of resuming in an impossible state.
+        """
+        payload = record.payload
+        where = f"the checkpoint at seq {record.seq}"
+        try:
+            for entry in payload["reservations"]:
+                self.ledger.reserve(
+                    int(entry["request_id"]), state_store.reservation_from_record(entry)
+                )
+            for entry in payload["tracked"]:
+                tracked = wal_records.tracked_from_payload(entry)
+                if not self.ledger.is_active(tracked.request_id):
+                    raise WalError(
+                        f"{where} tracks request {tracked.request_id}, which "
                         "holds no reservation"
                     )
-                engine._tracked[entry.request_id] = entry
-            dead = doc.get("faults", {})
-            engine._faults.dead_nodes.update(int(n) for n in dead.get("dead_nodes", ()))
-            engine._faults.dead_links.update(
-                (int(u), int(v)) for u, v in dead.get("dead_links", ())
+                self._tracked[tracked.request_id] = tracked
+            dead = payload["faults"]
+            self._faults.dead_nodes.update(int(n) for n in dead["dead_nodes"])
+            self._faults.dead_links.update((int(u), int(v)) for u, v in dead["dead_links"])
+            self._faults.dead_instances.update(
+                (int(n), int(t)) for n, t in dead["dead_instances"]
             )
-            engine._faults.dead_instances.update(
-                (int(n), int(t)) for n, t in dead.get("dead_instances", ())
-            )
-            sequence = doc.get("sequence", {})
-            engine._decision_counter = int(
-                sequence.get("decision", engine._decision_counter)
-            )
-            engine._fault_counter = int(sequence.get("fault", 0))
-            for key, value in doc.get("rebalance_counters", {}).items():
-                if key in engine.rebalance_counters:
-                    engine.rebalance_counters[key] = (
-                        float(value) if key == "cost_recovered" else int(value)
-                    )
-        except (WalError, KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise SnapshotError(f"malformed snapshot engine state: {exc}") from None
-        engine.note_wal_position(state_store.wal_position_of(doc))
-        leftover = {
-            key: value for key, value in counters.items() if key not in engine.counters
-        }
-        return engine, leftover
+            self._decision_counter = int(payload["sequence"]["decision"])
+            self._fault_counter = int(payload["sequence"]["fault"])
+            counters = dict(payload["counters"])
+            for key in ENGINE_COUNTER_KEYS:
+                value = counters.pop(key)
+                self.counters[key] = float(value) if key in FLOAT_COUNTER_KEYS else int(value)
+            for key in REBALANCE_COUNTER_KEYS:
+                value = payload["rebalance_counters"][key]
+                self.rebalance_counters[key] = (
+                    float(value) if key == "cost_recovered" else int(value)
+                )
+            leftover = {str(key): float(value) for key, value in counters.items()}
+        except CapacityError as exc:
+            raise WalError(f"{where} over-commits the network: {exc}") from exc
+        except (LedgerError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise WalError(f"{where} is malformed: {exc!r}") from None
+        self._applied_wal_seq = record.seq
+        return leftover
 
     @classmethod
     def restore(
         cls,
         network: CloudNetwork,
         solver: Embedder | str,
-        path: str | None,
+        wal_path: str,
         *,
         seed: int = 0,
-        wal_path: str | None = None,
     ) -> tuple["EmbeddingEngine", dict[str, float]]:
-        """Rebuild an engine from a snapshot and/or a write-ahead log.
+        """Rebuild an engine from its write-ahead log — the only loader.
 
-        Recovery = latest snapshot + deterministic log replay: the snapshot
-        (if any) seeds the state and names the log position it reflects;
-        every log record past that position is then re-applied. ``path``
-        may be None (or name a not-yet-written file when ``wal_path`` is
-        given) for WAL-only recovery from a fresh engine.
-
-        Returns the engine plus the leftover (transport-level) counters the
-        snapshot carried, so a server can rehydrate its shed statistics.
+        Recovery = the log's last checkpoint (a fresh engine when it has
+        none) + deterministic replay of every record after it. A missing or
+        empty log yields a fresh engine. The header is always identity
+        checked; a torn tail is tolerated (those records were never
+        acknowledged). Returns the engine plus the leftover (transport)
+        counters the checkpoint carried, so a server can rehydrate its shed
+        statistics.
         """
-        doc = None
-        if path is not None and (wal_path is None or os.path.exists(path)):
-            doc = state_store.read_document(path)
-        engine, leftover = cls.from_snapshot(network, solver, doc, seed=seed)
-        if (
-            wal_path is not None
-            and os.path.exists(wal_path)
-            and os.path.getsize(wal_path) > 0
-        ):
-            engine.replay_wal(wal_path, after_seq=engine.wal_applied_seq)
+        engine = cls(network, solver, seed=seed)
+        records = read_wal(wal_path).records if os.path.exists(wal_path) else ()
+        if not records:
+            return engine, {}
+        wal_records.check_header(records[0].payload, network_fingerprint=engine.fingerprint)
+        # A record's seq is its index in the log.
+        last = max(
+            (r.seq for r in records if r.type == wal_records.CHECKPOINT), default=0
+        )
+        leftover = engine._load_checkpoint(records[last]) if last else {}
+        for record in records[last + 1 :]:
+            engine.apply_wal_record(record)
         return engine, leftover

@@ -2,12 +2,12 @@
 
 A :class:`ShardRouter` maps a ``network_id`` to the
 :class:`~repro.engine.core.EmbeddingEngine` owning that substrate. Shards
-are fully independent — separate ledgers, fault states, and repair engines;
-the router only resolves ids, aggregates cross-shard telemetry, and
-serializes/restores the per-shard snapshots. The multi-cloud SFC placement
-literature (Bhamare et al.) treats the substrate exactly this way: a set of
-independently priced clouds, each embedding its own share of the request
-stream.
+are fully independent — separate ledgers, fault states, repair engines and
+write-ahead logs; the router only resolves ids, aggregates cross-shard
+telemetry, swaps in promoted standbys, and restores every shard from its own
+log. The multi-cloud SFC placement literature (Bhamare et al.) treats the
+substrate exactly this way: a set of independently priced clouds, each
+embedding its own share of the request stream.
 
 Requests that carry no ``network_id`` land on the **default shard** (the
 first one registered), which keeps every single-network client and fixture
@@ -16,15 +16,13 @@ working unchanged.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from ..embedding.base import Embedder
-from ..exceptions import ConfigurationError, SnapshotError
+from ..exceptions import ConfigurationError, WalError
 from ..network.cloud import CloudNetwork
-from ..wal.log import shard_wal_path
+from ..wal.log import logged_shard_ids, shard_wal_path
 from ..wal.standby import StandbyEngine
-from . import state_store
 from .core import EmbeddingEngine
 
 __all__ = ["DEFAULT_NETWORK_ID", "ShardRouter", "advertised_vnf_types"]
@@ -162,69 +160,33 @@ class ShardRouter:
 
     # -- durability -----------------------------------------------------------------
 
-    def save_snapshot(
-        self,
-        path: str,
-        *,
-        extra_counters: Mapping[str, Mapping[str, float]] | None = None,
-    ) -> None:
-        """Persist every shard's state to one document.
-
-        A single-shard router writes the plain ``service-state`` document
-        (the shape of the pre-sharding service); multiple shards write the
-        ``service-state-sharded`` kind. ``extra_counters`` carries per-shard
-        transport counters to merge into each sub-document.
-        """
-        extras = extra_counters or {}
-        docs = {
-            network_id: engine.snapshot_doc(extra_counters=extras.get(network_id))
-            for network_id, engine in self.items()
-        }
-        if len(docs) > 1:
-            state_store.write_document(path, state_store.sharded_snapshot_to_dict(docs))
-        else:
-            state_store.write_document(path, docs[self.default_id])
-
     @classmethod
     def restore(
         cls,
         networks: Mapping[str, CloudNetwork],
         solver: Embedder | str,
-        path: str | None,
+        wal_dir: str,
         *,
         seed: int = 0,
-        wal_dir: str | None = None,
     ) -> tuple["ShardRouter", dict[str, dict[str, float]]]:
-        """Rebuild a router from a snapshot and/or per-shard write-ahead logs.
+        """Rebuild a router from the per-shard write-ahead logs in ``wal_dir``.
 
-        Accepts both document kinds: a plain ``service-state`` snapshot
-        restores a single-shard router (the one configured network), a
-        sharded document restores every shard. With ``wal_dir`` each shard
-        additionally replays its own log past the snapshot's position
-        (``path`` may be None, or name a not-yet-written file, for WAL-only
-        recovery). Returns the router plus the per-shard leftover
-        (transport-level) counters.
+        Each shard goes through :meth:`EmbeddingEngine.restore` on its own
+        log (a shard without one starts fresh). A non-empty log for a shard
+        that is not configured raises :class:`WalError` rather than silently
+        dropping the reservations it holds. Returns the router plus the
+        per-shard leftover (transport-level) counters.
         """
-        docs: Mapping[str, Mapping[str, Any]] = {}
-        if path is not None and (wal_dir is None or os.path.exists(path)):
-            doc = state_store.read_document(path)
-            if len(networks) == 1:
-                docs = {network_id: doc for network_id in networks}
-            else:
-                docs = state_store.shard_documents(doc)
-                if set(docs) != set(networks):
-                    raise SnapshotError(
-                        f"snapshot shards {sorted(docs)} do not match "
-                        f"the configured networks {sorted(networks)}"
-                    )
+        logged = logged_shard_ids(wal_dir)
+        if not logged <= set(networks):
+            raise WalError(
+                f"logged shards {sorted(logged)} in {wal_dir} do not match "
+                f"the configured networks {sorted(networks)}"
+            )
         engines: dict[str, EmbeddingEngine] = {}
         leftovers: dict[str, dict[str, float]] = {}
         for network_id, network in networks.items():
-            engine, leftovers[network_id] = EmbeddingEngine.from_snapshot(
-                network, solver, docs.get(network_id), seed=seed
+            engines[network_id], leftovers[network_id] = EmbeddingEngine.restore(
+                network, solver, shard_wal_path(wal_dir, network_id), seed=seed
             )
-            wal_path = None if wal_dir is None else shard_wal_path(wal_dir, network_id)
-            if wal_path is not None and os.path.exists(wal_path):
-                engine.replay_wal(wal_path, after_seq=engine.wal_applied_seq)
-            engines[network_id] = engine
         return cls(engines), leftovers

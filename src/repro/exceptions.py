@@ -30,7 +30,6 @@ __all__ = [
     "IlpUnavailableError",
     "ServiceError",
     "ProtocolError",
-    "SnapshotError",
     "ServiceUnavailable",
     "WalError",
 ]
@@ -186,10 +185,6 @@ class ServiceError(ReproError):
 
 class ProtocolError(ServiceError):
     """A wire message violates the JSON-lines service protocol."""
-
-
-class SnapshotError(ServiceError):
-    """A service state snapshot is unreadable or does not match the network."""
 
 
 class ServiceUnavailable(ServiceError):

@@ -47,8 +47,8 @@ __all__ = [
     "script_from_dict",
 ]
 
-#: Serialization identity of a fault script (mirrors the service snapshot
-#: and bench formats).
+#: Serialization identity of a fault script (mirrors the WAL header and
+#: bench formats).
 SCRIPT_FORMAT = "repro.dag-sfc"
 SCRIPT_KIND = "fault-script"
 SCRIPT_VERSION = 1

@@ -12,7 +12,7 @@ rolls back the partial claim instead of leaking it).
 
 The ledger deliberately stores *amounts*, not embeddings: a reservation is
 the minimal record needed to undo an admission, which is also exactly what
-a server snapshot has to persist (:mod:`repro.engine.state_store`).
+a write-ahead log checkpoint has to persist (:mod:`repro.engine.state_store`).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class ReservationLedger:
             ) from None
 
     def reservations(self) -> Iterator[tuple[int, Reservation]]:
-        """(request id, reservation) pairs, sorted by id (snapshot order)."""
+        """(request id, reservation) pairs, sorted by id (checkpoint order)."""
         return iter(sorted(self._active.items()))
 
     def __len__(self) -> int:

@@ -4,9 +4,10 @@ Everything the one-shot entry points (``dag-sfc solve``, the offline
 :class:`~repro.sim.online.OnlineSimulator`) cannot do: a long-running
 asyncio TCP server that admits a *stream* of tenant requests under explicit
 backpressure, decides them one at a time in arrival order on the live
-residual view, and survives restarts via snapshots and write-ahead logs. Every embedding decision — solve, commit,
-repair, snapshot — lives in the transport-agnostic :mod:`repro.engine`; one
-server can shard across several substrate networks, one engine each.
+residual view, and survives restarts via one write-ahead log per shard.
+Every embedding decision — solve, commit, repair, checkpoint — lives in the
+transport-agnostic :mod:`repro.engine`; one server can shard across several
+substrate networks, one engine each.
 
 * :mod:`repro.service.protocol` — the versioned JSON-lines wire protocol;
 * :mod:`repro.service.server` — the transport (queueing, dispatch, shards);
@@ -27,7 +28,7 @@ from .protocol import (
     REJECT_CODES,
     SubmitIntent,
 )
-from ..engine.state_store import load_snapshot, network_fingerprint
+from ..engine.state_store import network_fingerprint
 from .retry import ResilientClient, RetryPolicy
 from .server import EmbeddingServer, ServiceConfig
 
@@ -46,6 +47,5 @@ __all__ = [
     "SubmitIntent",
     "EmbeddingServer",
     "ServiceConfig",
-    "load_snapshot",
     "network_fingerprint",
 ]

@@ -240,7 +240,8 @@ class ServiceClient:
         return reply
 
     async def snapshot(self) -> dict[str, Any]:
-        """Ask the server to persist its state; returns the snapshot reply."""
+        """Ask the server to checkpoint every shard's log; returns the
+        ``snapshotted`` reply (``checkpoints``: network_id → seq)."""
         reply = await self._request(protocol.snapshot_message(msg_id=self._msg_id()))
         if reply.get("type") == "error":
             raise ServiceError(str(reply.get("reason")))

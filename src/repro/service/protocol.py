@@ -17,7 +17,7 @@ Verbs
 * ``submit`` — embed one request against the shared residual capacity;
 * ``release`` — return the resources of an accepted request (departure);
 * ``stats`` — acceptance counters, queue depth, residual summary;
-* ``snapshot`` — persist the authoritative state to disk;
+* ``snapshot`` — append a checkpoint to every shard's write-ahead log;
 * ``drain`` — stop admitting, flush the queue, optionally shut down;
 * ``promote`` — swap one shard's primary for its caught-up warm standby;
 * ``rebalance`` — trigger one guarded defrag cycle on a shard (or, with

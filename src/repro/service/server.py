@@ -116,8 +116,6 @@ class ServiceConfig:
     tick: float = 0.0
     #: master seed for server-derived solver streams.
     seed: int = 0
-    #: snapshot written here on drain and on `snapshot` requests.
-    snapshot_path: str | None = None
     #: timed fail/recover events replayed on one shard by its dispatcher.
     fault_script: FaultScript | None = None
     #: the shard the fault script targets (None = the default shard).
@@ -130,7 +128,8 @@ class ServiceConfig:
     degraded_queue_factor: float = 0.5
     #: directory holding one write-ahead log per shard (None = WAL off).
     #: With a WAL, every commit/release/fault is fsynced *before* its reply
-    #: is sent, so an acknowledged decision survives a process kill.
+    #: is sent, so an acknowledged decision survives a process kill, and
+    #: the ``snapshot`` verb appends a checkpoint to every shard's log.
     wal_dir: str | None = None
     #: keep a warm standby per shard, tailing that shard's log, promotable
     #: via the ``promote`` verb. Requires ``wal_dir``.
@@ -187,7 +186,7 @@ class _PendingBarrier:
     """Resolves ``reached`` once everything queued before it is applied.
 
     A drain waits on ``reached`` alone. A hold also passes ``release``:
-    the dispatcher then stays parked until it is set, so a snapshot thread
+    the dispatcher then stays parked until it is set, so a checkpoint thread
     can read every engine while the event loop stays responsive.
     """
 
@@ -253,7 +252,7 @@ class _Shard:
         return self.tick.engine
 
     def restore_counters(self, counters: Mapping[str, float]) -> None:
-        """Rehydrate the transport counters from a snapshot's leftovers."""
+        """Rehydrate the transport counters from a checkpoint's leftovers."""
         for key, value in counters.items():
             if key in self.counters:
                 self.counters[key] = int(value)
@@ -272,36 +271,18 @@ class EmbeddingServer:
         network: CloudNetwork | Mapping[str, CloudNetwork] | ShardRouter,
         config: ServiceConfig | None = None,
         *,
-        ledger: ReservationLedger | None = None,
-        counters: dict[str, float] | None = None,
         n_vnf_types: int | None = None,
         transport_counters: Mapping[str, Mapping[str, float]] | None = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
+        # Restores go through ShardRouter.restore and arrive as a router.
         if isinstance(network, ShardRouter):
-            if ledger is not None or counters is not None:
-                raise ConfigurationError(
-                    "a pre-built ShardRouter carries its own state; restore "
-                    "through ShardRouter.restore instead of ledger=/counters="
-                )
             self.router = network
-        elif isinstance(network, Mapping):
-            if ledger is not None or counters is not None:
-                raise ConfigurationError(
-                    "multi-network restore goes through ShardRouter.restore"
-                )
-            self.router = ShardRouter.from_networks(
-                network, self.config.solver, seed=self.config.seed
-            )
         else:
-            engine = EmbeddingEngine(
-                network,
-                self.config.solver,
-                seed=self.config.seed,
-                ledger=ledger,
-                counters=counters,
+            networks = network if isinstance(network, Mapping) else {DEFAULT_NETWORK_ID: network}
+            self.router = ShardRouter.from_networks(
+                networks, self.config.solver, seed=self.config.seed
             )
-            self.router = ShardRouter({DEFAULT_NETWORK_ID: engine})
         #: the default shard's substrate (single-network callers' view).
         self.network = self.router.default.network
         if (
@@ -333,10 +314,6 @@ class EmbeddingServer:
         #: client trace generation); per-shard sizes ride in the shard list.
         if n_vnf_types is not None:
             self._default_shard().n_vnf_types = n_vnf_types
-        if counters:
-            # Single-network restore: the snapshot's counter dict carries the
-            # transport keys too (the engine filtered out its own).
-            self._default_shard().restore_counters(counters)
         if transport_counters:
             for network_id, shard_counters in transport_counters.items():
                 self._shard(network_id).restore_counters(shard_counters)
@@ -488,9 +465,6 @@ class EmbeddingServer:
         wal_dir = self.config.wal_dir
         assert wal_dir is not None
         os.makedirs(wal_dir, exist_ok=True)
-        snapshot = self.config.snapshot_path
-        if not (snapshot and os.path.exists(snapshot)):
-            snapshot = None
         for network_id, shard in self._shards.items():
             path = shard_wal_path(wal_dir, network_id)
             shard.engine.attach_wal_file(path, network_id=network_id)
@@ -501,15 +475,12 @@ class EmbeddingServer:
                 self.config.solver,
                 path,
                 seed=self.config.seed,
-                snapshot_path=snapshot,
-                snapshot_network_id=network_id if snapshot else None,
             )
-            standby.poll()
             if standby.ledger_fingerprint() != shard.engine.ledger_fingerprint():
                 raise ConfigurationError(
                     f"standby for shard {network_id!r} diverges from its primary "
-                    "at startup; resume the server from the same snapshot the "
-                    "standby reads (serve --resume --wal --standby)"
+                    "at startup; resume the server from its log "
+                    "(serve --resume --wal --standby)"
                 )
             self.router.attach_standby(network_id, standby)
 
@@ -845,28 +816,34 @@ class EmbeddingServer:
         return await pending.reply
 
     async def _handle_snapshot(self, msg_id: int) -> dict[str, Any]:
-        if not self.config.snapshot_path:
+        if self.config.wal_dir is None:
             return {
                 "type": "error",
                 "msg_id": msg_id,
-                "reason": "server was started without a snapshot path",
+                "reason": "server was started without a write-ahead log",
             }
-        await self._snapshot_quiesced(self.config.snapshot_path)
+        release = asyncio.Event()
+        try:
+            # Every dispatcher parks at a hold barrier, so no engine changes
+            # while the checkpoint thread reads it, yet other connections keep
+            # submitting; their work just queues behind the hold.
+            await self._barrier(release)
+            checkpoints = await asyncio.to_thread(self._checkpoint_shards)
+        finally:
+            release.set()
         return {
             "type": "snapshotted",
             "msg_id": msg_id,
-            "path": self.config.snapshot_path,
             "active": self.router.active_count(),
+            "checkpoints": checkpoints,
         }
 
-    def _save_snapshot(self, path: str) -> None:
-        self.router.save_snapshot(
-            path,
-            extra_counters={
-                network_id: shard.counters
-                for network_id, shard in self._shards.items()
-            },
-        )
+    def _checkpoint_shards(self) -> dict[str, int]:
+        """Checkpoint every shard into its own log; thread-side."""
+        return {
+            network_id: shard.engine.checkpoint(shard.counters)
+            for network_id, shard in self._shards.items()
+        }
 
     async def _barrier(self, release: asyncio.Event | None = None) -> None:
         """Queue one barrier per shard; return once every shard reached it."""
@@ -877,21 +854,6 @@ class EmbeddingServer:
             shard.queue.put_nowait(_PendingBarrier(reached=future, release=release))
             reached.append(future)
         await asyncio.gather(*reached)
-
-    async def _snapshot_quiesced(self, path: str) -> None:
-        """Write a snapshot off the event loop with every dispatcher parked.
-
-        Each shard's dispatcher stops at a hold barrier, so no engine can
-        change while the snapshot thread reads it — the consistency the old
-        synchronous (loop-stalling) write provided for free — yet other
-        connections keep submitting; their work just queues behind the hold.
-        """
-        release = asyncio.Event()
-        try:
-            await self._barrier(release)
-            await asyncio.to_thread(self._save_snapshot, path)
-        finally:
-            release.set()
 
     async def _handle_drain(self, message: dict[str, Any]) -> dict[str, Any]:
         msg_id = int(message.get("msg_id", 0) or 0)
@@ -907,12 +869,6 @@ class EmbeddingServer:
             "msg_id": msg_id,
             **self.stats_payload(),
         }
-        if self.config.snapshot_path:
-            # Quiesced even though the queues just drained: a scripted fault
-            # can fall due at any time, and a dispatcher applying one
-            # mid-write would tear the snapshot.
-            await self._snapshot_quiesced(self.config.snapshot_path)
-            reply["snapshot_path"] = self.config.snapshot_path
         if shutdown:
             reply["_shutdown"] = True
         return reply
@@ -1020,7 +976,7 @@ class EmbeddingServer:
                 await self._do_promote(shard, promote)
 
             # Barriers come last, with the cycle fully applied; a hold parks
-            # the dispatcher here so the snapshot thread sees a settled engine.
+            # the dispatcher here so the checkpoint thread sees a settled engine.
             for barrier in barriers:
                 if not barrier.reached.done():
                     barrier.reached.set_result(None)

@@ -14,7 +14,7 @@ instruments run while a test's coroutine executes:
 * a **cross-task mutation tripwire** on shared state
   (:class:`~repro.network.reservations.ReservationLedger` reserve/release,
   :class:`~repro.faults.model.FaultState` apply): every mutation records the
-  task that made it. Ownership may be handed off (snapshot restore on the
+  task that made it. Ownership may be handed off (WAL restore on the
   main task, then a dispatcher task forever after), but a *retired* owner
   mutating again (task A … task B … task A) means two live tasks are
   interleaving writes — exactly the race the single-writer dispatcher

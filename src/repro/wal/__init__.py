@@ -5,16 +5,16 @@ The package splits into three layers:
 * :mod:`repro.wal.log` — the storage format: append-only fingerprint-chained
   JSON lines with fsync batching, torn-tail tolerance, and an incremental
   tailing reader;
-* :mod:`repro.wal.records` — the record vocabulary: the header plus one
+* :mod:`repro.wal.records` — the record vocabulary: the header, one
   frozen effect value per engine transition (commit / release / fault /
-  repair / migrate), and the ledger fingerprint recovery is asserted
-  against;
+  repair / migrate), the ``checkpoint`` record recovery starts from, and
+  the ledger fingerprint recovery is asserted against;
 * :mod:`repro.wal.standby` — the warm-standby tier: an engine that tails a
   primary's log and can be promoted in place when the primary dies.
 
 Only the first two are imported eagerly; :class:`StandbyEngine` (which pulls
-in the full engine) and the durability benchmark load on first attribute
-access, so ``import repro.wal`` stays cheap for pure log tooling.
+in the full engine) loads on first attribute access, so ``import repro.wal``
+stays cheap for pure log tooling.
 """
 
 from __future__ import annotations

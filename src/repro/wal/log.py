@@ -43,6 +43,7 @@ __all__ = [
     "WalTail",
     "WalWriter",
     "chain_hash",
+    "logged_shard_ids",
     "read_wal",
     "shard_wal_path",
 ]
@@ -54,6 +55,18 @@ GENESIS_CHAIN = ""
 def shard_wal_path(wal_dir: str, network_id: str) -> str:
     """The per-shard log file path under a service's ``--wal`` directory."""
     return os.path.join(wal_dir, f"{network_id}.wal")
+
+
+def logged_shard_ids(wal_dir: str) -> set[str]:
+    """The network ids with a non-empty log under ``wal_dir``."""
+    if not os.path.isdir(wal_dir):
+        return set()
+    return {
+        network_id
+        for network_id, ext in map(os.path.splitext, os.listdir(wal_dir))
+        if ext == ".wal"
+        and os.path.getsize(shard_wal_path(wal_dir, network_id))
+    }
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,16 +3,20 @@
 The log captures the engine's *state transitions*, not its inputs: record 0
 is a ``header`` naming the log's identity (substrate fingerprint, solver
 name, engine seed — checked before any replay so a log can never be applied
-to the wrong engine), and every later record is one frozen **effect** value,
-the exact change an :class:`~repro.engine.core.EmbeddingEngine` applied:
+to the wrong engine), and every later record is either one frozen
+**effect** value, the exact change an
+:class:`~repro.engine.core.EmbeddingEngine` applied —
 :class:`CommitEffect`, :class:`ReleaseEffect`, :class:`FaultEffect`,
-:class:`RepairEffect` and :class:`MigrateEffect`. Replay re-applies effects
-deterministically without re-running solvers; the engine folds every effect
-in through one method, live and on replay alike.
+:class:`RepairEffect` and :class:`MigrateEffect` — or a ``checkpoint``: the
+engine's whole replayable state at that seq, which recovery loads instead of
+replaying everything before it (see
+:meth:`~repro.engine.core.EmbeddingEngine.checkpoint`). Replay re-applies
+effects deterministically without re-running solvers; the engine folds every
+effect in through one method, live and on replay alike.
 
 Each effect's ``to_payload()`` is the record body; ``from_payload()``
 validates a body and raises :class:`~repro.exceptions.WalError` on
-malformed input. Payload codecs reuse the canonical snapshot shapes from
+malformed input. Payload codecs reuse the canonical reservation shape from
 :mod:`repro.engine.state_store` and :mod:`repro.serialize`, so a ledger
 fingerprint computed from replayed state matches one computed from live
 state byte-for-byte.
@@ -51,6 +55,7 @@ __all__ = [
     "FAULT",
     "REPAIR",
     "MIGRATE",
+    "CHECKPOINT",
     "RECORD_TYPES",
     "CommitEffect",
     "ReleaseEffect",
@@ -79,7 +84,8 @@ RELEASE = "release"
 FAULT = "fault"
 REPAIR = "repair"
 MIGRATE = "migrate"
-RECORD_TYPES = (HEADER, COMMIT, RELEASE, FAULT, REPAIR, MIGRATE)
+CHECKPOINT = "checkpoint"
+RECORD_TYPES = (HEADER, COMMIT, RELEASE, FAULT, REPAIR, MIGRATE, CHECKPOINT)
 
 _T = TypeVar("_T")
 
@@ -431,7 +437,7 @@ _EFFECTS: dict[str, Any] = {
 
 
 def decode_effect(record_type: str, payload: Mapping[str, Any]) -> Effect:
-    """The effect a non-header record carries (raises :class:`WalError`)."""
+    """The effect an effect record carries (raises :class:`WalError`)."""
     try:
         effect_cls = _EFFECTS[record_type]
     except KeyError:
@@ -441,12 +447,12 @@ def decode_effect(record_type: str, payload: Mapping[str, Any]) -> Effect:
     return effect_cls.from_payload(payload)
 
 
-# -- tracked embeddings (snapshot documents) ------------------------------------------
+# -- tracked embeddings (checkpoint records) ------------------------------------------
 
 
 def tracked_to_payload(entry: EmbeddedRequest) -> dict[str, Any]:
     """One tracked embedding, in the commit record's field codecs (its
-    reservation lives in the snapshot's ledger section)."""
+    reservation lives in the checkpoint's ``reservations`` list)."""
     out = {
         "request_id": int(entry.request_id),
         "cost": entry.cost,

@@ -2,10 +2,13 @@
 
 A :class:`StandbyEngine` owns a private, WAL-less
 :class:`~repro.engine.core.EmbeddingEngine` over the *same* substrate as the
-primary and keeps it replay-consistent by consuming the primary's log
-incrementally (:meth:`poll`). Because the log records state *effects* —
-reservations, embeddings, repair outcomes — the standby never runs a solver;
-catching up is pure deterministic bookkeeping.
+primary. It seeds itself the way every restore does
+(:meth:`~repro.engine.core.EmbeddingEngine.restore`: the log's last
+checkpoint plus the records after it) and then stays replay-consistent by
+consuming the primary's log incrementally (:meth:`poll`); a ``checkpoint``
+appended later is checked against the tailed state. Because the log records
+state *effects* — reservations, embeddings, repair outcomes — the standby
+never runs a solver; catching up is pure deterministic bookkeeping.
 
 Promotion (:meth:`promote`) is the fail-over step after the primary dies:
 drain the last complete records, resume a writer on the very same log file
@@ -19,12 +22,9 @@ sharded service.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 from ..embedding.base import Embedder
 from ..engine.core import EmbeddingEngine
-from ..engine.state_store import SHARDED_SNAPSHOT_KIND, read_document, shard_documents
-from ..exceptions import SnapshotError, WalError
+from ..exceptions import WalError
 from ..network.cloud import CloudNetwork
 from . import records as wal_records
 from .log import WalTail, WalWriter
@@ -42,25 +42,8 @@ class StandbyEngine:
         wal_path: str,
         *,
         seed: int = 0,
-        snapshot_path: str | None = None,
-        snapshot_network_id: str | None = None,
     ) -> None:
-        doc: Mapping[str, Any] | None = None
-        if snapshot_path is not None:
-            doc = read_document(snapshot_path)
-            if doc.get("kind") == SHARDED_SNAPSHOT_KIND:
-                if snapshot_network_id is None:
-                    raise SnapshotError(
-                        "standby over a sharded snapshot needs snapshot_network_id"
-                    )
-                shards = shard_documents(doc)
-                if snapshot_network_id not in shards:
-                    raise SnapshotError(
-                        f"sharded snapshot has no shard {snapshot_network_id!r}"
-                    )
-                doc = shards[snapshot_network_id]
-        self._engine, _ = EmbeddingEngine.from_snapshot(network, solver, doc, seed=seed)
-        self._start_seq = self._engine.wal_applied_seq
+        self._engine, _ = EmbeddingEngine.restore(network, solver, wal_path, seed=seed)
         self._path = wal_path
         self._tail = WalTail(wal_path)
         self._promoted = False
@@ -105,8 +88,8 @@ class StandbyEngine:
                     record.payload, network_fingerprint=self._engine.fingerprint
                 )
                 continue
-            if record.seq <= self._start_seq:
-                continue
+            if record.seq <= self.applied_seq:
+                continue  # already folded in by the seeding restore
             self._engine.apply_wal_record(record)
             applied += 1
         return applied

@@ -16,3 +16,8 @@ async def transitive() -> None:
 async def direct() -> None:
     time.sleep(0.1)  # RPL701: blocks the event loop directly
     await asyncio.sleep(0)
+
+
+async def checkpoint_inline(engine) -> None:
+    engine.checkpoint()  # RPL701: fsyncs the shard's log on the event loop
+    await asyncio.sleep(0)

@@ -31,6 +31,15 @@ class TestParser:
             build_parser().parse_args(["serve", *retired])
         assert info.value.code == 2
 
+    def test_serve_rejects_the_retired_snapshot_flag(self):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--snapshot", "state.json"])
+        assert info.value.code == 2
+
+    def test_serve_resume_requires_wal(self, capsys):
+        assert main(["serve", "--resume"]) == 2
+        assert "--resume requires --wal" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_solvers(self, capsys):

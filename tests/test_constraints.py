@@ -450,9 +450,7 @@ class TestEngineIntegration:
         assert engine.submit(zoned_request(1, self.CSET), rng=0).success
         engine.detach_wal()
 
-        recovered, _ = EmbeddingEngine.restore(
-            self.zoned_net(), "MBBE", None, wal_path=wal_path
-        )
+        recovered, _ = EmbeddingEngine.restore(self.zoned_net(), "MBBE", wal_path)
         tracked = recovered.repair_engine.tracked(1)
         assert tracked is not None
         assert tracked.constraints == self.CSET

@@ -21,9 +21,11 @@ from repro.engine import (
     EmbeddingRequest,
     ShardRouter,
     advertised_vnf_types,
-    state_store,
+    read_wal,
+    shard_wal_path,
 )
-from repro.exceptions import ConfigurationError, LedgerError
+from repro.exceptions import ConfigurationError, LedgerError, WalError
+from repro.wal import records as wal_records
 from repro.faults.model import FaultAction, FaultEvent, FaultTarget
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
@@ -187,23 +189,26 @@ class TestEngineFaults:
 class TestEngineDurability:
     def test_snapshot_restore_roundtrip(self, tmp_path):
         network = engine_network()
+        path = str(tmp_path / "engine.wal")
         engine = EmbeddingEngine(network, "MBBE", seed=5)
+        engine.attach_wal_file(path)
         for request in make_requests(network, 8):
             engine.submit(request, rng=request.seed)
-        path = str(tmp_path / "engine.json")
-        engine.save_snapshot(path, extra_counters={"submitted": 8})
+        engine.checkpoint({"submitted": 8})
+        engine.detach_wal()
         restored, leftover = EmbeddingEngine.restore(network, "MBBE", path, seed=5)
         assert leftover == {"submitted": 8}
         assert restored.counters == engine.counters
-        assert state_store.snapshot_to_dict(
-            restored.ledger, counters={}
-        ) == state_store.snapshot_to_dict(engine.ledger, counters={})
+        assert restored.ledger_fingerprint() == engine.ledger_fingerprint()
+        assert restored.checkpoint_payload() == engine.checkpoint_payload()
 
-    def test_restore_rejects_foreign_ledger(self):
-        network = engine_network()
+    def test_restore_rejects_foreign_ledger(self, tmp_path):
+        path = str(tmp_path / "engine.wal")
         other = EmbeddingEngine(engine_network(seed=99), "MBBE")
-        with pytest.raises(ConfigurationError, match="different network"):
-            EmbeddingEngine(network, "MBBE", ledger=other.ledger)
+        other.attach_wal_file(path)
+        other.detach_wal()
+        with pytest.raises(WalError, match="different network"):
+            EmbeddingEngine.restore(engine_network(), "MBBE", path)
 
 
 class TestShardRouter:
@@ -220,11 +225,19 @@ class TestShardRouter:
     def test_single_shard_snapshot_is_plain_v1(self, tmp_path):
         network = engine_network()
         router = ShardRouter({DEFAULT_NETWORK_ID: EmbeddingEngine(network, "MBBE")})
-        path = str(tmp_path / "snap.json")
-        router.save_snapshot(path)
-        # A plain service-state document: the pre-sharding loader reads it.
-        ledger, _ = state_store.load_snapshot(path, network)
-        assert len(ledger) == 0
+        path = shard_wal_path(str(tmp_path), DEFAULT_NETWORK_ID)
+        router.default.attach_wal_file(path, network_id=DEFAULT_NETWORK_ID)
+        seq = router.default.checkpoint()
+        router.default.detach_wal()
+        # A checkpoint is one more record in a version-1 log, not a new format.
+        header, checkpoint = read_wal(path).records
+        assert header.payload["version"] == wal_records.WAL_VERSION == 1
+        assert (checkpoint.seq, checkpoint.type) == (seq, wal_records.CHECKPOINT)
+        restored, _ = ShardRouter.restore(
+            {DEFAULT_NETWORK_ID: network}, "MBBE", str(tmp_path)
+        )
+        assert restored.active_count() == 0
+        assert restored.default.wal_applied_seq == seq
 
     def test_advertised_vnf_types_ignores_endpoints(self):
         network = tight_network()
@@ -257,10 +270,10 @@ class TestGoldenEquivalence:
                     releases = {
                         rid: await client.release(rid) for rid in released
                     }
-                doc = state_store.snapshot_to_dict(server.ledger, counters={})
-            return outcomes, releases, doc
+                fingerprint = server.router.default.ledger_fingerprint()
+            return outcomes, releases, fingerprint
 
-        outcomes, releases, service_doc = asyncio.run(drive())
+        outcomes, releases, service_fingerprint = asyncio.run(drive())
         # Sequential awaits pin the decision order to the submission order.
         assert [o.decision_index for o in outcomes] == list(range(len(requests)))
 
@@ -275,8 +288,7 @@ class TestGoldenEquivalence:
                 sim.release(rid)
             else:
                 assert not sim.engine.is_active(rid)
-        sim_doc = state_store.snapshot_to_dict(sim.engine.ledger, counters={})
-        assert sim_doc == service_doc
+        assert sim.engine.ledger_fingerprint() == service_fingerprint
 
         stats = sim.stats()
         accepted = [o for o in outcomes if o.accepted]

@@ -326,9 +326,7 @@ class TestRebalanceDurability:
         assert engine.wal is not None
         engine.wal.sync()
 
-        restored, _ = EmbeddingEngine.restore(
-            network, make_solver("MBBE"), None, seed=9, wal_path=wal_path
-        )
+        restored, _ = EmbeddingEngine.restore(network, make_solver("MBBE"), wal_path, seed=9)
         assert restored.ledger_fingerprint() == engine.ledger_fingerprint()
         assert restored.rebalance_counters == engine.rebalance_counters
 

@@ -47,7 +47,7 @@ EXPECTED: dict[str, list[str]] = {
     "pass_rpl213_engine_migrate.py": [],
     "pass_rpl214_via_verify.py": [],
     "regpack": ["RPL301", "RPL301"],
-    "fail_rpl701_blocking_in_async.py": ["RPL701", "RPL701"],
+    "fail_rpl701_blocking_in_async.py": ["RPL701"] * 3,
     "fail_rpl702_shared_mutation.py": ["RPL702", "RPL702"],
     "fail_rpl703_fire_and_forget.py": ["RPL703"],
     "fail_rpl704_lock_discipline.py": ["RPL704", "RPL704"],
@@ -343,9 +343,10 @@ def test_default_config_matches_repo_conventions() -> None:
     assert set(DEFAULT_CONFIG.counts_attrs) == {"vnf_counts", "link_counts"}
     assert DEFAULT_CONFIG.registry_dict == "_REGISTRY"
     # The merged effect-path rule: the repair planner no longer writes the
-    # ledger, so it is no longer exempt.
+    # ledger, and checkpoints load in the engine core, so neither the
+    # planner nor the state store is exempt.
     assert "faults/repair.py" not in DEFAULT_CONFIG.effect_module_suffixes
-    assert "engine/state_store.py" in DEFAULT_CONFIG.effect_module_suffixes
+    assert "engine/state_store.py" not in DEFAULT_CONFIG.effect_module_suffixes
 
 
 def test_effect_rule_flags_ledger_writes_outside_the_effect_path(tmp_path: Path) -> None:
@@ -363,4 +364,4 @@ def test_effect_rule_flags_ledger_writes_outside_the_effect_path(tmp_path: Path)
         "def load(ledger, request_id, r):\n    ledger.reserve(request_id, r)\n",
         encoding="utf-8",
     )
-    assert run_paths([loader])[0] == []
+    assert [d.code for d in run_paths([loader])[0]] == ["RPL212"]

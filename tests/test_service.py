@@ -1,4 +1,4 @@
-"""The embedding service: protocol, ledger, snapshots, and e2e.
+"""The embedding service: protocol, ledger, checkpoints, and e2e.
 
 The end-to-end tests run the real asyncio server in-process (ephemeral
 loopback port, inline solves) and drive it with the real client. The
@@ -10,16 +10,26 @@ Plain ``asyncio.run`` per test — no asyncio pytest plugin is assumed.
 """
 
 import asyncio
-import json
 
 import pytest
 
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
+from repro.engine import (
+    DEFAULT_NETWORK_ID,
+    EmbeddingEngine,
+    EmbeddingRequest,
+    ShardRouter,
+    WalWriter,
+    network_fingerprint,
+    read_wal,
+    shard_wal_path,
+)
 from repro.exceptions import (
     CapacityError,
     ConfigurationError,
     ProtocolError,
-    SnapshotError,
+    ServiceError,
+    WalError,
 )
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
@@ -31,7 +41,6 @@ from repro.service import (
     ServiceConfig,
     SubmitIntent,
 )
-from repro.engine import state_store
 from repro.service import protocol
 from repro.service.loadgen import percentile
 from repro.sfc.builder import DagSfcBuilder
@@ -39,6 +48,7 @@ from repro.sfc.generator import generate_dag_sfc
 from repro.sim.online import OnlineSimulator, SfcRequest
 from repro.solvers.registry import make_solver
 from repro.utils.rng import as_generator
+from repro.wal import records as wal_records
 
 from .conftest import build_line_graph
 
@@ -164,60 +174,71 @@ class TestReservationLedger:
             self.make_ledger().release(3)
 
 
-# -- snapshots --------------------------------------------------------------------
+# -- checkpoints ------------------------------------------------------------------
+
+
+def half_rate_request(request_id: int) -> EmbeddingRequest:
+    """0 → VNF 1 on node 1 → 2 at rate 0.5: two of them fill the tight line."""
+    return EmbeddingRequest(
+        request_id=request_id, dag=single_vnf_dag(), source=0, dest=2,
+        flow=FlowConfig(rate=0.5), seed=1,
+    )
 
 
 class TestStateStore:
-    def populated_ledger(self, network):
-        ledger = ReservationLedger(ResidualState(network))
-        ledger.reserve(
-            3, Reservation(vnf={(1, 1): 0.5}, links={(0, 1): 0.5}, cost=5.5)
-        )
-        ledger.reserve(1, Reservation(vnf={}, links={(1, 2): 1.0}, cost=2.0))
-        return ledger
+    def logged_engine(self, network, path):
+        engine = EmbeddingEngine(network, "MBBE", seed=3)
+        engine.attach_wal_file(path)
+        for request_id in (3, 1):
+            engine.submit(half_rate_request(request_id), rng=1)
+        return engine
 
     def test_roundtrip(self, tmp_path):
         network = tight_network()
-        ledger = self.populated_ledger(network)
-        path = str(tmp_path / "snap.json")
-        state_store.write_document(
-            path, state_store.snapshot_to_dict(ledger, counters={"accepted": 2})
-        )
-        restored, counters = state_store.load_snapshot(path, network)
-        assert counters["accepted"] == 2
+        path = str(tmp_path / "shard.wal")
+        engine = self.logged_engine(network, path)
+        seq = engine.checkpoint({"submitted": 2})
+        engine.detach_wal()
+        assert read_wal(path).records[seq].type == wal_records.CHECKPOINT
+        restored, leftover = EmbeddingEngine.restore(network, "MBBE", path, seed=3)
+        assert leftover == {"submitted": 2.0}
+        assert restored.counters == engine.counters
         assert list(restored.active_ids()) == [1, 3]
-        assert restored.reservation(3) == ledger.reservation(3)
-        assert restored.state.link_used(1, 2) == ledger.state.link_used(1, 2)
+        assert restored.ledger.reservation(3) == engine.ledger.reservation(3)
+        assert restored.ledger.state.link_used(1, 2) == engine.ledger.state.link_used(1, 2)
+        assert restored.wal_applied_seq == seq
 
     def test_fingerprint_mismatch_raises(self, tmp_path):
-        network = tight_network()
-        path = str(tmp_path / "snap.json")
-        state_store.write_document(
-            path, state_store.snapshot_to_dict(self.populated_ledger(network), counters={})
-        )
+        path = str(tmp_path / "shard.wal")
+        self.logged_engine(tight_network(), path).detach_wal()
         other = CloudNetwork(build_line_graph(4, price=1.0, capacity=1.0))
-        with pytest.raises(SnapshotError, match="different network"):
-            state_store.load_snapshot(path, other)
+        with pytest.raises(WalError, match="different network"):
+            EmbeddingEngine.restore(other, "MBBE", path)
 
     def test_overcommitted_snapshot_raises(self, tmp_path):
         network = tight_network()
-        doc = state_store.snapshot_to_dict(
-            self.populated_ledger(network), counters={}
-        )
-        doc["reservations"][0]["links"] = [[0, 1, 99.0]]
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotError, match="over-commits"):
-            state_store.load_snapshot(str(path), network)
+        path = str(tmp_path / "shard.wal")
+        engine = self.logged_engine(network, path)
+        payload = engine.checkpoint_payload()
+        payload["reservations"][0]["links"] = [[0, 1, 99.0]]
+        seq = engine.wal.append_record(wal_records.CHECKPOINT, payload)
+        engine.detach_wal()
+        with pytest.raises(WalError, match=f"seq {seq} over-commits"):
+            EmbeddingEngine.restore(network, "MBBE", path)
 
     def test_header_gate(self, tmp_path):
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps({"format": "elsewhere", "kind": "other"}))
-        with pytest.raises(SnapshotError, match="document"):
-            state_store.load_snapshot(str(path), tight_network())
-        path.write_text("{broken")
-        with pytest.raises(SnapshotError, match="JSON"):
-            state_store.load_snapshot(str(path), tight_network())
+        path = str(tmp_path / "shard.wal")
+        WalWriter(path, header={"format": "elsewhere", "kind": "other"}).close()
+        with pytest.raises(WalError, match="engine-wal log"):
+            EmbeddingEngine.restore(tight_network(), "MBBE", path)
+        network = tight_network()
+        newer = wal_records.header_payload(
+            network_fingerprint=network_fingerprint(network), solver="MBBE", seed=0
+        )
+        path = str(tmp_path / "newer.wal")
+        WalWriter(path, header={**newer, "version": 2}).close()
+        with pytest.raises(WalError, match="unsupported WAL version"):
+            EmbeddingEngine.restore(network, "MBBE", path)
 
 
 # -- loadgen helpers --------------------------------------------------------------
@@ -378,12 +399,27 @@ class TestServerEndToEnd:
 
         run(drive())
 
+    def test_snapshot_without_wal_is_a_structured_error(self):
+        network = tight_network()
+        config = ServiceConfig()
+
+        async def drive():
+            async with EmbeddingServer(network, config) as server:
+                host, port = server.address
+                async with await ServiceClient.connect(host, port) as client:
+                    with pytest.raises(ServiceError, match="write-ahead log"):
+                        await client.snapshot()
+                    # The refusal changes nothing: the server keeps serving.
+                    return await client.submit(1, single_vnf_dag(), 0, 2, seed=1)
+
+        assert run(drive()).accepted
+
     def test_snapshot_restart_resumes_identical_state(self, tmp_path):
-        """Kill + restart from snapshot: same reservations, live releases."""
+        """Restart from the checkpointed log: same reservations, live releases."""
         network = service_network()
         workload = make_workload(network, 8)
-        snap = str(tmp_path / "state.json")
-        config = ServiceConfig(batch_size=4, snapshot_path=snap)
+        wal_dir = str(tmp_path / "wal")
+        config = ServiceConfig(batch_size=4, wal_dir=wal_dir)
 
         async def first_life():
             async with EmbeddingServer(network, config) as server:
@@ -397,23 +433,27 @@ class TestServerEndToEnd:
                     )
                     reply = await client.snapshot()
                     assert reply["type"] == "snapshotted"
-                pre_doc = state_store.snapshot_to_dict(server.ledger, counters={})
-            return outcomes, pre_doc
+                fingerprint = server.router.default.ledger_fingerprint()
+            return outcomes, reply, fingerprint
 
-        outcomes, pre_doc = run(first_life())
+        outcomes, reply, fingerprint = run(first_life())
         accepted_ids = sorted(o.request_id for o in outcomes if o.accepted)
         assert accepted_ids, "restart test needs at least one accepted request"
+        seq = reply["checkpoints"][DEFAULT_NETWORK_ID]
+        path = shard_wal_path(wal_dir, DEFAULT_NETWORK_ID)
+        assert read_wal(path).records[seq].type == wal_records.CHECKPOINT
 
-        ledger, counters = state_store.load_snapshot(snap, network)
-        post_doc = state_store.snapshot_to_dict(ledger, counters={})
-        assert post_doc["reservations"] == pre_doc["reservations"]
-        assert post_doc["network_fingerprint"] == pre_doc["network_fingerprint"]
-        assert list(ledger.active_ids()) == accepted_ids
-        assert counters["accepted"] == len(accepted_ids)
+        router, leftovers = ShardRouter.restore(
+            {DEFAULT_NETWORK_ID: network}, config.solver, wal_dir, seed=config.seed
+        )
+        assert router.default.ledger_fingerprint() == fingerprint
+        assert list(router.default.active_ids()) == accepted_ids
+        assert router.default.counters["accepted"] == len(accepted_ids)
+        assert leftovers[DEFAULT_NETWORK_ID]["submitted"] == len(workload)
 
         async def second_life():
             async with EmbeddingServer(
-                network, config, ledger=ledger, counters=counters
+                router, config, transport_counters=leftovers
             ) as server:
                 host, port = server.address
                 async with await ServiceClient.connect(host, port) as client:
@@ -428,6 +468,7 @@ class TestServerEndToEnd:
         assert dup.code == "duplicate_id"
         assert ok is True
         assert stats["counters"]["accepted"] == len(accepted_ids)
+        assert stats["counters"]["submitted"] == len(workload) + 1
         assert stats["active"] == len(accepted_ids) - 1
 
     def test_drain_shutdown_stops_the_server(self):
@@ -484,18 +525,18 @@ class TestAsyncOffload:
         import time
 
         network = service_network()
-        snap = str(tmp_path / "state.json")
-        config = ServiceConfig(snapshot_path=snap)
+        config = ServiceConfig(wal_dir=str(tmp_path / "wal"))
 
         async def drive() -> float:
             async with EmbeddingServer(network, config) as server:
-                real_save = server.router.save_snapshot
+                engine = server.router.default
+                real_checkpoint = engine.checkpoint
 
-                def slow_save(path, **kwargs):
-                    time.sleep(0.4)  # exaggerate the disk write
-                    return real_save(path, **kwargs)
+                def slow_checkpoint(*args, **kwargs):
+                    time.sleep(0.4)  # exaggerate the fsync
+                    return real_checkpoint(*args, **kwargs)
 
-                monkeypatch.setattr(server.router, "save_snapshot", slow_save)
+                monkeypatch.setattr(engine, "checkpoint", slow_checkpoint)
                 host, port = server.address
                 async with await ServiceClient.connect(host, port) as client:
                     stop = asyncio.Event()
@@ -516,8 +557,8 @@ class TestAsyncOffload:
         """Snapshot taken mid-stream parks dispatchers, not the loop."""
         network = service_network()
         workload = make_workload(network, 12)
-        snap = str(tmp_path / "state.json")
-        config = ServiceConfig(batch_size=3, snapshot_path=snap)
+        wal_dir = str(tmp_path / "wal")
+        config = ServiceConfig(batch_size=3, wal_dir=wal_dir)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -537,10 +578,14 @@ class TestAsyncOffload:
         outcomes = run(drive())
         # every submit got a decision despite the concurrent snapshot...
         assert len(outcomes) == len(workload)
-        # ...and the snapshot file is loadable against the same substrate
-        # (a torn write would fail the fingerprint/capacity validation).
-        ledger, _counters = state_store.load_snapshot(snap, network)
-        assert set(ledger.active_ids()) <= {rid for rid, *_ in workload}
+        # ...and the checkpoint agrees with replaying the records before it
+        # (a checkpoint that raced a commit would disagree and raise).
+        path = shard_wal_path(wal_dir, DEFAULT_NETWORK_ID)
+        replayed = EmbeddingEngine(network, config.solver, seed=config.seed)
+        for record in read_wal(path).records:
+            replayed.apply_wal_record(record)
+        assert any(r.type == wal_records.CHECKPOINT for r in read_wal(path).records)
+        assert set(replayed.active_ids()) <= {rid for rid, *_ in workload}
 
     def test_fault_repair_keeps_the_loop_responsive(self, monkeypatch):
         import time

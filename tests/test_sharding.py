@@ -297,8 +297,8 @@ class TestShardFaultIsolation:
 class TestShardedDurability:
     def test_sharded_snapshot_roundtrip(self, tmp_path):
         networks = two_networks()
-        snap = str(tmp_path / "sharded.json")
-        config = ServiceConfig(batch_size=4, snapshot_path=snap)
+        wal_dir = str(tmp_path / "wal")
+        config = ServiceConfig(batch_size=4, wal_dir=wal_dir)
         workloads = {
             "alpha": make_workload(networks["alpha"], 8, seed=11),
             "beta": make_workload(networks["beta"], 8, seed=12),
@@ -319,23 +319,23 @@ class TestShardedDurability:
                                 accepted[network_id].append(rid)
                     reply = await client.snapshot()
                     assert reply["type"] == "snapshotted"
-                pre_docs = {
-                    network_id: state_store.snapshot_to_dict(engine.ledger, counters={})
+                pre_states = {
+                    network_id: engine.checkpoint_payload()
                     for network_id, engine in server.router.items()
                 }
-            return accepted, pre_docs
+            return accepted, reply, pre_states
 
-        accepted, pre_docs = run(first_life())
+        accepted, reply, pre_states = run(first_life())
         assert all(accepted[nid] for nid in networks), "both shards must accept"
+        assert set(reply["checkpoints"]) == set(networks)
 
-        router, leftovers = ShardRouter.restore(networks, config.solver, snap)
+        router, leftovers = ShardRouter.restore(networks, config.solver, wal_dir)
         assert set(leftovers) == set(networks)
         for network_id in networks:
             assert leftovers[network_id]["submitted"] == len(workloads[network_id])
-            restored_doc = state_store.snapshot_to_dict(
-                router.get(network_id).ledger, counters={}
-            )
-            assert restored_doc == pre_docs[network_id]
+            restored = router.get(network_id)
+            assert restored.wal_applied_seq == reply["checkpoints"][network_id]
+            assert restored.checkpoint_payload() == pre_states[network_id]
 
         async def second_life():
             async with EmbeddingServer(
@@ -359,8 +359,8 @@ class TestShardedDurability:
 
     def test_snapshot_restore_rejects_mismatched_shard_set(self, tmp_path):
         networks = two_networks()
-        snap = str(tmp_path / "sharded.json")
-        config = ServiceConfig(snapshot_path=snap)
+        wal_dir = str(tmp_path / "wal")
+        config = ServiceConfig(wal_dir=wal_dir)
 
         async def drive():
             async with EmbeddingServer(networks, config) as server:
@@ -369,16 +369,28 @@ class TestShardedDurability:
                     await client.snapshot()
 
         run(drive())
-        from repro.exceptions import SnapshotError
+        from repro.exceptions import WalError
 
-        with pytest.raises(SnapshotError, match="do not match"):
+        # Each log's header names its substrate: swapping the shards' networks
+        # is refused before anything is replayed.
+        with pytest.raises(WalError, match="different network"):
             ShardRouter.restore(
-                {"alpha": networks["alpha"], "gamma": networks["beta"]}, "MBBE", snap
+                {"alpha": networks["beta"], "beta": networks["alpha"]}, "MBBE", wal_dir
             )
-        # A single-network restore reads the plain-v1 path and refuses the
-        # sharded document kind outright.
-        with pytest.raises(SnapshotError, match="not a"):
-            ShardRouter.restore({"alpha": networks["alpha"]}, "MBBE", snap)
+        # A log for a shard that is not configured holds acknowledged state:
+        # restoring without it is refused, naming both shard sets.
+        with pytest.raises(WalError, match="do not match"):
+            ShardRouter.restore(
+                {"alpha": networks["alpha"], "gamma": networks["beta"]}, "MBBE", wal_dir
+            )
+        with pytest.raises(WalError, match="'beta'"):
+            ShardRouter.restore({"alpha": networks["alpha"]}, "MBBE", wal_dir)
+        # A configured shard without a log of its own starts fresh.
+        router, _ = ShardRouter.restore(
+            {**networks, "gamma": networks["alpha"]}, "MBBE", wal_dir
+        )
+        assert set(router.network_ids) == {"alpha", "beta", "gamma"}
+        assert router.get("gamma").active_count() == 0
 
     def test_drain_covers_every_shard(self):
         networks = two_networks()

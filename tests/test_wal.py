@@ -5,9 +5,10 @@ Three layers of guarantees, tested bottom-up:
 * the log itself — fingerprint-chained records, torn-tail tolerance,
   sync-before-close discipline (an unsynced record was never promised, a
   synced one must survive);
-* recovery — ``EmbeddingEngine.restore`` = latest snapshot + deterministic
-  log replay, asserted to reproduce the *exact* state of the engine that
-  wrote the log (the hypothesis property checks every prefix, and a
+* recovery — ``EmbeddingEngine.restore`` = the log's last checkpoint +
+  deterministic replay of the records after it, asserted to reproduce the
+  *exact* state of the engine that wrote the log (the hypothesis property
+  checks every prefix, a checkpoint that disagrees with replay raises, and a
   committed log fixture pins the record format byte for byte);
 * fail-over — a :class:`StandbyEngine` tailing the primary's log promotes
   into an engine whose next batch of decisions is identical to what a
@@ -39,9 +40,8 @@ from repro.engine import (
     WalWriter,
     read_wal,
     shard_wal_path,
-    state_store,
 )
-from repro.exceptions import ConfigurationError, ServiceError, SnapshotError, WalError
+from repro.exceptions import ConfigurationError, ServiceError, WalError
 from repro.faults.model import FaultAction, FaultEvent, FaultTarget
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
@@ -107,15 +107,13 @@ def wal_engine(network: CloudNetwork, path, *, seed: int = 5) -> EmbeddingEngine
 def engine_state(engine: EmbeddingEngine) -> dict:
     """Everything replay must reproduce, canonically encoded.
 
-    The snapshot document carries the ledger, the counters, the tracked
+    The checkpoint payload carries the ledger, the counters, the tracked
     embeddings (embedding, flow, cost, constraints), the dead-element sets,
-    the decision/fault sequence counters and the rebalance counters. The
-    log position is dropped, and so is ``migrations_conflicted``: a
-    rolled-back move changes no state and leaves no record, so only the
-    live engine can count it.
+    the decision/fault sequence counters and the rebalance counters.
+    ``migrations_conflicted`` is dropped: a rolled-back move changes no
+    state and leaves no record, so only the live engine can count it.
     """
-    doc = engine.snapshot_doc()
-    doc.pop("wal", None)
+    doc = engine.checkpoint_payload()
     doc["rebalance_counters"].pop("migrations_conflicted")
     doc["ledger_fingerprint"] = engine.ledger_fingerprint()
     return doc
@@ -260,31 +258,49 @@ class TestEngineRecovery:
         self.drive(engine, make_requests(network, 10), release=(0, 3), fault=True)
         engine.detach_wal()
 
-        restored, leftover = EmbeddingEngine.restore(
-            network, "MBBE", None, seed=5, wal_path=str(path)
-        )
+        restored, leftover = EmbeddingEngine.restore(network, "MBBE", str(path), seed=5)
         assert leftover == {}
         assert restored.ledger_fingerprint() == engine.ledger_fingerprint()
         assert restored.counters == engine.counters
         assert restored.active_count() == engine.active_count()
         assert restored.wal_applied_seq == read_wal(str(path)).last_seq
 
-    def test_snapshot_plus_wal_suffix_restore(self, tmp_path):
+    def test_snapshot_plus_wal_suffix_restore(self, tmp_path, monkeypatch):
+        """Restore loads the last checkpoint and applies only what follows."""
         network = engine_network()
         path = tmp_path / "shard.wal"
-        snap = tmp_path / "snap.json"
         engine = wal_engine(network, path)
         requests = make_requests(network, 12)
         self.drive(engine, requests[:6])
-        engine.save_snapshot(str(snap))  # embeds the synced wal position
+        checkpoint_seq = engine.checkpoint()
         self.drive(engine, requests[6:], release=(1,), fault=True)
         engine.detach_wal()
+        last_seq = read_wal(str(path)).last_seq
+        assert last_seq > checkpoint_seq + 6
 
-        restored, _ = EmbeddingEngine.restore(
-            network, "MBBE", str(snap), seed=5, wal_path=str(path)
-        )
+        applied: list[int] = []
+        real_apply = EmbeddingEngine.apply_wal_record
+
+        def counted(self, record):
+            applied.append(record.seq)
+            real_apply(self, record)
+
+        monkeypatch.setattr(EmbeddingEngine, "apply_wal_record", counted)
+        restored, _ = EmbeddingEngine.restore(network, "MBBE", str(path), seed=5)
+        assert len(applied) == last_seq - checkpoint_seq
+        assert applied == list(range(checkpoint_seq + 1, last_seq + 1))
         assert restored.ledger_fingerprint() == engine.ledger_fingerprint()
         assert restored.counters == engine.counters
+        assert engine_state(restored) == engine_state(engine)
+
+        # A standby seeds itself through the same restore, then tails only
+        # records past its applied seq.
+        applied.clear()
+        standby = StandbyEngine(network, "MBBE", str(path), seed=5)
+        assert applied == list(range(checkpoint_seq + 1, last_seq + 1))
+        assert standby.poll() == 0
+        assert standby.applied_seq == last_seq
+        assert standby.ledger_fingerprint() == engine.ledger_fingerprint()
 
     def test_restored_engine_continues_decision_identically(self, tmp_path):
         network = engine_network()
@@ -296,9 +312,7 @@ class TestEngineRecovery:
         self.drive(twin, requests[:8], release=(2,))
         engine.detach_wal()
 
-        restored, _ = EmbeddingEngine.restore(
-            network, "MBBE", None, seed=5, wal_path=str(path)
-        )
+        restored, _ = EmbeddingEngine.restore(network, "MBBE", str(path), seed=5)
         for request in requests[8:]:
             ours = restored.submit(request, rng=request.seed)
             theirs = twin.submit(request, rng=request.seed)
@@ -337,46 +351,42 @@ class TestEngineRecovery:
             assert (a.success, a.total_cost) == (b.success, b.total_cost)
         logged.detach_wal()
         assert plain.counters == logged.counters
-        assert state_store.snapshot_to_dict(
-            plain.ledger, counters={}
-        ) == state_store.snapshot_to_dict(logged.ledger, counters={})
+        assert plain.ledger_fingerprint() == logged.ledger_fingerprint()
+        assert plain.checkpoint_payload() == logged.checkpoint_payload()
 
 
 class TestSnapshotRestoresTheEngine:
-    """A snapshot restores the whole engine, not just its reservations."""
+    """A checkpoint restores the whole engine, not just its reservations."""
 
     def test_snapshot_while_degraded_then_logged_recover(self, tmp_path):
         network = engine_network()
-        path, snap = tmp_path / "shard.wal", tmp_path / "snap.json"
+        path = tmp_path / "shard.wal"
         engine = wal_engine(network, path)
         for request in make_requests(network, 6):
             engine.submit(request, rng=request.seed)
         engine.apply_fault(fail(3), auto_seed=True)
-        engine.save_snapshot(str(snap))  # node 3 is dead in this snapshot
+        engine.checkpoint()  # node 3 is dead in this checkpoint
         engine.apply_fault(recover(3))
         engine.detach_wal()
 
-        restored, _ = EmbeddingEngine.restore(
-            network, "MBBE", str(snap), seed=5, wal_path=str(path)
-        )
+        restored, _ = EmbeddingEngine.restore(network, "MBBE", str(path), seed=5)
         assert not restored.degraded
         assert engine_state(restored) == engine_state(engine)
 
     def test_restored_engine_repairs_like_the_original(self, tmp_path):
         network = engine_network()
-        path, snap = tmp_path / "shard.wal", tmp_path / "snap.json"
+        path = tmp_path / "shard.wal"
         engine = wal_engine(network, path)
         for request in make_requests(network, 6):
             engine.submit(request, rng=request.seed)
-        engine.save_snapshot(str(snap))
+        engine.checkpoint()
         engine.detach_wal()
 
-        restored, _ = EmbeddingEngine.restore(
-            network, "MBBE", str(snap), seed=5, wal_path=str(path)
-        )
+        restored, _ = EmbeddingEngine.restore(network, "MBBE", str(path), seed=5)
         assert restored.repair_engine.tracked_count() == 6
         # Node 0 carries requests 1 and 2: the original reroutes both, and
-        # so must an engine that never saw their commits, only the snapshot.
+        # so must an engine that never replayed their commits, only loaded
+        # the checkpoint.
         assert engine.ledger.affected_by(nodes=[0]) == [1, 2]
         ours = restored.apply_fault(fail(0), auto_seed=True)
         theirs = engine.apply_fault(fail(0), auto_seed=True)
@@ -385,31 +395,47 @@ class TestSnapshotRestoresTheEngine:
         ]
         assert engine_state(restored) == engine_state(engine)
 
-    def test_ledger_only_documents_restore_as_before(self, tmp_path):
-        network = engine_network()
-        engine = EmbeddingEngine(network, "MBBE", seed=5)
-        for request in make_requests(network, 4):
-            engine.submit(request, rng=request.seed)
-        snap = tmp_path / "snap.json"
-        state_store.write_document(
-            str(snap), state_store.snapshot_to_dict(engine.ledger, counters=engine.counters)
-        )
-        restored, _ = EmbeddingEngine.restore(network, "MBBE", str(snap), seed=5)
-        assert restored.ledger_fingerprint() == engine.ledger_fingerprint()
-        assert restored.repair_engine.tracked_count() == 0
-        assert restored.snapshot_doc()["sequence"] == {"decision": 4, "fault": 0}
-
     def test_tracked_entry_without_reservation_is_refused(self, tmp_path):
         network = engine_network()
-        engine = EmbeddingEngine(network, "MBBE", seed=5)
+        path = tmp_path / "shard.wal"
+        engine = wal_engine(network, path)
         for request in make_requests(network, 2):
             engine.submit(request, rng=request.seed)
-        doc = engine.snapshot_doc()
-        doc["tracked"][0]["request_id"] = 99
-        snap = tmp_path / "snap.json"
-        snap.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotError, match="request 99"):
-            EmbeddingEngine.restore(network, "MBBE", str(snap), seed=5)
+        payload = engine.checkpoint_payload()
+        payload["tracked"][0]["request_id"] = 99
+        engine.wal.append_record(wal_records.CHECKPOINT, payload)
+        engine.detach_wal()
+        with pytest.raises(WalError, match="request 99"):
+            EmbeddingEngine.restore(network, "MBBE", str(path), seed=5)
+
+    def test_checkpoint_needs_a_wal(self):
+        engine = EmbeddingEngine(engine_network(), "MBBE", seed=5)
+        with pytest.raises(ConfigurationError, match="write-ahead log"):
+            engine.checkpoint()
+
+    def test_disagreeing_checkpoint_raises_in_replay_and_in_the_standby(self, tmp_path):
+        network = engine_network()
+        path = str(tmp_path / "shard.wal")
+        engine = wal_engine(network, path)
+        standby = StandbyEngine(network, "MBBE", path, seed=5)
+        for request in make_requests(network, 3):
+            engine.submit(request, rng=request.seed)
+        payload = engine.checkpoint_payload()
+        payload["counters"]["accepted"] += 1
+        payload["sequence"]["decision"] = 0
+        seq = engine.wal.append_record(wal_records.CHECKPOINT, payload)
+        engine.detach_wal()
+
+        match = f"checkpoint record at seq {seq} diverged: .*counters, sequence"
+        replayed = EmbeddingEngine(network, "MBBE", seed=5)
+        with pytest.raises(WalError, match=match):
+            for record in read_wal(path).records:
+                replayed.apply_wal_record(record)
+        with pytest.raises(WalError, match=match):
+            standby.poll()
+        # Loading the last checkpoint trusts it: restore does not re-derive it.
+        restored, _ = EmbeddingEngine.restore(network, "MBBE", path, seed=5)
+        assert restored.counters["accepted"] == engine.counters["accepted"] + 1
 
 
 # One bounded event alphabet for the prefix property: submit ids are drawn
@@ -476,25 +502,27 @@ class TestReplayPrefixProperty:
         for event in events[:cut]:
             apply(logged, event)
             apply(shadow, event)
-        snap = str(tmp_path / "snap.json")
-        logged.save_snapshot(snap)  # syncs, and records the cut's position
-        cut_seq = logged.wal.seq
+        cut_seq = logged.checkpoint()  # the state at the cut, synced
         prefix_state = engine_state(logged)
         for event in events[cut:]:
             apply(logged, event)
         logged.detach_wal()
         final_state = engine_state(logged)
 
-        # Replaying the *whole* log reproduces the final state, hidden
-        # state included; so does the snapshot at the cut plus the suffix.
-        full, _ = EmbeddingEngine.restore(network, "MBBE", None, seed=9, wal_path=path)
-        assert engine_state(full) == final_state
-        resumed, _ = EmbeddingEngine.restore(network, "MBBE", snap, seed=9, wal_path=path)
+        # Restoring (the checkpoint at the cut + the suffix) reproduces the
+        # final state, hidden state included; so does replaying the *whole*
+        # log from scratch, which also checks the checkpoint on the way.
+        resumed, _ = EmbeddingEngine.restore(network, "MBBE", path, seed=9)
         assert engine_state(resumed) == final_state
-
-        # Replaying exactly the records written by the cut reproduces the
-        # prefix state the shadow engine reached running the same events.
         scan = read_wal(path)
+        full = EmbeddingEngine(network, "MBBE", seed=9)
+        for record in scan.records:
+            full.apply_wal_record(record)
+        assert engine_state(full) == final_state
+
+        # Replaying exactly the records written by the cut (the checkpoint
+        # included) reproduces the prefix state the shadow engine reached
+        # running the same events.
         partial = EmbeddingEngine(network, "MBBE", seed=9)
         for record in scan.records[1:]:
             if record.seq > cut_seq:
@@ -559,15 +587,14 @@ class TestWalFixture:
 
     def test_fixture_covers_every_effect_kind(self):
         records = read_wal(str(FIXTURE_WAL), allow_torn_tail=False).records
-        assert {r.type for r in records} == set(wal_records.RECORD_TYPES)
+        effect_kinds = set(wal_records.RECORD_TYPES) - {wal_records.CHECKPOINT}
+        assert {r.type for r in records} == effect_kinds
         assert any(r.type == "commit" and "constraints" in r.payload for r in records)
         actions = {r.payload["action"] for r in records if r.type == "repair"}
         assert actions == {"rerouted", "re_embedded", "evicted"}
 
     def test_fixture_replays_to_its_recorded_fingerprint(self):
-        engine, _ = EmbeddingEngine.restore(
-            fixture_network(), "MBBE", None, seed=9, wal_path=str(FIXTURE_WAL)
-        )
+        engine, _ = EmbeddingEngine.restore(fixture_network(), "MBBE", str(FIXTURE_WAL), seed=9)
         assert engine.ledger_fingerprint() == FIXTURE_FINGERPRINT
         assert engine.counters["repairs_rerouted"] == 1
         assert engine.rebalance_counters["migrations_applied"] == 2
@@ -587,7 +614,7 @@ class TestWalFixture:
     @pytest.mark.parametrize(
         "record_type, payload, match",
         [
-            ("checkpoint", {}, "unknown WAL record type"),
+            ("truncate", {}, "unknown WAL record type"),
             ("release", {}, "malformed release"),
             ("release", [], "not an object"),
             ("fault", {"time": 0, "action": "explode", "target": "node", "ids": [1]},
@@ -657,7 +684,7 @@ class TestStandbyPromotion:
         promoted.detach_wal()
 
         # The promoted engine's log is itself recoverable end to end.
-        restored, _ = EmbeddingEngine.restore(network, "MBBE", None, seed=5, wal_path=path)
+        restored, _ = EmbeddingEngine.restore(network, "MBBE", path, seed=5)
         assert restored.ledger_fingerprint() == twin.ledger_fingerprint()
 
     def test_standby_rejects_double_promotion_and_post_promote_poll(self, tmp_path):
@@ -739,9 +766,7 @@ class TestServiceDurability:
         # Offline recovery from the log alone reproduces the served state:
         # every acknowledged accept is active, the released one is not.
         path = shard_wal_path(wal_dir, DEFAULT_NETWORK_ID)
-        restored, _ = EmbeddingEngine.restore(
-            network, config.solver, None, seed=config.seed, wal_path=path
-        )
+        restored, _ = EmbeddingEngine.restore(network, config.solver, path, seed=config.seed)
         assert restored.ledger_fingerprint() == fingerprint
         assert not restored.is_active(accepted[0])
         for rid in accepted[1:]:

@@ -86,10 +86,9 @@ class LintConfig:
     #: receiver-name fragments that mark a call target ledger-like.
     ledger_receiver_fragments: tuple[str, ...] = ("ledger",)
     #: module suffixes of the effect path: the engine core (live mutators,
-    #: WAL replay), the snapshot loader, and the ledger itself.
+    #: WAL replay, the checkpoint loader) and the ledger itself.
     effect_module_suffixes: tuple[str, ...] = (
         "engine/core.py",
-        "engine/state_store.py",
         "network/reservations.py",
     )
     #: directory names whose modules own the log format (the WAL package).
@@ -114,11 +113,10 @@ class LintConfig:
         "urllib.request.",
     )
     #: method names whose *direct* invocation blocks (solver entry points and
-    #: snapshot IO); matched on ``self.x()`` / ``obj.x()`` attribute calls.
+    #: the fsynced checkpoint); matched on ``self.x()`` / ``obj.x()`` calls.
     blocking_method_names: tuple[str, ...] = (
         "embed",
-        "save_snapshot",
-        "save_sharded_snapshot",
+        "checkpoint",
     )
     #: callables whose arguments run off the event loop; their argument
     #: subtrees are exempt from blocking analysis (the executor hop).

@@ -12,8 +12,8 @@ it — live and on replay alike. Two kinds of call fork that path:
   that no record describes — and a bare release+reserve pair is not even
   atomic (the re-reserve can fail after the release succeeded).
 
-Outside the engine core, the WAL package, the ledger itself and the
-snapshot loader, both are lint errors; go through the engine's
+Outside the engine core (which also loads checkpoints), the WAL package and
+the ledger itself, both are lint errors; go through the engine's
 commit/release/migrate/apply_fault surface instead.
 """
 
@@ -40,7 +40,7 @@ def _is_ledger_write(node: ast.Call, fragments: tuple[str, ...]) -> bool:
     "RPL212",
     "effect-outside-engine",
     "WAL appends and ledger reserve/release calls belong to the engine's "
-    "effect path (engine core, WAL package, ledger, snapshot loader); "
+    "effect path (engine core, WAL package, ledger); "
     "transport and tooling code must go through the engine",
 )
 def check_effect_outside_engine(ctx: FileContext) -> None:
