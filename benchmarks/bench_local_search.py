@@ -13,6 +13,7 @@ import pytest
 from repro.config import FlowConfig, table2_defaults
 from repro.network.generator import generate_network
 from repro.sfc.generator import generate_dag_sfc
+from repro.solvers.local_search import RefinedEmbedder
 from repro.solvers.registry import make_solver
 
 NET_SIZE = 120
@@ -29,7 +30,7 @@ def ls_instance():
 @pytest.mark.parametrize("base", ["RANV", "MINV", "MBBE"])
 def test_refinement_gain(benchmark, ls_instance, base):
     net, dag = ls_instance
-    solver = make_solver(f"{base}+LS")
+    solver = RefinedEmbedder(make_solver(base))
     result = benchmark(
         lambda: solver.embed(net, dag, 0, NET_SIZE - 1, FlowConfig(), rng=3)
     )
@@ -48,7 +49,7 @@ def test_mbbe_is_near_local_optimum(benchmark, ls_instance):
     def measure():
         out = {}
         for base in ("RANV", "MBBE"):
-            r = make_solver(f"{base}+LS").embed(
+            r = RefinedEmbedder(make_solver(base)).embed(
                 net, dag, 0, NET_SIZE - 1, FlowConfig(), rng=5
             )
             out[base] = (r.stats["base_cost"], r.total_cost)

@@ -8,9 +8,9 @@ substrate network — the residual capacity (via the shared
 down the reroute → re-embed → evict ladder — and exposes the full admission
 lifecycle as plain synchronous methods:
 
-* :meth:`view` — the residual network solves run on (degraded under
-  active faults; the projection is never built fault-free, keeping the
-  no-chaos pipeline bit-identical to a state machine without faults);
+* :meth:`view` — the residual network solves run on, without the dead
+  elements under active faults; built once per engine state and shared by
+  the solve and the commit-time checks until the next effect;
 * :meth:`solve` / :meth:`commit` — the two halves of one decision, split
   so a transport can run the solve in a thread and feed the result back
   into the sole state mutator;
@@ -53,7 +53,7 @@ from ..exceptions import (
     LedgerError,
     WalError,
 )
-from ..faults.model import FaultAction, FaultEvent, FaultState, degrade_network
+from ..faults.model import FaultAction, FaultEvent, FaultState
 from ..faults.repair import EmbeddedRequest, RepairAction, RepairEngine, RepairOutcome
 from ..network.cloud import CloudNetwork
 from ..network.reservations import Reservation, ReservationLedger
@@ -184,6 +184,8 @@ class EmbeddingEngine:
             self.counters[key] = 0.0
         self._faults = FaultState()
         self._tracked: dict[int, EmbeddedRequest] = {}
+        # The residual view of the current state; _apply drops it.
+        self._view: CloudNetwork | None = None
         # The repair ladder plans in-process on read-only views of this
         # state (a transport's dispatcher is the sole writer, so repairs
         # cannot overlap a commit); _apply applies its effects.
@@ -245,16 +247,15 @@ class EmbeddingEngine:
     # -- views and solves -----------------------------------------------------------
 
     def view(self) -> CloudNetwork:
-        """The residual view solves run on, degraded under active faults.
+        """The residual view solves run on, without the dead elements.
 
-        Fault-free engines take the first branch only — the projection is
-        never built, keeping the no-chaos pipeline bit-identical to a
-        state machine without the fault subsystem.
+        Built once per engine state: every call until the next effect
+        returns the same object, so a decision's solve and its commit-time
+        checks share one build. Callers must not mutate it.
         """
-        network = self.ledger.state.to_network()
-        if self._faults.any_dead:
-            network = degrade_network(network, self._faults)
-        return network
+        if self._view is None:
+            self._view = self.ledger.state.to_network(self._faults)
+        return self._view
 
     def solve_seed(self, request: EmbeddingRequest) -> int:
         """The solver seed for one request: its own, or engine-derived."""
@@ -650,6 +651,7 @@ class EmbeddingEngine:
         :class:`LedgerError`, or :class:`WalError` for a no-op fault)
         before anything is mutated.
         """
+        self._view = None
         if isinstance(effect, wal_records.CommitEffect):
             if effect.accepted:
                 assert effect.reservation is not None and effect.total_cost is not None
@@ -851,6 +853,7 @@ class EmbeddingEngine:
         """
         payload = record.payload
         where = f"the checkpoint at seq {record.seq}"
+        self._view = None
         try:
             for entry in payload["reservations"]:
                 self.ledger.reserve(

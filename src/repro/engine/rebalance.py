@@ -7,9 +7,11 @@ and inflate the marginal cost of every new DAG-SFC. The
 
 * **scan** — rank the active reservations by committed objective cost and
   examine the most expensive ones first (they have the most to give back);
-* **plan** — for each candidate, re-solve on a *peeled* residual view (the
-  current residuals with the candidate's own reservation credited back, so
-  its current placement competes fairly with alternatives) via
+* **plan** — for each candidate, re-solve on a *credited* residual view
+  (the current residuals with the candidate's own reservation returned, as
+  :meth:`~repro.network.reservations.ReservationLedger.credited` builds it
+  for the repair planner too, so its current placement competes fairly
+  with alternatives) via
   :func:`~repro.solvers.reembed.reembed` with the current placements
   pinned, biasing the solver toward minimal-movement replacements;
 * **apply** — feed each planned move through
@@ -39,8 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ..embedding.base import EmbeddingResult
-from ..network.cloud import CloudNetwork
-from ..network.graph import Graph
 from ..solvers.reembed import reembed
 from ..utils.rng import trial_seed
 from .core import REBALANCE_COUNTER_KEYS, EmbeddingEngine, Migration
@@ -165,40 +165,6 @@ def fragmentation_index(engine: EmbeddingEngine) -> float:
     return 1.0 - (total * total) / (len(residuals) * square)
 
 
-def _peeled_view(engine: EmbeddingEngine, request_id: int) -> CloudNetwork:
-    """The residual view with ``request_id``'s own reservation credited back.
-
-    Built read-only from the public usage queries (never by transiently
-    releasing through the ledger), so planning can run off the dispatcher
-    thread without ever mutating shared state. Mirrors
-    :meth:`~repro.network.state.ResidualState.to_network`: saturated
-    elements are dropped so any solver runs unmodified on the leftovers.
-    """
-    state = engine.ledger.state
-    reservation = engine.ledger.reservation(request_id)
-    base = state.network
-    graph = Graph()
-    graph.add_nodes(base.graph.nodes())
-    for link in base.graph.links():
-        residual = (
-            link.capacity
-            - state.link_used(link.u, link.v)
-            + reservation.links.get(link.key, 0.0)
-        )
-        if residual > _EPS:
-            graph.add_link(link.u, link.v, price=link.price, capacity=residual)
-    view = CloudNetwork(graph)
-    for inst in base.deployments.all_instances():
-        residual = (
-            inst.capacity
-            - state.vnf_used(inst.node, inst.vnf_type)
-            + reservation.vnf.get((inst.node, inst.vnf_type), 0.0)
-        )
-        if residual > _EPS:
-            view.deploy(inst.node, inst.vnf_type, price=inst.price, capacity=residual)
-    return view
-
-
 class Rebalancer:
     """The background defrag loop over one engine (plan → migrate)."""
 
@@ -255,7 +221,9 @@ class Rebalancer:
                 self.engine.seed, self._plan_counter, salt=_REBALANCE_SEED_SALT
             )
             self._plan_counter += 1
-            view = _peeled_view(self.engine, request_id)
+            view = self.engine.ledger.credited(request_id).to_network(
+                self.engine.faults
+            )
             threshold = config.min_gain * max(tracked.cost, _EPS)
             # Minimal movement first: with the current placements pinned the
             # solver can only improve routing. Only when that fails to clear

@@ -1,8 +1,8 @@
 """Fault injection and recovery for the DAG-SFC stack.
 
 * :mod:`repro.faults.model` — timed fail/recover events, MTBF/MTTR script
-  generation, the mutable :class:`~repro.faults.model.FaultState`, and the
-  degraded-view projection;
+  generation and the mutable :class:`~repro.faults.model.FaultState` (the
+  solver-facing view drops what it marks dead);
 * :mod:`repro.faults.impact` — per-embedding damage assessment;
 * :mod:`repro.faults.repair` — the reroute → re-embed → evict ladder over
   the shared reservation ledger;
@@ -22,7 +22,6 @@ from .model import (
     FaultSpec,
     FaultState,
     FaultTarget,
-    degrade_network,
     generate_fault_script,
     script_from_dict,
     script_to_dict,
@@ -38,7 +37,6 @@ __all__ = [
     "FaultSpec",
     "FaultState",
     "generate_fault_script",
-    "degrade_network",
     "script_to_dict",
     "script_from_dict",
     "RequestImpact",

@@ -12,11 +12,11 @@ style alternating up/down timelines per element from a :class:`FaultSpec`.
 :class:`FaultState` is the mutable "what is dead right now" view that the
 simulator, the repair engine, and the server consult. It deliberately never
 touches :class:`~repro.network.state.ResidualState`: failures do not change
-bookkeeping, they change *visibility*. :func:`degrade_network` projects a
-pristine :class:`~repro.network.cloud.CloudNetwork` through a fault state so
-solvers simply never see dead elements — which is what keeps the fault-free
-path (and the perf goldens) bit-identical: with nothing dead, no degraded view
-is ever built.
+bookkeeping, they change *visibility*.
+:meth:`~repro.network.state.ResidualState.to_network` takes a fault state and
+drops the dead elements while it builds the solver-facing view, so solvers
+simply never see them; with nothing dead it builds the fault-free view, which
+keeps the no-chaos path (and the perf goldens) bit-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..network.cloud import CloudNetwork
-from ..nfv.instances import DeploymentMap
 from ..types import EdgeKey, NodeId, VnfTypeId, edge_key
 from ..utils.rng import RngStream, as_generator
 
@@ -42,7 +41,6 @@ __all__ = [
     "FaultState",
     "FaultSpec",
     "generate_fault_script",
-    "degrade_network",
     "script_to_dict",
     "script_from_dict",
 ]
@@ -217,7 +215,7 @@ class FaultState:
     def any_dead(self) -> bool:
         """True while anything is failed — the fast-path guard.
 
-        Every consumer checks this before building a degraded view, which is
+        The view builder checks this before any liveness lookup, which is
         what keeps the fault-free pipeline byte-identical to the seed.
         """
         return bool(self.dead_nodes or self.dead_links or self.dead_instances)
@@ -339,30 +337,6 @@ def generate_fault_script(
                 )
             )
     return FaultScript(events=tuple(events), horizon=spec.horizon)
-
-
-def degrade_network(network: CloudNetwork, faults: FaultState) -> CloudNetwork:
-    """Project a network through a fault state: dead elements simply vanish.
-
-    Nodes survive as (possibly isolated) vertices only when alive; links
-    survive when the link and both endpoints are alive; instances survive
-    when the instance and its host are alive. The input network is never
-    mutated — :class:`~repro.network.graph.Link` and
-    :class:`~repro.nfv.instances.VnfInstance` are frozen, so sharing them
-    with the degraded copy is safe.
-    """
-    graph = network.graph.copy()
-    for u, v in sorted(faults.dead_links):
-        if graph.has_link(u, v):
-            graph.remove_link(u, v)
-    for node in sorted(faults.dead_nodes):
-        if graph.has_node(node):
-            graph.remove_node(node)
-    deployments = DeploymentMap()
-    for inst in network.deployments.all_instances():
-        if faults.instance_alive(inst.node, inst.vnf_type):
-            deployments.add(inst)
-    return CloudNetwork(graph, deployments)
 
 
 # --------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from ..network.reservations import Reservation, ReservationLedger
 from ..solvers.reembed import rebuild_paths, reembed
 from ..utils.rng import RngStream
 from .impact import assess_impact
-from .model import FaultState, degrade_network
+from .model import FaultState
 
 if TYPE_CHECKING:
     from ..wal.records import RepairEffect
@@ -160,10 +160,9 @@ class RepairEngine:
 
         # Detours and re-embeds must see the request's own capacity as
         # available: plan on a scratch state with only its reservation
-        # returned, by the very float operations the applied release uses.
-        scratch = self.ledger.state.snapshot()
-        self.ledger.reservation(request_id).unclaim(scratch)
-        view = degrade_network(scratch.to_network(), self.faults)
+        # returned.
+        scratch = self.ledger.credited(request_id)
+        view = scratch.to_network(self.faults)
 
         def survivor(
             action: RepairAction, embedding: Embedding, cost: CostBreakdown

@@ -7,8 +7,8 @@ consumes (eq. 7/8 reuse counts × flow rate) until it departs, and a
 departure must return exactly what was reserved. :class:`ReservationLedger`
 is that single implementation — a map ``request id → Reservation`` layered
 on a :class:`~repro.network.state.ResidualState`, with all-or-nothing
-reserve semantics (a mid-reservation :class:`~repro.exceptions.CapacityError`
-rolls back the partial claim instead of leaking it).
+reserve semantics (every amount is checked before any is written, so a
+:class:`~repro.exceptions.CapacityError` never leaves a partial claim).
 
 The ledger deliberately stores *amounts*, not embeddings: a reservation is
 the minimal record needed to undo an admission, which is also exactly what
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping
 
-from ..exceptions import CapacityError, LedgerError
+from ..exceptions import LedgerError
 from ..types import EdgeKey, NodeId, VnfTypeId
 from .state import ResidualState
 
@@ -57,18 +57,18 @@ class Reservation:
     def claim(self, state: ResidualState) -> None:
         """Reserve these amounts on ``state``, all or nothing.
 
-        Raises :class:`CapacityError` with ``state`` untouched when any
-        amount does not fit (the partial claim is rolled back).
+        Every amount is checked before any is written, so a
+        :class:`CapacityError` (or an unknown link or instance) leaves
+        ``state`` untouched.
         """
-        mark = state.mark()
-        try:
-            for (node, vnf_type), amount in self.vnf.items():
-                state.reserve_vnf(node, vnf_type, amount)
-            for (u, v), amount in self.links.items():
-                state.reserve_link(u, v, amount)
-        except CapacityError:
-            state.rollback(mark)
-            raise
+        for (node, vnf_type), amount in self.vnf.items():
+            state.check_vnf(node, vnf_type, amount)
+        for (u, v), amount in self.links.items():
+            state.check_link(u, v, amount)
+        for (node, vnf_type), amount in self.vnf.items():
+            state.reserve_vnf(node, vnf_type, amount)
+        for (u, v), amount in self.links.items():
+            state.reserve_link(u, v, amount)
 
     def unclaim(self, state: ResidualState) -> None:
         """Return these amounts to ``state`` (the inverse of :meth:`claim`)."""
@@ -113,6 +113,17 @@ class ReservationLedger:
     def __len__(self) -> int:
         return len(self._active)
 
+    def credited(self, request_id: int) -> ResidualState:
+        """A scratch copy of the state with ``request_id``'s reservation returned.
+
+        The repair and rebalance planners solve on it, so the request's own
+        capacity counts as free; the credit uses the very float operations
+        the applied release does. The ledger itself is not touched.
+        """
+        scratch = self.state.snapshot()
+        self.reservation(request_id).unclaim(scratch)
+        return scratch
+
     def affected_by(
         self,
         *,
@@ -151,8 +162,7 @@ class ReservationLedger:
 
         Raises :class:`LedgerError` (code ``"duplicate_request"``) when the
         id is already active and :class:`CapacityError` when the residual
-        network cannot hold the amounts — in the latter case the partial
-        claim is rolled back, so the state is untouched on failure.
+        network cannot hold the amounts; the state is untouched on failure.
         """
         if request_id in self._active:
             raise LedgerError(

@@ -1,9 +1,12 @@
 """Residual-capacity tracking: the "real-time network graph" of Algorithm 1.
 
 :class:`ResidualState` overlays usage counters on an immutable
-:class:`~repro.network.cloud.CloudNetwork`. Solvers reserve VNF processing
-rate and link bandwidth as they commit meta-paths; transactions allow a
-candidate sub-solution to be costed and rolled back cheaply.
+:class:`~repro.network.cloud.CloudNetwork`. Accepted embeddings reserve VNF
+processing rate and link bandwidth on it (through
+:class:`~repro.network.reservations.Reservation`), and
+:meth:`ResidualState.to_network` projects what is left (minus anything a
+:class:`~repro.faults.model.FaultState` marks dead) into the network every
+solve runs on.
 
 Reservation semantics follow the paper's reuse model:
 
@@ -17,12 +20,15 @@ Reservation semantics follow the paper's reuse model:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..exceptions import CapacityError
 from ..types import EdgeKey, NodeId, VnfTypeId, edge_key
 from .cloud import CloudNetwork
-from .graph import Link
+from .graph import Graph, Link
+
+if TYPE_CHECKING:
+    from ..faults.model import FaultState
 
 __all__ = ["ResidualState"]
 
@@ -34,8 +40,6 @@ class ResidualState:
         self.network = network
         self._link_used: dict[EdgeKey, float] = {}
         self._vnf_used: dict[tuple[NodeId, VnfTypeId], float] = {}
-        # Transaction journal: (kind, key, amount) entries since last mark.
-        self._journal: list[tuple[str, object, float]] = []
 
     # -- queries -----------------------------------------------------------------
 
@@ -70,31 +74,35 @@ class ResidualState:
 
     # -- reservation ---------------------------------------------------------------
 
-    def reserve_link(self, u: NodeId, v: NodeId, rate: float) -> None:
-        """Reserve ``rate`` bandwidth on link ``{u, v}`` (raises on overflow)."""
-        key = edge_key(u, v)
+    def check_link(self, u: NodeId, v: NodeId, rate: float) -> float:
+        """Bandwidth used on link ``{u, v}``; raises when ``rate`` more does not fit."""
         link = self.network.graph.link(u, v)
-        used = self._link_used.get(key, 0.0)
+        used = self._link_used.get(link.key, 0.0)
         if used + rate > link.capacity + 1e-9:
             raise CapacityError(
-                f"link {key}: reserving {rate} exceeds capacity "
+                f"link {link.key}: reserving {rate} exceeds capacity "
                 f"{link.capacity} (used {used})"
             )
-        self._link_used[key] = used + rate
-        self._journal.append(("link", key, rate))
+        return used
 
-    def reserve_vnf(self, node: NodeId, vnf_type: VnfTypeId, rate: float) -> None:
-        """Reserve ``rate`` processing on instance ``f_v(i)`` (raises on overflow)."""
+    def check_vnf(self, node: NodeId, vnf_type: VnfTypeId, rate: float) -> float:
+        """Rate used on instance ``f_v(i)``; raises when ``rate`` more does not fit."""
         inst = self.network.instance(node, vnf_type)
-        key = (node, vnf_type)
-        used = self._vnf_used.get(key, 0.0)
+        used = self._vnf_used.get((node, vnf_type), 0.0)
         if used + rate > inst.capacity + 1e-9:
             raise CapacityError(
                 f"VNF {vnf_type}@{node}: reserving {rate} exceeds capacity "
                 f"{inst.capacity} (used {used})"
             )
-        self._vnf_used[key] = used + rate
-        self._journal.append(("vnf", key, rate))
+        return used
+
+    def reserve_link(self, u: NodeId, v: NodeId, rate: float) -> None:
+        """Reserve ``rate`` bandwidth on link ``{u, v}`` (raises on overflow)."""
+        self._link_used[edge_key(u, v)] = self.check_link(u, v, rate) + rate
+
+    def reserve_vnf(self, node: NodeId, vnf_type: VnfTypeId, rate: float) -> None:
+        """Reserve ``rate`` processing on instance ``f_v(i)`` (raises on overflow)."""
+        self._vnf_used[(node, vnf_type)] = self.check_vnf(node, vnf_type, rate) + rate
 
     def release_link(self, u: NodeId, v: NodeId, rate: float) -> None:
         """Return ``rate`` bandwidth on link ``{u, v}`` (departures)."""
@@ -109,7 +117,6 @@ class ResidualState:
             self._link_used.pop(key, None)
         else:
             self._link_used[key] = remaining
-        self._journal.append(("link", key, -rate))
 
     def release_vnf(self, node: NodeId, vnf_type: VnfTypeId, rate: float) -> None:
         """Return ``rate`` processing on instance ``f_v(i)`` (departures)."""
@@ -124,58 +131,38 @@ class ResidualState:
             self._vnf_used.pop(key, None)
         else:
             self._vnf_used[key] = remaining
-        self._journal.append(("vnf", key, -rate))
 
     # -- derived views -----------------------------------------------------------------
 
-    def to_network(self) -> CloudNetwork:
+    def to_network(self, faults: FaultState | None = None) -> CloudNetwork:
         """A :class:`CloudNetwork` whose capacities are the current residuals.
 
-        Saturated links and instances are dropped entirely, so any solver can
-        run unmodified against the leftover capacity — the mechanism behind
-        the online-arrivals simulator (:mod:`repro.sim.online`).
+        Saturated links and instances are dropped entirely, and so is every
+        element ``faults`` marks dead: a dead node, a link that is dead or
+        has a dead endpoint, an instance that is dead or on a dead host. Any
+        solver therefore runs unmodified against what is left — the
+        "real-time network graph" of Algorithm 1. Survivors keep the base
+        network's insertion order, which search tie-breaks follow.
         """
-        from .graph import Graph  # local: avoid import cycle at module load
-
+        if faults is not None and not faults.any_dead:
+            faults = None
+        base = self.network
         graph = Graph()
-        graph.add_nodes(self.network.graph.nodes())
-        for link in self.network.graph.links():
+        graph.add_nodes(
+            node for node in base.graph.nodes() if faults is None or faults.node_alive(node)
+        )
+        for link in base.graph.links():
             residual = link.capacity - self._link_used.get(link.key, 0.0)
-            if residual > 1e-9:
+            if residual > 1e-9 and (faults is None or faults.link_alive(link.u, link.v)):
                 graph.add_link(link.u, link.v, price=link.price, capacity=residual)
         out = CloudNetwork(graph)
-        for inst in self.network.deployments.all_instances():
+        for inst in base.deployments.all_instances():
             residual = inst.capacity - self._vnf_used.get((inst.node, inst.vnf_type), 0.0)
-            if residual > 1e-9:
+            if residual > 1e-9 and (
+                faults is None or faults.instance_alive(inst.node, inst.vnf_type)
+            ):
                 out.deploy(inst.node, inst.vnf_type, price=inst.price, capacity=residual)
         return out
-
-    # -- transactions -----------------------------------------------------------------
-
-    def mark(self) -> int:
-        """Return a journal mark to roll back to."""
-        return len(self._journal)
-
-    def rollback(self, mark: int) -> None:
-        """Undo every reservation made after ``mark``."""
-        if mark < 0 or mark > len(self._journal):
-            raise ValueError(f"invalid journal mark {mark}")
-        while len(self._journal) > mark:
-            kind, key, rate = self._journal.pop()
-            if kind == "link":
-                self._link_used[key] -= rate  # type: ignore[index]
-                if self._link_used[key] <= 1e-12:  # type: ignore[index]
-                    del self._link_used[key]  # type: ignore[arg-type]
-            else:
-                self._vnf_used[key] -= rate  # type: ignore[index]
-                if self._vnf_used[key] <= 1e-12:  # type: ignore[index]
-                    del self._vnf_used[key]  # type: ignore[arg-type]
-
-    def clear(self) -> None:
-        """Drop every reservation."""
-        self._link_used.clear()
-        self._vnf_used.clear()
-        self._journal.clear()
 
     # -- filters for searches -----------------------------------------------------------
 
@@ -198,7 +185,7 @@ class ResidualState:
         return iter(self._vnf_used.items())
 
     def snapshot(self) -> "ResidualState":
-        """Independent deep copy (journal not carried over)."""
+        """Independent deep copy (planners reserve on it without touching this one)."""
         clone = ResidualState(self.network)
         clone._link_used = dict(self._link_used)
         clone._vnf_used = dict(self._vnf_used)

@@ -9,8 +9,9 @@ the first strictly improving feasible move, until a round finds nothing
 Because moves re-route the whole embedding, a move can pay off in subtle
 ways the layer-local BBE/MBBE search cannot see — e.g. relocating layer 2's
 merger so layer 3's inter-layer multicast shortens. The refiner composes
-with any base algorithm through :class:`RefinedEmbedder` (registered as
-``RANV+LS``, ``MINV+LS``, ``MBBE+LS``).
+with any base algorithm through :class:`RefinedEmbedder` (``MINV+LS`` is
+registered; wrap any other base directly, e.g.
+``RefinedEmbedder(MbbeEmbedder())``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from .minv import MinvEmbedder
 from .ranv import RanvEmbedder
 from .sa import SaEmbedder
 
-__all__ = ["available_solvers", "make_solver", "register_solver"]
+__all__ = ["available_solvers", "make_solver"]
 
 _REGISTRY: dict[str, Callable[..., Embedder]] = {
     "BBE": BbeEmbedder,
@@ -27,9 +27,7 @@ _REGISTRY: dict[str, Callable[..., Embedder]] = {
     "MINV": MinvEmbedder,
     "EXACT": ExactEmbedder,
     "CHAIN-DP": ChainDpEmbedder,
-    "RANV+LS": lambda **kw: RefinedEmbedder(RanvEmbedder(), **kw),
     "MINV+LS": lambda **kw: RefinedEmbedder(MinvEmbedder(), **kw),
-    "MBBE+LS": lambda **kw: RefinedEmbedder(MbbeEmbedder(), **kw),
     "SA": SaEmbedder,
     "ILP": IlpEmbedder,
 }
@@ -51,10 +49,3 @@ def make_solver(name: str, **kwargs: Any) -> Embedder:
         ) from None
     return factory(**kwargs)
 
-
-def register_solver(name: str, factory: Callable[..., Embedder]) -> None:
-    """Register a custom solver (downstream extension point)."""
-    key = name.upper()
-    if key in _REGISTRY:
-        raise ConfigurationError(f"solver {name!r} is already registered")
-    _REGISTRY[key] = factory

@@ -1,4 +1,5 @@
-"""RPL202: reserving without release or mark/rollback leaks on failure."""
+"""RPL212 (absorbed RPL202): per-element reserves outside the state and the
+ledger leak a partial claim when a later element does not fit."""
 
 
 def commit_candidate(state, path, rate):

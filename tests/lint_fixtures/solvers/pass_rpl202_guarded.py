@@ -1,17 +1,16 @@
-"""Clean solver code: every reserve is guarded or balanced."""
+"""Clean solver code: capacity is claimed as one all-or-nothing Reservation."""
+
+from repro.network.reservations import Reservation
 
 
-def try_candidate(state, path, rate):
-    snapshot = state.mark()
-    try:
-        for u, v in path.edges():
-            state.reserve_link(u, v, rate)
-    except Exception:
-        state.rollback(snapshot)
-        raise
-    return snapshot
+def try_candidate(state, path, rate, cost):
+    reservation = Reservation(
+        vnf={}, links={edge: rate for edge in path.edges()}, cost=cost
+    )
+    reservation.claim(state)
+    return reservation
 
 
-def move_reservation(state, old, new, rate):
-    state.release_link(old[0], old[1], rate)
-    state.reserve_link(new[0], new[1], rate)
+def move_reservation(state, old, new):
+    old.unclaim(state)
+    new.claim(state)

@@ -10,6 +10,7 @@ drivers over the same engine.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -184,6 +185,79 @@ class TestEngineFaults:
         assert stats["faults"]["degraded"] is True
         assert stats["faults"]["dead_nodes"] == 1
         assert set(stats["counters"]) == set(ENGINE_COUNTER_KEYS)
+
+
+def network_shape(network: CloudNetwork) -> tuple:
+    """Everything a solve can observe of a network, in iteration order."""
+    return (
+        list(network.graph.nodes()),
+        [(link.key, link.price, link.capacity) for link in network.graph.links()],
+        [list(network.graph.neighbors(node)) for node in network.graph.nodes()],
+        [
+            (inst.node, inst.vnf_type, inst.price, inst.capacity)
+            for inst in network.deployments.all_instances()
+        ],
+    )
+
+
+class TestResidualView:
+    def test_one_view_per_engine_state_through_every_effect_kind(self):
+        engine = EmbeddingEngine(engine_network(), "MBBE")
+        seen: list[CloudNetwork] = []
+
+        def check_view() -> CloudNetwork:
+            view = engine.view()
+            assert engine.view() is view
+            assert all(view is not old for old in seen)
+            seen.append(view)
+            fresh = engine.ledger.state.to_network(faults=engine.faults)
+            assert network_shape(view) == network_shape(fresh)
+            return view
+
+        check_view()
+        requests = make_requests(engine.network, 8)
+        decisions = []
+        for request in requests:
+            decisions.append(engine.commit(request, engine.solve(request)))
+            check_view()
+        accepted = [d.request_id for d in decisions if d.accepted]
+        assert len(accepted) >= 3
+
+        greedy = dataclasses.replace(
+            requests[0], request_id=100, flow=FlowConfig(rate=100.0)
+        )
+        assert not engine.commit(greedy, engine.solve(greedy)).accepted
+        check_view()
+
+        engine.release(accepted[0])
+        check_view()
+
+        victim = engine.repair_engine.tracked(accepted[1]).embedding
+        ends = {victim.source, victim.dest}
+        node = next(n for n in victim.placements.values() if n not in ends)
+        outcomes = engine.apply_fault(
+            FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(node)),
+            auto_seed=True,
+        )
+        assert outcomes  # at least one repair effect was applied
+        assert not check_view().graph.has_node(node)
+
+        engine.apply_fault(
+            FaultEvent(time=1, action=FaultAction.RECOVER, target=FaultTarget.node(node))
+        )
+        assert check_view().graph.has_node(node)
+
+        moved = next(rid for rid in engine.active_ids())
+        tracked = engine.repair_engine.tracked(moved)
+        plan = engine.solver.embed(
+            engine.ledger.credited(moved).to_network(engine.faults),
+            tracked.embedding.dag,
+            tracked.embedding.source,
+            tracked.embedding.dest,
+            tracked.flow,
+        )
+        assert engine.migrate(moved, plan).applied
+        check_view()
 
 
 class TestEngineDurability:

@@ -17,7 +17,6 @@ from repro.faults.model import (
     FaultSpec,
     FaultState,
     FaultTarget,
-    degrade_network,
     generate_fault_script,
     script_from_dict,
     script_to_dict,
@@ -25,6 +24,7 @@ from repro.faults.model import (
 from repro.faults.repair import RepairAction
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
+from repro.network.state import ResidualState
 from repro.sfc.builder import DagSfcBuilder
 from repro.sim.online import OnlineSimulator, SfcRequest
 from repro.sim.trace import ArrivalTrace, TraceEvent, generate_trace, replay_with_faults
@@ -144,7 +144,7 @@ class TestFaultModel:
         state.apply(fail(FaultTarget.link(0, 1)))
         state.apply(fail(FaultTarget.node(3)))
         state.apply(fail(FaultTarget.instance(1, 1)))
-        view = degrade_network(net, state)
+        view = ResidualState(net).to_network(faults=state)
         assert not view.graph.has_link(0, 1)
         assert not view.graph.has_node(3)
         assert not view.graph.has_link(2, 3)  # incident to the dead node
@@ -156,7 +156,7 @@ class TestFaultModel:
         assert sum(1 for _ in net.deployments.all_instances()) == 2
 
     def test_no_faults_degrades_to_equal_network(self, small_network):
-        view = degrade_network(small_network, FaultState())
+        view = ResidualState(small_network).to_network(faults=FaultState())
         assert sorted(view.graph.nodes()) == sorted(small_network.graph.nodes())
         assert sorted(l.key for l in view.graph.links()) == sorted(
             l.key for l in small_network.graph.links()

@@ -107,7 +107,9 @@ class TestLocalSearch:
         gains = []
         for seed in range(4):
             plain = RanvEmbedder().embed(net, dag, 0, 49, FlowConfig(), rng=seed)
-            ls = make_solver("RANV+LS").embed(net, dag, 0, 49, FlowConfig(), rng=seed)
+            ls = RefinedEmbedder(RanvEmbedder()).embed(
+                net, dag, 0, 49, FlowConfig(), rng=seed
+            )
             assert plain.success and ls.success
             gains.append(plain.total_cost - ls.total_cost)
         assert max(gains) > 0  # at least one instance strictly improved
@@ -116,13 +118,13 @@ class TestLocalSearch:
         """MBBE's output should leave little for single-move search."""
         net, dag = ls_instance
         plain = MbbeEmbedder().embed(net, dag, 0, 49, FlowConfig())
-        ls = make_solver("MBBE+LS").embed(net, dag, 0, 49, FlowConfig())
+        ls = RefinedEmbedder(MbbeEmbedder()).embed(net, dag, 0, 49, FlowConfig())
         assert ls.total_cost <= plain.total_cost + 1e-9
         assert ls.total_cost >= 0.85 * plain.total_cost  # small relative gain
 
     def test_refined_embedder_stats(self, ls_instance):
         net, dag = ls_instance
-        r = make_solver("RANV+LS").embed(net, dag, 0, 49, FlowConfig(), rng=2)
+        r = RefinedEmbedder(RanvEmbedder()).embed(net, dag, 0, 49, FlowConfig(), rng=2)
         assert r.success
         assert r.stats["ls_gain"] >= 0
         assert r.stats["base_cost"] >= r.total_cost
@@ -141,5 +143,7 @@ class TestLocalSearch:
         from repro.solvers import available_solvers
 
         names = available_solvers()
-        assert {"RANV+LS", "MINV+LS", "MBBE+LS"} <= set(names)
-        assert make_solver("ranv+ls").name == "RANV+LS"
+        assert "MINV+LS" in names
+        assert make_solver("minv+ls").name == "MINV+LS"
+        # Other bases are wrapped directly, under the same naming scheme.
+        assert RefinedEmbedder(RanvEmbedder()).name == "RANV+LS"

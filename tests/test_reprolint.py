@@ -39,7 +39,8 @@ EXPECTED: dict[str, list[str]] = {
     "fail_rpl002_unknown_code.py": ["RPL002"],
     "fail_rpl003_syntax_error.py": ["RPL003"],
     "fail_rpl004_unused_suppression.py": ["RPL004"],
-    "solvers/fail_rpl202_unbalanced_reserve.py": ["RPL202"],
+    # RPL202 is retired; RPL212 confines per-element reserve_*/release_*.
+    "solvers/fail_rpl202_unbalanced_reserve.py": ["RPL212"],
     "service/fail_rpl601_direct_imports.py": ["RPL601", "RPL601", "RPL601"],
     "service/fail_rpl212_transport_append.py": ["RPL212"] * 3,
     # RPL213 is retired; RPL212 catches its hand-rolled migrations.
@@ -51,7 +52,6 @@ EXPECTED: dict[str, list[str]] = {
     "fail_rpl702_shared_mutation.py": ["RPL702", "RPL702"],
     "fail_rpl703_fire_and_forget.py": ["RPL703"],
     "fail_rpl704_lock_discipline.py": ["RPL704", "RPL704"],
-    "fail_rpl705_await_in_window.py": ["RPL705"],
     # clean fixtures:
     "pass_rng_discipline.py": [],
     "pass_counts_cow.py": [],
@@ -67,7 +67,6 @@ EXPECTED: dict[str, list[str]] = {
     "pass_rpl702_dispatcher_queue.py": [],
     "pass_rpl703_stored_task.py": [],
     "pass_rpl704_lock_discipline.py": [],
-    "pass_rpl705_window_closed.py": [],
 }
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.exceptions import CapacityError, ConfigurationError
+from repro.exceptions import CapacityError, ConfigurationError, LinkNotFoundError
 from repro.network.cloud import CloudNetwork
+from repro.network.reservations import Reservation
 from repro.network.state import ResidualState
 
 from .conftest import build_line_graph
@@ -65,37 +66,32 @@ class TestVnfReservations:
 
 
 class TestTransactions:
-    def test_rollback_restores(self, small_cloud):
+    def test_claim_naming_a_missing_link_reserves_nothing(self, small_cloud):
         st = ResidualState(small_cloud)
-        st.reserve_link(0, 1, 1.0)
-        mark = st.mark()
-        st.reserve_link(0, 1, 1.0)
-        st.reserve_vnf(1, 1, 2.0)
-        st.rollback(mark)
-        assert st.link_used(0, 1) == pytest.approx(1.0)
-        assert st.vnf_used(1, 1) == 0.0
+        doomed = Reservation(
+            vnf={(1, 1): 1.0}, links={(0, 1): 1.0, (0, 3): 1.0}, cost=1.0
+        )
+        with pytest.raises(LinkNotFoundError):
+            doomed.claim(st)
+        assert dict(st.used_links()) == {}
+        assert dict(st.used_vnfs()) == {}
 
-    def test_nested_marks(self, small_cloud):
+    def test_claim_naming_a_missing_instance_reserves_nothing(self, small_cloud):
         st = ResidualState(small_cloud)
-        m0 = st.mark()
-        st.reserve_link(0, 1, 0.5)
-        m1 = st.mark()
-        st.reserve_link(1, 2, 0.5)
-        st.rollback(m1)
-        assert st.link_used(1, 2) == 0.0
-        st.rollback(m0)
-        assert st.link_used(0, 1) == 0.0
+        doomed = Reservation(vnf={(1, 1): 1.0, (0, 1): 1.0}, links={(0, 1): 1.0}, cost=1.0)
+        with pytest.raises(ConfigurationError):
+            doomed.claim(st)
+        assert dict(st.used_links()) == {}
+        assert dict(st.used_vnfs()) == {}
 
-    def test_invalid_mark(self, small_cloud):
+    def test_claim_that_overflows_reserves_nothing(self, small_cloud):
         st = ResidualState(small_cloud)
-        with pytest.raises(ValueError):
-            st.rollback(5)
-
-    def test_clear(self, small_cloud):
-        st = ResidualState(small_cloud)
-        st.reserve_link(0, 1, 1.0)
-        st.clear()
-        assert st.link_used(0, 1) == 0.0
+        st.reserve_link(1, 2, 1.5)
+        doomed = Reservation(vnf={(1, 1): 1.0}, links={(0, 1): 1.0, (1, 2): 1.0}, cost=1.0)
+        with pytest.raises(CapacityError):
+            doomed.claim(st)
+        assert dict(st.used_links()) == {(1, 2): 1.5}
+        assert dict(st.used_vnfs()) == {}
 
     def test_snapshot_independent(self, small_cloud):
         st = ResidualState(small_cloud)

@@ -37,8 +37,7 @@ class LintConfig:
     counts_module_suffixes: tuple[str, ...] = ("solvers/counts.py",)
     #: sub-solution count attributes whose full copies RPL211 flags.
     counts_attrs: tuple[str, ...] = ("vnf_counts", "link_counts")
-    #: directory names holding solver code (reserve/release balance checked,
-    #: embedder registration enforced).
+    #: directory names holding solver code (embedder registration enforced).
     solver_dir_names: tuple[str, ...] = ("solvers",)
     #: registry module basename looked up next to solver modules.
     registry_basename: str = "registry.py"
@@ -160,11 +159,8 @@ class LintConfig:
         "apply_fault",
         "apply",
         "submit",
-        "rollback",
         "restore",
     )
-    #: class names whose mark()/rollback() windows must not contain awaits.
-    ledger_class_names: tuple[str, ...] = ("ReservationLedger",)
     #: identifier fragments that mark a receiver lock-like for RPL704.
     lock_name_fragments: tuple[str, ...] = ("lock", "mutex", "sem")
 

@@ -18,9 +18,6 @@ interprocedural half:
 * **RPL704** — a lock acquired without ``try/finally`` (an exception leaks
   the lock) or a *sync* lock held across an ``await`` (blocks every thread
   and invites lock-order deadlocks).
-* **RPL705** — an ``await`` inside a ledger ``mark()``/``rollback()``
-  window: the rollback token is only valid if nothing else touched the
-  state in between, which an await cannot guarantee.
 
 The static pack is checked dynamically by :mod:`repro.utils.sanitizer`
 (event-loop stall monitor + cross-task mutation tripwire) in the service
@@ -290,44 +287,3 @@ def check_lock_discipline(ctx: FileContext) -> None:
                             )
                             break
 
-
-# ---------------------------------------------------------------------------
-# RPL705 — await inside a ledger mark/rollback window
-# ---------------------------------------------------------------------------
-
-
-@rule(
-    "RPL705",
-    "await-in-ledger-window",
-    "no await may occur between a state mark() and its rollback(): the "
-    "rollback token is only valid if nothing interleaved",
-)
-def check_await_in_ledger_window(ctx: FileContext) -> None:
-    for fn in _functions(ctx.tree):
-        if not isinstance(fn, ast.AsyncFunctionDef):
-            continue
-        mark_line: int | None = None
-        rollback_line: int | None = None
-        for node in _own_nodes(fn):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr == "mark" and not node.args:
-                    if mark_line is None or node.lineno < mark_line:
-                        mark_line = node.lineno
-                elif node.func.attr == "rollback":
-                    if rollback_line is None or node.lineno > rollback_line:
-                        rollback_line = node.lineno
-        if mark_line is None or rollback_line is None or rollback_line <= mark_line:
-            continue
-        for node in _own_nodes(fn):
-            if (
-                isinstance(node, ast.Await)
-                and mark_line < node.lineno < rollback_line
-            ):
-                ctx.report(
-                    "RPL705",
-                    node,
-                    f"await inside the mark()/rollback() window "
-                    f"(lines {mark_line}-{rollback_line}) of `{fn.name}`; "
-                    "another task can mutate state before the rollback, "
-                    "invalidating the mark token",
-                )

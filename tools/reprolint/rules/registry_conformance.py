@@ -54,9 +54,8 @@ def _is_abstract(node: ast.ClassDef) -> bool:
 def _registered_names(registry_tree: ast.Module, dict_name: str) -> set[str]:
     """Every identifier referenced by a registry value expression.
 
-    Covers ``_REGISTRY = {...}`` literals (including lambda factories),
-    later ``_REGISTRY[...] = Factory`` item assignments, and module-level
-    ``register_solver("NAME", Factory)`` calls.
+    Covers ``_REGISTRY = {...}`` literals (including lambda factories) and
+    later ``_REGISTRY[...] = Factory`` item assignments.
     """
     names: set[str] = set()
 
@@ -82,10 +81,6 @@ def _registered_names(registry_tree: ast.Module, dict_name: str) -> set[str]:
                     and target.value.id == dict_name
                 ):
                     collect(value)
-        elif isinstance(node, ast.Call):
-            func_name = _base_name(node.func)
-            if func_name == "register_solver" and len(node.args) >= 2:
-                collect(node.args[1])
     return names
 
 

@@ -1,8 +1,9 @@
-"""Residual-state discipline (RPL2xx).
+"""Residual-state discipline (RPL201).
 
 All capacity bookkeeping must flow through the ResidualState
-reserve/release/rollback API in ``network/state.py`` so the referee, the
-online simulator and every solver agree on residual capacity.
+reserve/release API in ``network/state.py`` so the referee, the online
+simulator and every solver agree on residual capacity. Who may *call* that
+API is RPL212's business (:mod:`.wal`).
 """
 
 from __future__ import annotations
@@ -10,10 +11,6 @@ from __future__ import annotations
 import ast
 
 from ..engine import FileContext, rule
-
-_RESERVE = frozenset({"reserve_link", "reserve_vnf"})
-_RELEASE = frozenset({"release_link", "release_vnf"})
-
 
 def _is_state_module(ctx: FileContext) -> bool:
     return ctx.has_suffix(ctx.config.state_module_suffixes)
@@ -23,7 +20,7 @@ def _is_state_module(ctx: FileContext) -> bool:
     "RPL201",
     "state-private-access",
     "capacity/bandwidth bookkeeping dicts are private to network/state.py; "
-    "go through the reserve/release/rollback API",
+    "go through the reserve/release API",
 )
 def check_private_state_access(ctx: FileContext) -> None:
     if _is_state_module(ctx):
@@ -52,54 +49,3 @@ def check_private_state_access(ctx: FileContext) -> None:
                 "ResidualState; reserve/release capacity instead",
             )
 
-
-def _subtree_flags(fn: ast.AST) -> tuple[list[ast.Call], bool, bool, bool]:
-    """(reserve calls, any release, any mark, any rollback) under ``fn``."""
-    reserves: list[ast.Call] = []
-    release = mark = rollback = False
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if name in _RESERVE:
-            reserves.append(node)
-        elif name in _RELEASE:
-            release = True
-        elif name == "mark":
-            mark = True
-        elif name == "rollback":
-            rollback = True
-    return reserves, release, mark, rollback
-
-
-@rule(
-    "RPL202",
-    "state-unbalanced-reserve",
-    "solver code that reserves capacity must release it or guard the attempt "
-    "with mark()/rollback() in the same function",
-)
-def check_reserve_balance(ctx: FileContext) -> None:
-    if not ctx.in_dir(ctx.config.solver_dir_names):
-        return
-
-    def visit(node: ast.AST, ancestor_balanced: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                reserves, release, mark, rollback = _subtree_flags(child)
-                balanced = release or (mark and rollback)
-                if reserves and not balanced and not ancestor_balanced:
-                    ctx.report(
-                        "RPL202",
-                        reserves[0],
-                        f"`{child.name}` reserves capacity but neither releases "
-                        "it nor guards with mark()/rollback(); a failed attempt "
-                        "would leak reservations",
-                    )
-                visit(child, ancestor_balanced or balanced)
-            else:
-                visit(child, ancestor_balanced)
-
-    visit(ctx.tree, False)

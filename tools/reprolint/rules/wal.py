@@ -1,4 +1,4 @@
-"""Effect-path discipline (RPL212; absorbs the retired RPL213).
+"""Effect-path discipline (RPL212; absorbs the retired RPL202 and RPL213).
 
 Every engine state transition is one effect, applied by the engine's single
 ``_apply`` and appended to the write-ahead log by the method that performed
@@ -14,7 +14,10 @@ it — live and on replay alike. Two kinds of call fork that path:
 
 Outside the engine core (which also loads checkpoints), the WAL package and
 the ledger itself, both are lint errors; go through the engine's
-commit/release/migrate/apply_fault surface instead.
+commit/release/migrate/apply_fault surface instead. One level down, the
+per-element ``ResidualState.reserve_*``/``release_*`` calls belong to the
+state itself and to the ledger's all-or-nothing ``Reservation.claim``;
+anywhere else a failed multi-element attempt would leave a partial claim.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ from __future__ import annotations
 import ast
 
 from ..engine import FileContext, rule
+
+#: ResidualState's per-element capacity writes, and the only modules that
+#: may call them: the state itself and the ledger's all-or-nothing claim.
+_STATE_WRITES = frozenset({"reserve_link", "reserve_vnf", "release_link", "release_vnf"})
+_STATE_WRITE_OWNERS = ("network/state.py", "network/reservations.py")
 
 
 def _is_effect_owner(ctx: FileContext) -> bool:
@@ -40,11 +48,14 @@ def _is_ledger_write(node: ast.Call, fragments: tuple[str, ...]) -> bool:
     "RPL212",
     "effect-outside-engine",
     "WAL appends and ledger reserve/release calls belong to the engine's "
-    "effect path (engine core, WAL package, ledger); "
-    "transport and tooling code must go through the engine",
+    "effect path (engine core, WAL package, ledger), and per-element "
+    "ResidualState reserve_*/release_* calls to the state and the ledger; "
+    "everything else must go through the engine",
 )
 def check_effect_outside_engine(ctx: FileContext) -> None:
-    if _is_effect_owner(ctx):
+    state_owner = ctx.has_suffix(_STATE_WRITE_OWNERS)
+    effect_owner = _is_effect_owner(ctx)
+    if state_owner and effect_owner:
         return
     appends = frozenset(ctx.config.wal_append_methods)
     ledger_methods = frozenset(ctx.config.ledger_write_methods)
@@ -53,7 +64,19 @@ def check_effect_outside_engine(ctx: FileContext) -> None:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         call = ast.unparse(node.func)
-        if node.func.attr in appends:
+        if node.func.attr in _STATE_WRITES:
+            if not state_owner:
+                ctx.report(
+                    "RPL212",
+                    node,
+                    f"`{call}(...)` writes residual capacity outside "
+                    "network/state.py and the ledger, so a failed "
+                    "multi-element attempt leaves a partial claim — claim a "
+                    "Reservation (all or nothing) or go through the engine",
+                )
+        elif effect_owner:
+            continue
+        elif node.func.attr in appends:
             ctx.report(
                 "RPL212",
                 node,
