@@ -14,7 +14,9 @@ What it does:
    grid (:data:`repro.sim.goldens.BENCH_SCENARIO_ID`): Table-2 defaults
    scaled to 150 nodes, 6 fixed seeds;
 2. times the MBBE embed loop over all seeds (best of ``--reps``), plus the
-   full trial loop (instance generation + embed) for context;
+   full trial loop (instance generation + embed) for context, and sums the
+   solver's deterministic work counters (``combos_scored``,
+   ``combos_materialised`` from the embed stats) over the seeds;
 3. **equivalence-checks every benchmarked seed** against the committed
    golden fixture (``tests/golden/solver_equivalence.json``) — a fast run
    with wrong answers is a failure, not a result;
@@ -25,7 +27,9 @@ What it does:
 Exit status is non-zero when the equivalence check fails or the harness
 exceeds ``--budget`` wall seconds (used by the CI smoke job; the budget is
 deliberately generous — it catches order-of-magnitude regressions, not
-machine noise).
+machine noise). With ``--budget``, the run also fails when it materialises
+more candidate combos than the committed ``BENCH_solver_core.json`` records:
+a count, so the check is free of timing noise.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ BASELINE = {
 GOLDEN_FIXTURE = REPO_ROOT / "tests" / "golden" / "solver_equivalence.json"
 DEFAULT_OUT = REPO_ROOT / "BENCH_solver_core.json"
 
+#: Deterministic per-embed work counters (``EmbeddingResult.stats`` keys).
+WORK_COUNTERS = ("combos_scored", "combos_materialised")
+
 
 def _bench_cell() -> Any:
     for cell in GOLDEN_GRID:
@@ -95,6 +102,29 @@ def time_embed_loop(cell: Any, instances: Sequence[tuple[int, Any, Any, int, int
             solver.embed(network, dag, src, dst, cell.scenario.flow, rng=solver_rng)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def count_work(
+    cell: Any, instances: Sequence[tuple[int, Any, Any, int, int]]
+) -> dict[str, int]:
+    """The MBBE work counters summed over every benchmarked seed."""
+    solver = make_solver("MBBE")
+    totals = dict.fromkeys(WORK_COUNTERS, 0)
+    for seed, network, dag, src, dst in instances:
+        solver_rng = np.random.default_rng(trial_seed(seed, 0, salt=0xA160))
+        stats = solver.embed(network, dag, src, dst, cell.scenario.flow, rng=solver_rng).stats
+        for key in WORK_COUNTERS:
+            totals[key] += stats[key]
+    return totals
+
+
+def committed_work() -> dict[str, int] | None:
+    """The work counters of the committed result file, if it records them."""
+    try:
+        with open(DEFAULT_OUT, encoding="utf-8") as fh:
+            return json.load(fh).get("work")
+    except FileNotFoundError:
+        return None
 
 
 def time_trial_loop(cell: Any, reps: int) -> float:
@@ -145,6 +175,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     harness_t0 = time.perf_counter()
+    baseline_work = committed_work()  # read before --out may overwrite it
     cell = _bench_cell()
     print(f"scenario {cell.scenario_id}: {len(cell.seeds)} seeds, best of {args.reps}")
 
@@ -153,6 +184,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     trial_best = time_trial_loop(cell, args.reps)
     print(f"  embed loop (solver only):     {embed_best * 1e3:8.1f} ms")
     print(f"  trial loop (incl. generation):{trial_best * 1e3:8.1f} ms")
+    work = count_work(cell, instances)
+    print(
+        "  work: "
+        + ", ".join(f"{key} {work[key]}" for key in WORK_COUNTERS)
+    )
 
     problems: list[str] = []
     if args.no_check:
@@ -187,6 +223,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "trial": round(trial_speedup, 3),
         },
         "equivalence": equivalence,
+        "work": work,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -200,6 +237,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.budget is not None and harness_wall > args.budget:
         print(
             f"  BUDGET EXCEEDED: {harness_wall:.1f}s > {args.budget:.1f}s",
+            file=sys.stderr,
+        )
+        return 1
+    limit = (baseline_work or {}).get("combos_materialised")
+    if args.budget is not None and limit is not None and work["combos_materialised"] > limit:
+        print(
+            f"  WORK REGRESSION: combos_materialised {work['combos_materialised']}"
+            f" > committed {limit}",
             file=sys.stderr,
         )
         return 1

@@ -29,6 +29,7 @@ __all__ = [
     "coverage_stop",
     "evaluate_layer_candidate",
     "evaluate_tail",
+    "first_overflow",
 ]
 
 _EPS = 1e-9
@@ -103,6 +104,19 @@ def coverage_stop(
         return not remaining
 
     return stop
+
+
+def first_overflow(used: int, capacity: float, rate: float, max_add: int) -> int | None:
+    """The smallest ``add`` in ``1..max_add`` that :func:`_check_and_merge_counts`
+    rejects for an element already carrying ``used`` uses, or None.
+
+    The same ``total * rate > capacity + _EPS`` test, so a kernel that
+    screens combos with it agrees with the full evaluation bit for bit.
+    """
+    for add in range(1, max_add + 1):
+        if (used + add) * rate > capacity + _EPS:
+            return add
+    return None
 
 
 def _check_and_merge_counts(
@@ -228,13 +242,8 @@ def evaluate_layer_candidate(
             for e in inner_paths[gamma].edges():
                 link_adds[e] = link_adds.get(e, 0) + 1
 
-    merged = _check_and_merge_counts(network, flow, parent, vnf_adds, link_adds)
-    if merged is None:
-        return None
-    # --- exact incremental cost (shares eq. 1 semantics with compute_cost).
-    new_vnf, new_link, vnf_cost, link_cost = merged
-    layer_cost = vnf_cost + link_cost
-
+    # Per-path vetoes depend on the path alone: run them before the counts
+    # are merged into chains a rejection would throw away.
     if constraints:
         admit_path = constraints.admit_path
         for gamma in range(1, phi + 1):
@@ -242,8 +251,16 @@ def evaluate_layer_candidate(
                 return None
             if layer.has_merger and not admit_path(network, flow, inner_paths[gamma]):
                 return None
-        if not constraints.admit_counts(network, flat_counts(new_vnf)):
-            return None
+
+    merged = _check_and_merge_counts(network, flow, parent, vnf_adds, link_adds)
+    if merged is None:
+        return None
+    # --- exact incremental cost (shares eq. 1 semantics with compute_cost).
+    new_vnf, new_link, vnf_cost, link_cost = merged
+    layer_cost = vnf_cost + link_cost
+
+    if constraints and not constraints.admit_counts(network, flat_counts(new_vnf)):
+        return None
 
     placements = {
         Position(layer_index, gamma): node for gamma, node in assignment.items()

@@ -22,7 +22,7 @@ from ..exceptions import DisconnectedNetworkError
 from ..network.cloud import CloudNetwork
 from ..network.paths import Path
 from ..network.steiner import mst_steiner_tree
-from typing import Callable
+from typing import Any, Callable
 
 from ..config import FlowConfig
 from ..constraints.base import ConstraintSet
@@ -56,12 +56,17 @@ class MbbeSteinerEmbedder(MbbeEmbedder):
         link_f: LinkFilter,
         scale: int,
         cset: ConstraintSet,
+        stats: dict[str, Any],
+        *,
+        keep: int | None,
     ) -> list[SubSolution]:
         # Generate MBBE's candidates first (shared-prefix multicast), then
-        # try to improve each surviving allocation with an explicit tree.
+        # try to improve each allocation with an explicit tree. A tree can
+        # re-rank any combo, so the whole product is built (keep=None) and
+        # the caller cuts after the improvement.
         base = super()._pair_subsolutions(
             network, flow, parent, l, layer, bst, merger_node, admit, dij_start,
-            link_f, scale, cset,
+            link_f, scale, cset, stats, keep=None,
         )
         improved: list[SubSolution] = []
         graph = network.graph
