@@ -11,8 +11,8 @@ Run:  python examples/batch_orderings.py
 import numpy as np
 
 from repro import FlowConfig, NetworkConfig, SfcConfig, generate_dag_sfc, generate_network, MbbeEmbedder
+from repro.engine import EmbeddingRequest
 from repro.sim.batch import ORDERINGS, embed_batch
-from repro.sim.online import SfcRequest
 
 SEED = 53
 
@@ -29,7 +29,7 @@ def main() -> None:
         size = int(rng.integers(2, 7))
         dag = generate_dag_sfc(SfcConfig(size=size), n_vnf_types=8, rng=rng)
         src, dst = (int(v) for v in rng.choice(cfg.size, size=2, replace=False))
-        requests.append(SfcRequest(i, dag, src, dst, FlowConfig(rate=1.0)))
+        requests.append(EmbeddingRequest(i, dag, src, dst, FlowConfig(rate=1.0)))
 
     print(f"batch of {len(requests)} requests on a tight 60-node cloud (MBBE):")
     print(f"  {'ordering':16s} {'accepted':>9s} {'total cost':>11s}")

@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--queue-limit", type=int, default=64)
     serve.add_argument("--batch-size", type=int, default=8)
-    serve.add_argument("--tick", type=float, default=0.0, help="batch collection window (s)")
     # Kept so command lines passing `--workers 0` still parse; solves always
     # run inline in a thread.
     serve.add_argument("--workers", type=int, default=0, choices=[0], help=argparse.SUPPRESS)
@@ -363,7 +362,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_online(args: argparse.Namespace) -> int:
-    from .sim.online import OnlineSimulator
+    from .engine import EmbeddingEngine
     from .sim.trace import generate_trace, replay
     from .solvers.registry import make_solver
 
@@ -391,13 +390,13 @@ def _cmd_online(args: argparse.Namespace) -> int:
     )
     print(f"  {'algorithm':10s} {'accepted':>9s} {'ratio':>7s} {'mean cost':>10s}")
     for name in (n.strip() for n in args.solvers.split(",") if n.strip()):
-        sim = OnlineSimulator(network, make_solver(name))
-        replay(trace, sim, rng=args.seed + 2)
-        st = sim.stats()
-        mean_cost = st.total_cost_accepted / st.accepted if st.accepted else float("nan")
-        print(
-            f"  {name:10s} {st.accepted:>9d} {st.acceptance_ratio:>7.1%} {mean_cost:>10.1f}"
-        )
+        engine = EmbeddingEngine(network, make_solver(name))
+        replay(trace, engine, rng=args.seed + 2)
+        accepted = int(engine.counters["accepted"])
+        cost = engine.counters["total_cost_accepted"]
+        mean_cost = cost / accepted if accepted else float("nan")
+        ratio = engine.stats()["acceptance_ratio"]
+        print(f"  {name:10s} {accepted:>9d} {ratio:>7.1%} {mean_cost:>10.1f}")
     return 0
 
 
@@ -619,7 +618,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         solver=args.solver,
         queue_limit=args.queue_limit,
         batch_size=args.batch_size,
-        tick=args.tick,
         seed=args.seed,
         fault_script=fault_script,
         chaos_network_id=chaos_shard,

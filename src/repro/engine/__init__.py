@@ -1,9 +1,9 @@
 """The transport-agnostic embedding engine (one substrate, one state machine).
 
 This package is the single home of the admission → solve → commit → repair
-lifecycle that used to exist twice — synchronously in the offline simulator
+lifecycle that used to exist twice — synchronously in an offline simulator
 and interleaved with asyncio transport concerns in the embedding server.
-Both are thin drivers over it now:
+Offline replay and the server are both thin drivers over it now:
 
 * :mod:`repro.engine.request` — :class:`EmbeddingRequest`, the one request
   type the sim, the wire protocol, and the engine all share;
@@ -11,9 +11,9 @@ Both are thin drivers over it now:
   + repair ladder + decision logic) and its :class:`Decision` verdicts;
 * :mod:`repro.engine.router` — :class:`ShardRouter`, mapping ``network_id``
   → engine for multi-network sharding;
-* :mod:`repro.engine.tick` — :class:`ShardTick`, one shard's timed work
-  (fault script, rebalance timer, WAL sync, standby catch-up) as a
-  synchronous step its transport's dispatcher calls;
+* :mod:`repro.engine.tick` — :class:`ShardTick`, the one synchronous
+  step (releases → faults → submits → rebalance → WAL sync) that both the
+  service dispatcher and offline replay run, plus a shard's timed work;
 * :mod:`repro.engine.rebalance` — :class:`Rebalancer`, the background
   defrag loop planning pinned re-embeds and applying them through the
   engine's atomic :meth:`~repro.engine.core.EmbeddingEngine.migrate`;
@@ -46,7 +46,7 @@ from .rebalance import (
 )
 from .request import EmbeddingRequest
 from .router import DEFAULT_NETWORK_ID, ShardRouter, advertised_vnf_types
-from .tick import ShardTick
+from .tick import ShardTick, StepResult
 from .state_store import network_fingerprint
 
 __all__ = [
@@ -65,6 +65,7 @@ __all__ = [
     "DEFAULT_NETWORK_ID",
     "ShardRouter",
     "ShardTick",
+    "StepResult",
     "advertised_vnf_types",
     "RepairAction",
     "RepairOutcome",

@@ -15,7 +15,7 @@ lifecycle as plain synchronous methods:
   so a transport can run the solve in a thread and feed the result back
   into the sole state mutator;
 * :meth:`submit` — the synchronous composition of the two for in-process
-  drivers (the offline simulator, tests);
+  drivers (batch embedding, tests);
 * :meth:`release`, :meth:`apply_fault`, :meth:`stats`,
   :meth:`checkpoint` / :meth:`restore` — departures, chaos, telemetry,
   durability (the write-ahead log is a shard's only durable artifact:
@@ -30,10 +30,10 @@ it to the write-ahead log. WAL replay decodes a record and calls the same
 :meth:`_apply`, so a replayed engine equals the live one by construction.
 
 Everything here is synchronous and transport-free by design: the asyncio
-server (:mod:`repro.service.server`) and the offline simulator
-(:mod:`repro.sim.online`) are both thin drivers over this one code path, so
-offline replay ≡ service decisions holds by construction instead of by
-hand-maintained duplication.
+server (:mod:`repro.service.server`) and offline replay
+(:func:`repro.sim.trace.replay`) both drive it through one
+:meth:`~repro.engine.tick.ShardTick.step`, so offline replay ≡ service
+decisions holds by construction instead of by hand-maintained duplication.
 
 The engine is **not** thread-safe; a transport must funnel all mutations
 through one writer (the service's dispatcher task already does).
@@ -297,8 +297,16 @@ class EmbeddingEngine:
         an embedding that no longer fits (a solve on a stale view, or a
         solver that returned an infeasible one) comes back as a
         ``capacity_conflict`` rejection instead of corrupting the residual
-        state.
+        state. Raises :class:`~repro.exceptions.LedgerError` for an id that
+        is already active — in-process drivers treat that as a caller bug;
+        transports screen duplicates before they reach the engine.
         """
+        if self.ledger.is_active(request.request_id):
+            raise LedgerError(
+                request.request_id,
+                "duplicate_request",
+                f"request id {request.request_id} is already active",
+            )
         effect = self._decide(request, result)
         try:
             self._apply(effect)
@@ -384,16 +392,9 @@ class EmbeddingEngine:
     def submit(self, request: EmbeddingRequest, rng: RngStream = None) -> EmbeddingResult:
         """Solve-and-commit one request on the current residual view.
 
-        Raises :class:`~repro.exceptions.LedgerError` for a duplicate id —
-        in-process drivers treat that as a caller bug; transports screen
-        duplicates before they reach the engine.
+        Raises :class:`~repro.exceptions.LedgerError` for a duplicate id
+        (see :meth:`commit`).
         """
-        if self.ledger.is_active(request.request_id):
-            raise LedgerError(
-                request.request_id,
-                "duplicate_request",
-                f"request id {request.request_id} is already active",
-            )
         result = self.solve(request, rng=rng)
         self.commit(request, result)
         return result

@@ -32,7 +32,8 @@ therefore only ``EmbeddingEngine.migrate`` — touches shared state, so a
 transport can run whole cycles off-loop under its single-writer
 dispatcher. Plan seeds derive from the engine seed through a dedicated
 salt, so an offline replay of the same ledger state reproduces the same
-move decisions (see ``OnlineSimulator.run_rebalance_cycle``).
+move decisions (a requested cycle of :meth:`~repro.engine.tick.ShardTick.step`
+runs the very same loop the service does).
 """
 
 from __future__ import annotations

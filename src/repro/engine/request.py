@@ -1,11 +1,11 @@
 """The one request type every layer shares.
 
-Historically the offline simulator carried a ``SfcRequest`` and the service
-protocol a ``SubmitIntent`` with the same payload fields; keeping the two in
+Historically the offline simulator and the service protocol each carried
+their own request type with the same payload fields; keeping the two in
 sync by hand was exactly the kind of duplication the engine extraction
-removes. :class:`EmbeddingRequest` is the single source of truth now — the
-sim constructs it directly, the wire protocol decodes into it, and the
-engine's lifecycle methods consume it.
+removes. :class:`EmbeddingRequest` is the single source of truth now — trace
+generation constructs it directly, the wire protocol decodes into it, and
+the engine's lifecycle methods consume it.
 
 The payload fields (``request_id``, ``dag``, ``source``, ``dest``, ``flow``,
 ``seed``, ``msg_id``) participate in equality; ``arrival_index`` is

@@ -1,34 +1,69 @@
-"""One shard's timed work, as synchronous steps its dispatcher calls.
+"""One shard step: the phase order every driver of a shard runs.
 
-Some of a served shard's work is not triggered by a request: a fault
-script replays on a clock, rebalance cycles run on an interval, the WAL is
-synced before acks, and a warm standby follows the log. :class:`ShardTick`
-owns that schedule, so the shard's dispatcher stays its only long-lived
-task: it blocks on its queue until :meth:`ShardTick.deadline` and then
-calls the steps in phase order. Nothing here touches asyncio; the blocking
-steps (:meth:`~ShardTick.apply_faults`, :meth:`~ShardTick.settle`,
-:meth:`~ShardTick.poll_standby`, :meth:`~ShardTick.promote`) run in a worker
-thread while the dispatcher awaits them. The engine and standby are read
-through the :class:`~repro.engine.router.ShardRouter`, so a promotion is
-seen at once and the standby has one owner.
+:meth:`ShardTick.step` is the only implementation of the per-step phase
+order: **releases**, then **faults** (the due fault script first, then the
+step's own events), then **submits** in arrival order (view, solve,
+commit), then **rebalance cycles**, then the **WAL sync**. The service
+dispatcher collects one batch from its queue and runs it as one step in a
+worker thread; offline replay (:func:`repro.sim.trace.replay`) runs one step
+per trace step. Both drive the same engine through the same code, so an
+offline replay and a service run of the same interleaving decide
+identically.
+
+The tick also owns a shard's timed work: a fault script replays at
+``step * chaos_tick`` wall seconds and rebalance cycles run every
+``interval`` seconds; :meth:`ShardTick.deadline` tells the dispatcher how
+long it may block on its queue. Nothing here touches asyncio. The engine
+and standby are read through the :class:`~repro.engine.router.ShardRouter`,
+so a promotion is seen at once and the standby has one owner.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from ..embedding.base import EmbeddingResult
+from ..exceptions import ConfigurationError
 from ..faults.model import FaultEvent, FaultScript
 from ..faults.repair import RepairOutcome
-from .core import EmbeddingEngine
+from ..network.cloud import CloudNetwork
+from .core import Decision, EmbeddingEngine
 from .rebalance import RebalanceConfig, RebalanceReport, Rebalancer
-from .router import ShardRouter
+from .request import EmbeddingRequest
+from .router import DEFAULT_NETWORK_ID, ShardRouter
 
-__all__ = ["ShardTick"]
+__all__ = ["ShardTick", "StepResult"]
+
+#: ``solve(engine, request, view, seed)``: one submit's solve on ``view``.
+SolveFn = Callable[[EmbeddingEngine, EmbeddingRequest, CloudNetwork, int], EmbeddingResult]
+
+
+def _solve(
+    engine: EmbeddingEngine, request: EmbeddingRequest, view: CloudNetwork, seed: int
+) -> EmbeddingResult:
+    return engine.solve(request, view=view, rng=seed)
+
+
+@dataclass(frozen=True)
+class StepResult:
+    """What one :meth:`ShardTick.step` did, per input item, in phase order."""
+
+    #: one entry per release: None once released, else the engine's refusal.
+    released: tuple[ConfigurationError | None, ...]
+    #: every repair outcome of the fault phase, in application order.
+    repairs: tuple[RepairOutcome, ...]
+    #: one verdict per submit, in arrival order.
+    decisions: tuple[Decision, ...]
+    #: each requested cycle's report with the rebalancer stats right after it.
+    cycles: tuple[tuple[RebalanceReport, dict[str, Any]], ...]
+    #: whether the step ended with a WAL sync (new records are durable).
+    synced: bool
 
 
 class ShardTick:
-    """The timed work of one shard: fault script, rebalance timer, WAL, standby.
+    """The phase order and timed work of one shard.
 
     ``fault_script`` replays at absolute due times ``start + step *
     chaos_tick``; ``rebalance`` (None = no timer cycles) schedules one
@@ -52,7 +87,7 @@ class ShardTick:
         self.network_id = network_id
         self.clock = clock
         self._rebalance = rebalance
-        #: the defrag loop; always present so the ``rebalance`` verb works
+        #: the defrag loop; always present so requested cycles work
         #: without timer cycles configured.
         self.rebalancer = Rebalancer(self.engine, rebalance)
         #: (due time, event) in script order; offsets until :meth:`start`.
@@ -63,6 +98,19 @@ class ShardTick:
         self._next_cycle: float | None = None
         #: set once the shard drains: no further timer cycle is scheduled.
         self.draining = False
+
+    @classmethod
+    def for_engine(
+        cls, engine: EmbeddingEngine, *, rebalance: RebalanceConfig | None = None
+    ) -> "ShardTick":
+        """A tick over one bare engine (in-process drivers; nothing timed).
+
+        ``rebalance`` configures the rebalancer of requested cycles; no
+        timer cycle runs until :meth:`start` is called.
+        """
+        return cls(
+            ShardRouter({DEFAULT_NETWORK_ID: engine}), DEFAULT_NETWORK_ID, rebalance=rebalance
+        )
 
     def start(self) -> None:
         """Anchor the fault script and the first timer cycle at now."""
@@ -89,70 +137,81 @@ class ShardTick:
 
     def deadline(self) -> float | None:
         """The clock time of the earliest timed item (None = nothing timed)."""
+        fault = None if self.chaos_complete else self._script[self._next_fault][0]
         cycle = None if self.draining else self._next_cycle
-        due = [t for t in (self._fault_deadline(), cycle) if t is not None]
-        return min(due, default=None)
+        return min((t for t in (fault, cycle) if t is not None), default=None)
 
-    def faults_due(self) -> bool:
-        """Whether a scripted fault event is due now."""
-        deadline = self._fault_deadline()
-        return deadline is not None and deadline <= self.clock()
+    # -- the step (blocking; run off the event loop, one at a time) ----------------------
 
-    def _fault_deadline(self) -> float | None:
-        if self._next_fault == len(self._script):
-            return None
-        return self._script[self._next_fault][0]
+    def step(
+        self,
+        releases: Sequence[int] = (),
+        faults: Sequence[tuple[FaultEvent, int | None]] = (),
+        submits: Sequence[tuple[EmbeddingRequest, int]] = (),
+        cycles: int = 0,
+        *,
+        solve: SolveFn = _solve,
+    ) -> StepResult:
+        """Run one batch through the phase order; returns per-item results.
 
-    def needs_settle(self, requested: int = 0) -> bool:
-        """Whether :meth:`settle` has anything to do (a cycle or a sync)."""
-        wal = self.engine.wal
-        return bool(requested or self._cycle_due() or (wal is not None and wal.pending_count))
-
-    def _cycle_due(self) -> bool:
-        due = self._next_cycle
-        return due is not None and not self.draining and due <= self.clock()
-
-    # -- blocking steps (run off the event loop, one at a time) ------------------------
-
-    def apply_faults(self, injected: Sequence[FaultEvent] = ()) -> list[RepairOutcome]:
-        """Fold the due scripted events, then ``injected``, into the engine.
-
-        Returns every repair outcome in application order. The repair
-        ladder runs solver embeds, hence blocking.
+        ``faults`` pairs each event with its repair seed (None = the
+        engine's own chaos stream, as scripted events use); ``submits``
+        pairs each request with its solve seed. ``solve`` runs each
+        submit's solve on the view the previous commit left. ``cycles``
+        rebalance cycles run after the submits, then a due timer cycle; a
+        step that folded faults in runs them paused (repair preempts
+        defrag). The sync comes last, so every effect of the step is
+        durable when it returns and rides one fsync.
         """
         engine = self.engine
-        outcomes: list[RepairOutcome] = []
-        while self.faults_due():
+        released: list[ConfigurationError | None] = []
+        for request_id in releases:
+            try:
+                engine.release(request_id)
+            except ConfigurationError as exc:
+                released.append(exc)
+            else:
+                released.append(None)
+
+        repairs: list[RepairOutcome] = []
+        repair_in_flight = bool(faults)
+        while not self.chaos_complete and self._script[self._next_fault][0] <= self.clock():
             event = self._script[self._next_fault][1]
-            outcomes.extend(engine.apply_fault(event, auto_seed=True))
+            repairs.extend(engine.apply_fault(event, auto_seed=True))
             self._next_fault += 1
-        for event in injected:
-            outcomes.extend(engine.apply_fault(event, auto_seed=True))
-        return outcomes
+            repair_in_flight = True
+        for event, seed in faults:
+            repairs.extend(engine.apply_fault(event, rng=seed, auto_seed=seed is None))
 
-    def settle(
-        self, requested: int = 0, *, repair_in_flight: bool = False
-    ) -> list[tuple[RebalanceReport, dict[str, Any]]]:
-        """Post-batch work: ``requested`` cycles, a due timer cycle, then fsync.
+        decisions = []
+        for request, seed in submits:
+            result = solve(engine, request, engine.view(), seed)
+            decisions.append(engine.commit(request, result))
 
-        Returns each requested cycle's report with the rebalancer stats
-        right after it. ``repair_in_flight`` marks a dispatch cycle that
-        just folded faults in; its rebalance cycles report themselves
-        paused (repair preempts defrag). The sync comes last so applied
-        migrations ride the same fsync as the batch they follow.
-        """
-        results = []
-        for _ in range(requested):
+        reports = []
+        for _ in range(cycles):
             report = self.rebalancer.run_cycle(repair_in_flight=repair_in_flight)
-            results.append((report, self.rebalancer.stats()))
-        if self._cycle_due():
+            reports.append((report, self.rebalancer.stats()))
+        due = self._next_cycle
+        if due is not None and not self.draining and due <= self.clock():
             assert self._rebalance is not None
             self.rebalancer.run_cycle(repair_in_flight=repair_in_flight)
             self._next_cycle = self.clock() + self._rebalance.interval
-        wal = self.engine.wal
+
+        wal = engine.wal
+        synced = False
         if wal is not None and wal.pending_count:
             wal.sync()
-        return results
+            synced = True
+        return StepResult(
+            released=tuple(released),
+            repairs=tuple(repairs),
+            decisions=tuple(decisions),
+            cycles=tuple(reports),
+            synced=synced,
+        )
+
+    # -- standby (not part of the phase order) ------------------------------------------
 
     def poll_standby(self) -> int:
         """Fold every synced record into the standby; returns the count."""

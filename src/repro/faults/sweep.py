@@ -3,7 +3,7 @@
 The offline analogue of one chaos run, repeated over a grid: for each
 failure intensity (an MTBF scale — smaller means elements die more often)
 and each algorithm, replay the *same* seeded trace and fault script through
-an :class:`~repro.sim.online.OnlineSimulator` and record what the repair
+an :class:`~repro.engine.core.EmbeddingEngine` and record what the repair
 ladder achieved. Paired like every other sweep in this repo: at one
 (scale, trial) cell all algorithms see identical demand and identical
 faults, so differences are attributable to the embedding strategy alone.
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from ..config import NetworkConfig, SfcConfig
+from ..engine.core import EmbeddingEngine
 from ..exceptions import ConfigurationError
 from ..network.generator import generate_network
-from ..sim.online import OnlineSimulator
-from ..sim.trace import generate_trace, replay_with_faults
+from ..sim.trace import generate_trace, replay
 from ..solvers import make_solver
 from ..utils.rng import trial_seed
 from .model import FaultSpec, generate_fault_script
@@ -160,21 +160,21 @@ def run_fault_sweep(
                         seed, 2000 + trial * 17 + int(scale * 4), salt=_SWEEP_SALT
                     ),
                 )
-                sim = OnlineSimulator(net, make_solver(algorithm))
-                replay_with_faults(
+                engine = EmbeddingEngine(net, make_solver(algorithm))
+                replay(
                     trace,
-                    script,
-                    sim,
+                    engine,
+                    faults=script,
                     rng=trial_seed(seed, 3000 + trial, salt=_SWEEP_SALT),
                 )
-                stats = sim.stats()
-                totals["arrivals"] += stats.arrivals
-                totals["accepted"] += stats.accepted
-                totals["evicted"] += stats.evicted
-                totals["rerouted"] += stats.repairs_rerouted
-                totals["reembedded"] += stats.repairs_reembedded
-                cost_delta += stats.repair_cost_delta
-                cost_accepted += stats.total_cost_accepted
+                counters = engine.counters
+                totals["arrivals"] += int(counters["dispatched"])
+                totals["accepted"] += int(counters["accepted"])
+                totals["evicted"] += int(counters["evictions"])
+                totals["rerouted"] += int(counters["repairs_rerouted"])
+                totals["reembedded"] += int(counters["repairs_reembedded"])
+                cost_delta += counters["repair_cost_delta"]
+                cost_accepted += counters["total_cost_accepted"]
             cells.append(
                 FaultSweepCell(
                     algorithm=algorithm,

@@ -1,6 +1,6 @@
-"""Per-request reservation bookkeeping shared by the simulator and the server.
+"""Per-request reservation bookkeeping shared by offline replay and the server.
 
-Both the online-arrivals simulator (:mod:`repro.sim.online`) and the
+Both offline trace replay (:mod:`repro.sim.trace`) and the
 embedding service (:mod:`repro.service.server`) face the same accounting
 problem: an accepted request must hold exactly the resources its embedding
 consumes (eq. 7/8 reuse counts × flow rate) until it departs, and a

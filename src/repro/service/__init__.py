@@ -1,7 +1,7 @@
 """The embedding service: the asyncio *transport* over the embedding engine.
 
-Everything the one-shot entry points (``dag-sfc solve``, the offline
-:class:`~repro.sim.online.OnlineSimulator`) cannot do: a long-running
+Everything the one-shot entry points (``dag-sfc solve``, offline
+:func:`~repro.sim.trace.replay`) cannot do: a long-running
 asyncio TCP server that admits a *stream* of tenant requests under explicit
 backpressure, decides them one at a time in arrival order on the live
 residual view, and survives restarts via one write-ahead log per shard.

@@ -5,32 +5,29 @@ and backpressure, while every embedding decision lives in the
 transport-agnostic :class:`~repro.engine.core.EmbeddingEngine` — one per
 served substrate network, resolved through a
 :class:`~repro.engine.router.ShardRouter`. The server holds **no** solver,
-ledger, or repair logic of its own; the offline
-:class:`~repro.sim.online.OnlineSimulator` drives the very same engine, so
-offline replay ≡ service decisions holds by construction.
+ledger, or repair logic of its own, and no phase order either: every engine
+effect runs inside :meth:`~repro.engine.tick.ShardTick.step`, the same step
+offline replay (:func:`repro.sim.trace.replay`) drives, so offline replay ≡
+service decisions holds by construction.
 
 Architecture (single-writer per shard, explicit backpressure)::
 
-    connections ──screen──▶ shard queue ──▶ shard dispatcher ──▶ solve thread
-        ▲                                       │ engine.commit (sole writer)
+    connections ──screen──▶ shard queue ──▶ shard dispatcher ──▶ step thread
+        ▲                                       │ ShardTick.step (sole writer)
         └──────────── replies (by msg_id) ◀─────┘
 
 * Every connection handler only *screens* (draining / duplicate / queue
   bound) and enqueues; structured rejections are produced instead of
   blocking or crashing when the bounded queue is full.
 * One dispatcher task per shard is the sole mutator of that shard's engine.
-  Per tick it pulls a **micro-batch** (up to ``batch_size`` submits, after
-  an optional ``tick``-long collection window) and decides its members in
-  arrival order. Releases bypass the submit bound and are applied before
-  the batch — the departures-before-arrivals convention of
-  :func:`repro.sim.trace.replay`.
-
-One decision path: each submit is solved in a thread on the residual view
-left by the previous commit (:func:`solve_on_view`), then committed before
-the next one is solved. Acceptance decisions and costs are therefore
-bit-identical to replaying the same decision order through an offline
-:class:`~repro.sim.online.OnlineSimulator` — the property the end-to-end
-tests assert.
+  Per cycle it pulls a **micro-batch** (up to ``batch_size`` submits plus
+  the releases, faults and rebalance requests queued with them) and runs it
+  as one step in a worker thread: releases → faults → submits in arrival
+  order → rebalance cycles → WAL sync. Each submit is solved
+  (:func:`solve_on_view`) on the residual view the previous commit left,
+  then committed before the next one is solved.
+* Replies and repair notifications go out only after the step returns, so
+  with a WAL every acknowledged or notified effect is already fsynced.
 
 Sharding: the server may serve several independent substrates at once
 (protocol v2); ``submit``/``release`` carry an optional ``network_id``,
@@ -38,20 +35,17 @@ messages without one land on the default shard. Shards are fully isolated —
 separate queues, dispatchers, engines, and degraded-queue state, so a fault
 (or a drained queue) on one shard never degrades another.
 
-Timed work: each dispatcher also drives its shard's
-:class:`~repro.engine.tick.ShardTick`, so it stays the shard's only
-long-lived task. It waits on its queue until the tick's next deadline; one
-cycle runs releases → faults → batch → rebalance → fsync → acks, then
-standby catch-up, promotions and barriers. ``fault_script`` replays timed
-fail/recover events on one shard (``chaos_network_id``); repairs run inside
-``engine.apply_fault``, a degraded shard solves on the degraded view and
-tightens admission (``degraded`` sheds), and repair outcomes are pushed to
-the submitter as ``notify`` lines. ``rebalance`` runs one guarded
-:class:`~repro.engine.rebalance.Rebalancer` cycle ``interval`` seconds after
-the last one ended, paused under faults and never while draining (see
-``docs/rebalancing.md``). ``standby`` folds every WAL sync into the shard's
-warm standby. With none configured nothing is timed and the decision path
-stays bit-identical.
+Timed work: each dispatcher waits on its queue until its shard tick's next
+deadline. ``fault_script`` replays timed fail/recover events on one shard
+(``chaos_network_id``); repairs run inside the step, a degraded shard
+solves on the degraded view and tightens admission (``degraded`` sheds),
+and repair outcomes are pushed to the submitter as ``notify`` lines.
+``rebalance`` runs one guarded :class:`~repro.engine.rebalance.Rebalancer`
+cycle ``interval`` seconds after the last one ended, paused under faults
+and never while draining (see ``docs/rebalancing.md``). ``standby`` folds
+every WAL sync into the shard's warm standby. Standby polls, promotions and
+barriers stay in the dispatcher, outside the step. With none configured
+nothing is timed and the decision path stays bit-identical.
 """
 
 from __future__ import annotations
@@ -59,8 +53,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..embedding.base import EmbeddingResult
 from ..engine import (
@@ -89,14 +84,15 @@ __all__ = ["ServiceConfig", "EmbeddingServer", "solve_on_view"]
 
 
 def solve_on_view(
-    engine: EmbeddingEngine, intent: SubmitIntent, view: CloudNetwork
+    engine: EmbeddingEngine, intent: SubmitIntent, view: CloudNetwork, seed: int
 ) -> EmbeddingResult:
-    """Solve one submit on ``view`` with the engine's solver and seed stream.
+    """Solve one submit on ``view`` with the engine's solver.
 
-    The dispatcher looks this module global up for every submit and runs
-    it in a worker thread, so a tracer can wrap it to time each solve.
+    The dispatcher looks this module global up for every batch and hands
+    it to the shard step, which calls it once per submit in the worker
+    thread, so a tracer can wrap it to time each solve.
     """
-    return engine.solve(intent, view=view, rng=engine.solve_seed(intent))
+    return engine.solve(intent, view=view, rng=seed)
 
 
 @dataclass(frozen=True)
@@ -109,11 +105,8 @@ class ServiceConfig:
     #: bound on queued-but-undecided submits *per shard*; beyond it, reject
     #: queue_full.
     queue_limit: int = 64
-    #: max submits decided per dispatch tick (the micro-batch).
+    #: max submits decided per dispatch cycle (the micro-batch).
     batch_size: int = 8
-    #: seconds a dispatcher lingers collecting a batch after the first
-    #: submit arrives; 0 = dispatch whatever is queued right now.
-    tick: float = 0.0
     #: master seed for server-derived solver streams.
     seed: int = 0
     #: timed fail/recover events replayed on one shard by its dispatcher.
@@ -145,8 +138,6 @@ class ServiceConfig:
             raise ConfigurationError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.tick < 0:
-            raise ConfigurationError(f"tick must be >= 0, got {self.tick}")
         if self.chaos_tick <= 0:
             raise ConfigurationError(f"chaos_tick must be > 0, got {self.chaos_tick}")
         if not (0.0 < self.degraded_queue_factor <= 1.0):
@@ -692,7 +683,8 @@ class EmbeddingServer:
             elif mtype == "release":
                 reply = await self._handle_release(message)
             elif mtype == "stats":
-                reply = {"type": "stats", "msg_id": msg_id, **self.stats_payload()}
+                stats = await self._read_held(self.stats_payload)
+                reply = {"type": "stats", "msg_id": msg_id, **stats}
             elif mtype == "snapshot":
                 reply = await self._handle_snapshot(msg_id)
             elif mtype == "drain":
@@ -855,6 +847,19 @@ class EmbeddingServer:
             reached.append(future)
         await asyncio.gather(*reached)
 
+    async def _read_held(self, read: Callable[[], dict[str, Any]]) -> dict[str, Any]:
+        """``read()`` on the event loop while every dispatcher parks at a hold.
+
+        A step thread may be mid-commit at any moment; the hold barrier
+        lets ``read`` see each engine between steps, never during one.
+        """
+        release = asyncio.Event()
+        try:
+            await self._barrier(release)
+            return read()
+        finally:
+            release.set()
+
     async def _handle_drain(self, message: dict[str, Any]) -> dict[str, Any]:
         msg_id = int(message.get("msg_id", 0) or 0)
         shutdown = bool(message.get("shutdown", False))
@@ -863,11 +868,10 @@ class EmbeddingServer:
             shard.tick.draining = True
         # One barrier per shard: the reply reflects every item that was
         # queued anywhere before the drain arrived.
-        await self._barrier()
         reply: dict[str, Any] = {
             "type": "drained",
             "msg_id": msg_id,
-            **self.stats_payload(),
+            **await self._read_held(self.stats_payload),
         }
         if shutdown:
             reply["_shutdown"] = True
@@ -895,112 +899,101 @@ class EmbeddingServer:
         tick = shard.tick
         while True:
             item = await self._next_item(shard)
-            if self.config.tick > 0 and isinstance(item, _PendingSubmit):
-                await asyncio.sleep(self.config.tick)
-            batch: list[_PendingSubmit] = []
-            releases: list[_PendingRelease] = []
-            faults: list[FaultEvent] = []
-            barriers: list[_PendingBarrier] = []
-            promotes: list[_PendingPromote] = []
-            rebalances: list[_PendingRebalance] = []
+            batch: defaultdict[type, list[Any]] = defaultdict(list)
             while item is not None:
-                if isinstance(item, _PendingSubmit):
-                    batch.append(item)
-                elif isinstance(item, _PendingRelease):
-                    releases.append(item)
-                elif isinstance(item, _PendingFault):
-                    faults.append(item.event)
-                elif isinstance(item, _PendingBarrier):
-                    barriers.append(item)
-                elif isinstance(item, _PendingPromote):
-                    promotes.append(item)
-                else:
-                    rebalances.append(item)
-                if len(batch) >= self.config.batch_size:
+                batch[type(item)].append(item)
+                if len(batch[_PendingSubmit]) >= self.config.batch_size:
                     break
                 try:
                     item = shard.queue.get_nowait()
                 except asyncio.QueueEmpty:
                     item = None
+            submits: list[_PendingSubmit] = batch[_PendingSubmit]
+            releases: list[_PendingRelease] = batch[_PendingRelease]
+            faults: list[_PendingFault] = batch[_PendingFault]
+            rebalances: list[_PendingRebalance] = batch[_PendingRebalance]
+            deadline = tick.deadline()
+            if (
+                submits or releases or faults or rebalances
+                or (deadline is not None and deadline <= tick.clock())
+            ):
+                await self._run_step(shard, submits, releases, faults, rebalances)
 
-            # Replies whose engine effect is in this cycle's WAL batch; they
-            # resolve only after the fsync below, so an acknowledged commit
-            # or release is durable by construction (ack-after-fsync).
-            deferred: list[tuple[asyncio.Future[dict[str, Any]], dict[str, Any]]] = []
-
-            # Departures, then faults, then arrivals — the phase order of
-            # sim.trace.replay_with_faults, so a service run under a script
-            # is comparable to its offline replay.
-            for release in releases:
-                deferred.append((release.reply, self._do_release(shard, release)))
-
-            had_faults = bool(faults) or tick.faults_due()
-            if had_faults:
-                # The repair ladder runs solver embeds: off the loop, but
-                # still single-writer (awaited before the engine is touched).
-                outcomes = await asyncio.to_thread(tick.apply_faults, faults)
-                for outcome in outcomes:
-                    await self._notify_repair(shard, outcome)
-                if self._chaos_shard.tick.chaos_complete:
-                    self._chaos_applied.set()
-
-            if batch:
-                await self._decide_batch(shard, batch, deferred)
-
-            # Rebalance cycles, then the fsync: applied migrations ride the
-            # same sync, and a cycle that folded faults in reports paused.
-            settled = tick.needs_settle(len(rebalances))
-            if settled:
-                cycles = await asyncio.to_thread(
-                    tick.settle, len(rebalances), repair_in_flight=had_faults
-                )
-                for pending, (report, stats) in zip(rebalances, cycles):
-                    reply = {
-                        "type": "rebalanced",
-                        "msg_id": pending.msg_id,
-                        "network_id": shard.network_id,
-                        "cycle": report.to_dict(),
-                        "rebalance": stats,
-                    }
-                    deferred.append((pending.reply, reply))
-            for future, reply in deferred:
-                if not future.done():
-                    future.set_result(reply)
-
-            # Standby catch-up after the acks (it never delays a reply) and
-            # before any promotion (the two never overlap on one log).
-            if settled and tick.has_standby:
-                await asyncio.to_thread(tick.poll_standby)
-
-            for promote in promotes:
+            for promote in batch[_PendingPromote]:
                 await self._do_promote(shard, promote)
 
             # Barriers come last, with the cycle fully applied; a hold parks
-            # the dispatcher here so the checkpoint thread sees a settled engine.
-            for barrier in barriers:
+            # the dispatcher here so its holder reads a settled engine.
+            for barrier in batch[_PendingBarrier]:
                 if not barrier.reached.done():
                     barrier.reached.set_result(None)
                 if barrier.release is not None:
                     await barrier.release.wait()
 
-    def _do_release(self, shard: _Shard, release: _PendingRelease) -> dict[str, Any]:
-        try:
-            shard.engine.release(release.request_id)
-        except ConfigurationError as exc:
-            return {
+    async def _run_step(
+        self,
+        shard: _Shard,
+        submits: list[_PendingSubmit],
+        releases: list[_PendingRelease],
+        faults: list[_PendingFault],
+        rebalances: list[_PendingRebalance],
+    ) -> None:
+        """Run one batch as one shard step, then notify and acknowledge.
+
+        Every engine effect happens inside the step, which ends with the
+        WAL sync; notifications and replies go out only after it returns,
+        so a client never holds an acknowledgement or a repair notice
+        that a restore would not reproduce.
+        """
+        tick = shard.tick
+        engine = shard.engine
+        result = await asyncio.to_thread(
+            tick.step,
+            [pending.request_id for pending in releases],
+            [(pending.event, None) for pending in faults],
+            [(pending.intent, engine.solve_seed(pending.intent)) for pending in submits],
+            len(rebalances),
+            solve=solve_on_view,
+        )
+        replies: list[tuple[asyncio.Future[dict[str, Any]], dict[str, Any]]] = []
+        for release, error in zip(releases, result.released):
+            reply = {
                 "type": "released",
                 "msg_id": release.msg_id,
                 "request_id": release.request_id,
-                "ok": False,
-                "reason": str(exc),
+                "ok": error is None,
             }
-        shard.notify_routes.pop(release.request_id, None)
-        return {
-            "type": "released",
-            "msg_id": release.msg_id,
-            "request_id": release.request_id,
-            "ok": True,
-        }
+            if error is None:
+                shard.notify_routes.pop(release.request_id, None)
+            else:
+                reply["reason"] = str(error)
+            replies.append((release.reply, reply))
+        for outcome in result.repairs:
+            await self._notify_repair(shard, outcome)
+        if self._chaos_shard.tick.chaos_complete:
+            self._chaos_applied.set()
+        for pending, decision in zip(submits, result.decisions):
+            if decision.accepted and pending.writer is not None and pending.lock is not None:
+                shard.notify_routes[decision.request_id] = (pending.writer, pending.lock)
+            shard.queued_submits -= 1
+            shard.pending_ids.discard(decision.request_id)
+            replies.append((pending.reply, self._decision_reply(decision)))
+        for pending, (report, stats) in zip(rebalances, result.cycles):
+            reply = {
+                "type": "rebalanced",
+                "msg_id": pending.msg_id,
+                "network_id": shard.network_id,
+                "cycle": report.to_dict(),
+                "rebalance": stats,
+            }
+            replies.append((pending.reply, reply))
+        for future, reply in replies:
+            if not future.done():
+                future.set_result(reply)
+        # Standby catch-up after the acks (it never delays a reply) and
+        # before any promotion (the two never overlap on one log).
+        if result.synced and tick.has_standby:
+            await asyncio.to_thread(tick.poll_standby)
 
     # -- promotion and rebalancing (dispatcher-only, like every engine mutation) ---------
 
@@ -1062,7 +1055,7 @@ class EmbeddingServer:
                 "msg_id": msg_id,
                 "network_id": shard.network_id,
                 "cycle": None,
-                "rebalance": shard.tick.rebalancer.stats(),
+                "rebalance": await self._read_held(lambda: shard.tick.rebalancer.stats()),
             }
         pending = _PendingRebalance(
             msg_id=msg_id, reply=asyncio.get_running_loop().create_future()
@@ -1114,25 +1107,3 @@ class EmbeddingServer:
         )
         reply["decision_index"] = decision.decision_index
         return reply
-
-    async def _decide_batch(
-        self,
-        shard: _Shard,
-        batch: list[_PendingSubmit],
-        deferred: list[tuple["asyncio.Future[dict[str, Any]]", dict[str, Any]]],
-    ) -> None:
-        """Decide each member in arrival order, on the view the last commit left."""
-        engine = shard.engine
-        for pending in batch:
-            intent = pending.intent
-            result = await asyncio.to_thread(solve_on_view, engine, intent, engine.view())
-            decision = engine.commit(intent, result)
-            if (
-                decision.accepted
-                and pending.writer is not None
-                and pending.lock is not None
-            ):
-                shard.notify_routes[intent.request_id] = (pending.writer, pending.lock)
-            shard.queued_submits -= 1
-            shard.pending_ids.discard(intent.request_id)
-            deferred.append((pending.reply, self._decision_reply(decision)))

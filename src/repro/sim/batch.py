@@ -1,11 +1,11 @@
 """Offline batch embedding: many requests, one shared network.
 
-Between the paper's single-flow model and the online simulator sits the
+Between the paper's single-flow model and online arrivals sits the
 *batch* setting: a set of requests known upfront, admitted one at a time
 onto shared residual capacity. Admission **order** then matters — a greedy
 order can strand capacity. This module embeds a batch under pluggable
 ordering strategies and reports acceptance and total cost, reusing the
-residual-view mechanism of :mod:`repro.sim.online`.
+residual-view mechanism of :class:`~repro.engine.core.EmbeddingEngine`.
 
 Orderings provided (all deterministic given the request list):
 
@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..embedding.base import Embedder
+from ..engine.core import EmbeddingEngine
+from ..engine.request import EmbeddingRequest
 from ..exceptions import ConfigurationError
 from ..network.cloud import CloudNetwork
 from ..network.shortest import hop_distances
 from ..utils.rng import RngStream
-from .online import OnlineSimulator, SfcRequest
 
 __all__ = ["BatchOutcome", "embed_batch", "ORDERINGS"]
 
@@ -46,26 +47,26 @@ class BatchOutcome:
         return len(self.accepted_ids) / n if n else 1.0
 
 
-def _order_fifo(network: CloudNetwork, requests: Sequence[SfcRequest]) -> list[int]:
+def _order_fifo(network: CloudNetwork, requests: Sequence[EmbeddingRequest]) -> list[int]:
     return list(range(len(requests)))
 
 
-def _order_smallest_first(network: CloudNetwork, requests: Sequence[SfcRequest]) -> list[int]:
+def _order_smallest_first(network: CloudNetwork, requests: Sequence[EmbeddingRequest]) -> list[int]:
     return sorted(
         range(len(requests)),
         key=lambda i: (requests[i].dag.num_positions, i),
     )
 
 
-def _order_largest_first(network: CloudNetwork, requests: Sequence[SfcRequest]) -> list[int]:
+def _order_largest_first(network: CloudNetwork, requests: Sequence[EmbeddingRequest]) -> list[int]:
     return sorted(
         range(len(requests)),
         key=lambda i: (-requests[i].dag.num_positions, i),
     )
 
 
-def _order_shortest_first(network: CloudNetwork, requests: Sequence[SfcRequest]) -> list[int]:
-    def span(req: SfcRequest) -> int:
+def _order_shortest_first(network: CloudNetwork, requests: Sequence[EmbeddingRequest]) -> list[int]:
+    def span(req: EmbeddingRequest) -> int:
         dist = hop_distances(network.graph, req.source)
         return dist.get(req.dest, 10**9)
 
@@ -73,7 +74,7 @@ def _order_shortest_first(network: CloudNetwork, requests: Sequence[SfcRequest])
     return sorted(range(len(requests)), key=lambda i: (spans[i], i))
 
 
-ORDERINGS: dict[str, Callable[[CloudNetwork, Sequence[SfcRequest]], list[int]]] = {
+ORDERINGS: dict[str, Callable[[CloudNetwork, Sequence[EmbeddingRequest]], list[int]]] = {
     "fifo": _order_fifo,
     "smallest_first": _order_smallest_first,
     "largest_first": _order_largest_first,
@@ -83,7 +84,7 @@ ORDERINGS: dict[str, Callable[[CloudNetwork, Sequence[SfcRequest]], list[int]]] 
 
 def embed_batch(
     network: CloudNetwork,
-    requests: Sequence[SfcRequest],
+    requests: Sequence[EmbeddingRequest],
     solver: Embedder,
     *,
     ordering: str = "fifo",
@@ -106,14 +107,14 @@ def embed_batch(
     if len(ids) != len(requests):
         raise ConfigurationError("request ids must be unique within a batch")
 
-    sim = OnlineSimulator(network, solver)
+    engine = EmbeddingEngine(network, solver)
     order = order_fn(network, requests)
     accepted: list[int] = []
     rejected: list[int] = []
     total = 0.0
     for idx in order:
         req = requests[idx]
-        result = sim.submit(req, rng=rng)
+        result = engine.submit(req, rng=rng)
         if result.success:
             accepted.append(req.request_id)
             total += result.total_cost

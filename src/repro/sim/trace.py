@@ -1,10 +1,15 @@
-"""Arrival-trace generation for the online simulator.
+"""Online arrivals: trace generation and offline replay.
 
-A reproducible discrete-time request trace: Bernoulli arrivals per step
-(the discrete analogue of Poisson arrivals), geometric holding times, and
-paper-style random DAG-SFCs with random endpoints. The same seed yields the
-same trace, so different algorithms can be replayed against identical
-demand (paired online comparison).
+The paper embeds one flow into a fresh network; a provider actually faces a
+*stream* of requests competing for the same instances and links. This
+module draws a reproducible discrete-time request trace — Bernoulli
+arrivals per step (the discrete analogue of Poisson arrivals), geometric
+holding times, and paper-style random DAG-SFCs with random endpoints — and
+replays it through an :class:`~repro.engine.core.EmbeddingEngine`, one
+:meth:`~repro.engine.tick.ShardTick.step` per trace step: the same step the
+embedding service runs per batch. The same seed yields the same trace, so
+different algorithms can be replayed against identical demand (paired
+online comparison).
 """
 
 from __future__ import annotations
@@ -13,14 +18,16 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..config import FlowConfig, SfcConfig
+from ..engine.core import EmbeddingEngine
+from ..engine.request import EmbeddingRequest
+from ..engine.tick import ShardTick
 from ..exceptions import ConfigurationError
 from ..faults.model import FaultScript
-from ..faults.repair import RepairAction, RepairOutcome
+from ..faults.repair import RepairOutcome
 from ..sfc.generator import generate_dag_sfc
 from ..utils.rng import RngStream, as_generator
-from .online import OnlineSimulator, SfcRequest
 
-__all__ = ["TraceEvent", "ArrivalTrace", "generate_trace", "replay", "replay_with_faults"]
+__all__ = ["TraceEvent", "ArrivalTrace", "generate_trace", "replay"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,7 +35,7 @@ class TraceEvent:
     """One arrival: the request plus its departure step."""
 
     step: int
-    request: SfcRequest
+    request: EmbeddingRequest
     departure_step: int
 
 
@@ -102,7 +109,7 @@ def generate_trace(
         dag = generate_dag_sfc(sfc, n_vnf_types, rng=gen)
         src, dst = (int(v) for v in gen.choice(n_nodes, size=2, replace=False))
         hold = 1 + int(gen.geometric(1.0 / mean_hold))
-        request = SfcRequest(next_id, dag, src, dst, FlowConfig(rate=rate))
+        request = EmbeddingRequest(next_id, dag, src, dst, FlowConfig(rate=rate))
         events.append(TraceEvent(step=step, request=request, departure_step=step + hold))
         next_id += 1
     return ArrivalTrace(events=tuple(events), steps=steps)
@@ -110,53 +117,27 @@ def generate_trace(
 
 def replay(
     trace: ArrivalTrace,
-    simulator: OnlineSimulator,
+    engine: EmbeddingEngine,
     *,
-    rng: RngStream = None,
-) -> None:
-    """Feed a trace through an :class:`~repro.sim.online.OnlineSimulator`.
-
-    Departures scheduled before each step's arrival; failed arrivals simply
-    never depart. Mutates the simulator; read results via its ``stats()``.
-    """
-    gen = as_generator(rng)
-    departures = trace.departures_by_step()
-    accepted: set[int] = set()
-    arrivals_by_step: dict[int, list[TraceEvent]] = {}
-    for ev in trace:
-        arrivals_by_step.setdefault(ev.step, []).append(ev)
-    for step in range(trace.steps + int(max(departures, default=0)) + 1):
-        for rid in departures.get(step, ()):  # departures first
-            if rid in accepted:
-                simulator.release(rid)
-                accepted.discard(rid)
-        for ev in arrivals_by_step.get(step, ()):
-            result = simulator.submit(ev.request, rng=int(gen.integers(2**31)))
-            if result.success:
-                accepted.add(ev.request.request_id)
-
-
-def replay_with_faults(
-    trace: ArrivalTrace,
-    script: FaultScript,
-    simulator: OnlineSimulator,
-    *,
+    faults: FaultScript | None = None,
     rng: RngStream = None,
 ) -> list[RepairOutcome]:
-    """Replay a trace with fault events interleaved between the step phases.
+    """Feed a trace (and optionally a fault script) through ``engine``.
 
-    Per step the order is: **departures** (as in :func:`replay`), then the
-    step's **fault events** (recoveries before failures — the script's
-    canonical order — so freed elements are visible to same-step repairs),
-    then **arrivals** against the possibly-degraded view. Evicted requests
-    are dropped from the departure schedule, so the ledger never sees a
-    release for a request the repair ladder already evicted. Returns every
-    repair outcome, in occurrence order.
+    Each trace step is one :meth:`~repro.engine.tick.ShardTick.step`: the
+    step's **departures** of still-active requests (failed arrivals and
+    evicted requests never depart), then its **fault events** (recoveries
+    before failures — the script's canonical order — so freed elements are
+    visible to same-step repairs), then its **arrivals** against the
+    possibly-degraded view. ``rng`` draws one seed per fault event, then
+    one per arrival. Mutates the engine; read results from its
+    ``counters``/``stats()``. Returns every repair outcome, in occurrence
+    order.
     """
     gen = as_generator(rng)
+    tick = ShardTick.for_engine(engine)
     departures = trace.departures_by_step()
-    faults_by_step = script.events_by_step()
-    accepted: set[int] = set()
+    faults_by_step = faults.events_by_step() if faults is not None else {}
     arrivals_by_step: dict[int, list[TraceEvent]] = {}
     for ev in trace:
         arrivals_by_step.setdefault(ev.step, []).append(ev)
@@ -167,20 +148,10 @@ def replay_with_faults(
     )
     outcomes: list[RepairOutcome] = []
     for step in range(last + 1):
-        for rid in departures.get(step, ()):
-            if rid in accepted:
-                simulator.release(rid)
-                accepted.discard(rid)
-        for fault in faults_by_step.get(step, ()):
-            step_outcomes = simulator.apply_fault(
-                fault, rng=int(gen.integers(2**31))
-            )
-            for outcome in step_outcomes:
-                if outcome.action is RepairAction.EVICTED:
-                    accepted.discard(outcome.request_id)
-            outcomes.extend(step_outcomes)
-        for ev in arrivals_by_step.get(step, ()):
-            result = simulator.submit(ev.request, rng=int(gen.integers(2**31)))
-            if result.success:
-                accepted.add(ev.request.request_id)
+        result = tick.step(
+            [rid for rid in departures.get(step, ()) if engine.is_active(rid)],
+            [(event, int(gen.integers(2**31))) for event in faults_by_step.get(step, ())],
+            [(ev.request, int(gen.integers(2**31))) for ev in arrivals_by_step.get(step, ())],
+        )
+        outcomes.extend(result.repairs)
     return outcomes

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
+from repro.engine import EmbeddingRequest
 from repro.exceptions import ConfigurationError
 from repro.network.generator import generate_network
 from repro.sfc.generator import generate_dag_sfc
 from repro.sim.batch import ORDERINGS, embed_batch
-from repro.sim.online import SfcRequest
 from repro.solvers import MbbeEmbedder
 
 
@@ -25,7 +25,7 @@ def batch_setup():
         size = int(rng.integers(2, 6))
         dag = generate_dag_sfc(SfcConfig(size=size), n_vnf_types=8, rng=rng)
         src, dst = (int(v) for v in rng.choice(40, size=2, replace=False))
-        requests.append(SfcRequest(i, dag, src, dst, FlowConfig(rate=1.0)))
+        requests.append(EmbeddingRequest(i, dag, src, dst, FlowConfig(rate=1.0)))
     return net, requests
 
 

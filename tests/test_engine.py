@@ -2,11 +2,11 @@
 
 Unit tests drive :class:`~repro.engine.core.EmbeddingEngine` directly — no
 sockets, no event loop — and the golden test closes the refactor's central
-loop: one trace pushed through the offline
-:class:`~repro.sim.online.OnlineSimulator` and through a strict single-shard
+loop: one trace pushed through :meth:`~repro.engine.tick.ShardTick.step`
+in-process and through a strict single-shard
 :class:`~repro.service.EmbeddingServer` must produce identical decisions,
 identical costs, and an identical ledger document, because both are thin
-drivers over the same engine.
+drivers over the same step.
 """
 
 import asyncio
@@ -21,6 +21,7 @@ from repro.engine import (
     EmbeddingEngine,
     EmbeddingRequest,
     ShardRouter,
+    ShardTick,
     advertised_vnf_types,
     read_wal,
     shard_wal_path,
@@ -33,7 +34,6 @@ from repro.network.generator import generate_network
 from repro.service import EmbeddingServer, ServiceClient, ServiceConfig
 from repro.sfc.builder import DagSfcBuilder
 from repro.sfc.generator import generate_dag_sfc
-from repro.sim.online import OnlineSimulator
 from repro.solvers.registry import make_solver
 from repro.utils.rng import as_generator, trial_seed
 
@@ -351,23 +351,22 @@ class TestGoldenEquivalence:
         # Sequential awaits pin the decision order to the submission order.
         assert [o.decision_index for o in outcomes] == list(range(len(requests)))
 
-        sim = OnlineSimulator(network, make_solver(config.solver))
+        engine = EmbeddingEngine(network, make_solver(config.solver))
+        tick = ShardTick.for_engine(engine)
         for request, outcome in zip(requests, outcomes):
-            result = sim.submit(request, rng=request.seed)
-            assert result.success == outcome.accepted
-            if result.success:
-                assert result.total_cost == outcome.total_cost
+            (decision,) = tick.step(submits=[(request, request.seed)]).decisions
+            assert decision.accepted == outcome.accepted
+            assert decision.decision_index == outcome.decision_index
+            if decision.accepted:
+                assert decision.total_cost == outcome.total_cost
         for rid in released:
-            if releases[rid]:
-                sim.release(rid)
-            else:
-                assert not sim.engine.is_active(rid)
-        assert sim.engine.ledger_fingerprint() == service_fingerprint
+            (error,) = tick.step(releases=[rid]).released
+            assert (error is None) == releases[rid]
+        assert engine.ledger_fingerprint() == service_fingerprint
 
-        stats = sim.stats()
         accepted = [o for o in outcomes if o.accepted]
         assert accepted, "workload must accept at least one request"
-        assert stats.accepted == len(accepted)
-        assert stats.total_cost_accepted == pytest.approx(
+        assert engine.counters["accepted"] == len(accepted)
+        assert engine.counters["total_cost_accepted"] == pytest.approx(
             sum(o.total_cost for o in accepted)
         )

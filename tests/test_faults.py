@@ -8,6 +8,7 @@ ladder on small deterministic substrates.
 import pytest
 
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
+from repro.engine import EmbeddingEngine, EmbeddingRequest
 from repro.exceptions import ConfigurationError
 from repro.faults.impact import assess_impact
 from repro.faults.model import (
@@ -26,8 +27,7 @@ from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
 from repro.network.state import ResidualState
 from repro.sfc.builder import DagSfcBuilder
-from repro.sim.online import OnlineSimulator, SfcRequest
-from repro.sim.trace import ArrivalTrace, TraceEvent, generate_trace, replay_with_faults
+from repro.sim.trace import ArrivalTrace, TraceEvent, generate_trace, replay
 from repro.solvers import MbbeEmbedder
 
 from .conftest import build_line_graph, build_square_graph
@@ -41,9 +41,9 @@ def recover(target: FaultTarget, *, time: int = 0) -> FaultEvent:
     return FaultEvent(time=time, action=FaultAction.RECOVER, target=target)
 
 
-def single_vnf_request(rid: int, source: int, dest: int) -> SfcRequest:
+def single_vnf_request(rid: int, source: int, dest: int) -> EmbeddingRequest:
     dag = DagSfcBuilder().single(1).build()
-    return SfcRequest(rid, dag, source, dest, FlowConfig(rate=1.0))
+    return EmbeddingRequest(rid, dag, source, dest, FlowConfig(rate=1.0))
 
 
 class TestFaultModel:
@@ -206,55 +206,55 @@ class TestImpactAnalysis:
 
 
 class TestRepairLadder:
-    def make_square_sim(self, *, extra_instance: bool = False) -> OnlineSimulator:
+    def make_square_engine(self, *, extra_instance: bool = False) -> EmbeddingEngine:
         """Square substrate, type 1 deployed at node 1 (and 3 if asked)."""
         net = CloudNetwork(build_square_graph())
         net.deploy(1, 1, price=2.0, capacity=10.0)
         if extra_instance:
             net.deploy(3, 1, price=8.0, capacity=10.0)
-        return OnlineSimulator(net, MbbeEmbedder())
+        return EmbeddingEngine(net, MbbeEmbedder())
 
     def test_link_failure_reroutes(self):
-        sim = self.make_square_sim()
-        assert sim.submit(single_vnf_request(0, 0, 2), rng=1).success
-        outcomes = sim.apply_fault(fail(FaultTarget.link(1, 2)), rng=2)
+        engine = self.make_square_engine()
+        assert engine.submit(single_vnf_request(0, 0, 2), rng=1).success
+        outcomes = engine.apply_fault(fail(FaultTarget.link(1, 2)), rng=2)
         assert [o.action for o in outcomes] == [RepairAction.REROUTED]
         assert outcomes[0].survived
         assert outcomes[0].cost_delta >= 0
         # The repaired request releases cleanly: capacity is conserved.
-        sim.release(0)
-        assert not any(True for _ in sim.state.used_links())
-        assert not any(True for _ in sim.state.used_vnfs())
+        engine.release(0)
+        assert not any(True for _ in engine.ledger.state.used_links())
+        assert not any(True for _ in engine.ledger.state.used_vnfs())
 
     def test_instance_failure_reembeds_onto_the_alternative(self):
-        sim = self.make_square_sim(extra_instance=True)
-        result = sim.submit(single_vnf_request(0, 0, 2), rng=1)
+        engine = self.make_square_engine(extra_instance=True)
+        result = engine.submit(single_vnf_request(0, 0, 2), rng=1)
         assert result.success
-        outcomes = sim.apply_fault(fail(FaultTarget.instance(1, 1)), rng=2)
+        outcomes = engine.apply_fault(fail(FaultTarget.instance(1, 1)), rng=2)
         assert [o.action for o in outcomes] == [RepairAction.RE_EMBEDDED]
         # The cheap instance died; the repair pays the expensive one.
         assert outcomes[0].new_cost > result.total_cost
         assert "re_embed" in outcomes[0].attempts
-        sim.release(0)
-        assert not any(True for _ in sim.state.used_links())
-        assert not any(True for _ in sim.state.used_vnfs())
+        engine.release(0)
+        assert not any(True for _ in engine.ledger.state.used_links())
+        assert not any(True for _ in engine.ledger.state.used_vnfs())
 
     def test_instance_failure_without_alternative_evicts(self):
-        sim = self.make_square_sim()
-        assert sim.submit(single_vnf_request(0, 0, 2), rng=1).success
-        outcomes = sim.apply_fault(fail(FaultTarget.instance(1, 1)), rng=2)
+        engine = self.make_square_engine()
+        assert engine.submit(single_vnf_request(0, 0, 2), rng=1).success
+        outcomes = engine.apply_fault(fail(FaultTarget.instance(1, 1)), rng=2)
         assert [o.action for o in outcomes] == [RepairAction.EVICTED]
         assert not outcomes[0].survived
         assert outcomes[0].new_cost == 0.0
         # Eviction already returned everything; the id is gone.
-        assert list(sim.active_requests()) == []
-        assert not any(True for _ in sim.state.used_links())
-        assert not any(True for _ in sim.state.used_vnfs())
+        assert list(engine.active_ids()) == []
+        assert not any(True for _ in engine.ledger.state.used_links())
+        assert not any(True for _ in engine.ledger.state.used_vnfs())
 
     def test_dead_endpoint_evicts_without_solving(self):
-        sim = self.make_square_sim(extra_instance=True)
-        assert sim.submit(single_vnf_request(0, 0, 2), rng=1).success
-        outcomes = sim.apply_fault(fail(FaultTarget.node(2)), rng=2)
+        engine = self.make_square_engine(extra_instance=True)
+        assert engine.submit(single_vnf_request(0, 0, 2), rng=1).success
+        outcomes = engine.apply_fault(fail(FaultTarget.node(2)), rng=2)
         assert [o.action for o in outcomes] == [RepairAction.EVICTED]
         assert outcomes[0].attempts == ()
         assert "endpoints dead" in outcomes[0].detail
@@ -264,25 +264,25 @@ class TestRepairLadder:
         # is down new arrivals fail; after recovery they succeed again.
         net = CloudNetwork(build_line_graph(3))
         net.deploy(1, 1, price=2.0, capacity=10.0)
-        sim = OnlineSimulator(net, MbbeEmbedder())
-        assert sim.apply_fault(fail(FaultTarget.node(1)), rng=0) == []
-        assert not sim.submit(single_vnf_request(0, 0, 2), rng=1).success
-        assert sim.apply_fault(recover(FaultTarget.node(1)), rng=0) == []
-        assert sim.submit(single_vnf_request(1, 0, 2), rng=1).success
+        engine = EmbeddingEngine(net, MbbeEmbedder())
+        assert engine.apply_fault(fail(FaultTarget.node(1)), rng=0) == []
+        assert not engine.submit(single_vnf_request(0, 0, 2), rng=1).success
+        assert engine.apply_fault(recover(FaultTarget.node(1)), rng=0) == []
+        assert engine.submit(single_vnf_request(1, 0, 2), rng=1).success
 
     def test_unaffected_requests_are_left_alone(self):
-        sim = self.make_square_sim()
-        result = sim.submit(single_vnf_request(0, 0, 2), rng=1)
+        engine = self.make_square_engine()
+        result = engine.submit(single_vnf_request(0, 0, 2), rng=1)
         assert result.success
         # Fail a link the embedding does not touch: nothing to repair.
-        used = {key for key, _ in sim.state.used_links()}
+        used = {key for key, _ in engine.ledger.state.used_links()}
         untouched = next(
-            link.key for link in sim.network.graph.links() if link.key not in used
+            link.key for link in engine.network.graph.links() if link.key not in used
         )
-        outcomes = sim.apply_fault(fail(FaultTarget.link(*untouched)), rng=2)
+        outcomes = engine.apply_fault(fail(FaultTarget.link(*untouched)), rng=2)
         assert outcomes == []
-        assert sim.stats().repairs_rerouted == 0
-        assert list(sim.active_requests()) == [0]
+        assert engine.counters["repairs_rerouted"] == 0
+        assert list(engine.active_ids()) == [0]
 
 
 class TestReplayWithFaults:
@@ -291,27 +291,27 @@ class TestReplayWithFaults:
         # departure is step 5 — the replay must skip the stale departure.
         net = CloudNetwork(build_line_graph(3))
         net.deploy(1, 1, price=2.0, capacity=10.0)
-        sim = OnlineSimulator(net, MbbeEmbedder())
+        engine = EmbeddingEngine(net, MbbeEmbedder())
         dag = DagSfcBuilder().single(1).build()
         trace = ArrivalTrace(
             events=(
                 TraceEvent(
                     step=0,
-                    request=SfcRequest(0, dag, 0, 2, FlowConfig(rate=1.0)),
+                    request=EmbeddingRequest(0, dag, 0, 2, FlowConfig(rate=1.0)),
                     departure_step=5,
                 ),
             ),
             steps=8,
         )
         script = FaultScript(events=(fail(FaultTarget.instance(1, 1), time=2),), horizon=8)
-        outcomes = replay_with_faults(trace, script, sim, rng=0)
+        outcomes = replay(trace, engine, faults=script, rng=0)
         assert [o.action for o in outcomes] == [RepairAction.EVICTED]
-        stats = sim.stats()
-        assert stats.accepted == 1
-        assert stats.evicted == 1
-        assert stats.departed == 0
-        assert stats.active == 0
-        assert not any(True for _ in sim.state.used_links())
+        counters = engine.counters
+        assert counters["accepted"] == 1
+        assert counters["evictions"] == 1
+        assert counters["departed"] == 0
+        assert engine.active_count() == 0
+        assert not any(True for _ in engine.ledger.state.used_links())
 
     def test_full_replay_conserves_capacity(self, small_config):
         net = generate_network(small_config, rng=7)
@@ -324,14 +324,12 @@ class TestReplayWithFaults:
         )
         spec = FaultSpec(horizon=40, node_mtbf=15.0, link_mtbf=10.0, instance_mtbf=18.0)
         script = generate_fault_script(spec, net, rng=9)
-        sim = OnlineSimulator(net, MbbeEmbedder())
-        outcomes = replay_with_faults(trace, script, sim, rng=10)
-        stats = sim.stats()
-        assert stats.evicted == sum(
-            1 for o in outcomes if o.action is RepairAction.EVICTED
-        )
-        assert 0.0 <= stats.survival_ratio <= 1.0
-        for rid in list(sim.active_requests()):
-            sim.release(rid)
-        assert not any(True for _ in sim.state.used_links())
-        assert not any(True for _ in sim.state.used_vnfs())
+        engine = EmbeddingEngine(net, MbbeEmbedder())
+        outcomes = replay(trace, engine, faults=script, rng=10)
+        evicted = engine.counters["evictions"]
+        assert evicted == sum(1 for o in outcomes if o.action is RepairAction.EVICTED)
+        assert 0 <= evicted <= engine.counters["accepted"]
+        for rid in list(engine.active_ids()):
+            engine.release(rid)
+        assert not any(True for _ in engine.ledger.state.used_links())
+        assert not any(True for _ in engine.ledger.state.used_vnfs())

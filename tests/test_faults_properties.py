@@ -15,13 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
-from repro.engine import RebalanceConfig
+from repro.engine import EmbeddingEngine, EmbeddingRequest, RebalanceConfig, ShardTick
 from repro.exceptions import IlpUnavailableError
 from repro.faults.model import FaultSpec, FaultState, generate_fault_script
 from repro.network.generator import generate_network
 from repro.sfc.generator import generate_dag_sfc
-from repro.sim.online import OnlineSimulator, SfcRequest
-from repro.sim.trace import generate_trace, replay_with_faults
+from repro.sim.trace import generate_trace, replay
 from repro.solvers import available_solvers, make_solver
 from repro.utils.rng import as_generator
 
@@ -33,7 +32,7 @@ CHAOS = settings(
 PAPER_ALGORITHMS = ("RANV", "MINV", "BBE", "MBBE")
 
 
-def run_chaos_replay(algorithm: str, seed: int, intensity: float) -> OnlineSimulator:
+def run_chaos_replay(algorithm: str, seed: int, intensity: float) -> EmbeddingEngine:
     """One full fault-injected replay on a small random instance."""
     cfg = NetworkConfig(
         size=14,
@@ -63,21 +62,21 @@ def run_chaos_replay(algorithm: str, seed: int, intensity: float) -> OnlineSimul
         instance_mttr=3.0,
     )
     script = generate_fault_script(spec, net, rng=seed + 2)
-    sim = OnlineSimulator(net, make_solver(algorithm))
-    replay_with_faults(trace, script, sim, rng=seed + 3)
-    return sim
+    engine = EmbeddingEngine(net, make_solver(algorithm))
+    replay(trace, engine, faults=script, rng=seed + 3)
+    return engine
 
 
-def assert_capacity_conserved(sim: OnlineSimulator) -> None:
+def assert_capacity_conserved(engine: EmbeddingEngine) -> None:
     """Releasing every survivor must zero out the residual bookkeeping."""
-    stats = sim.stats()
-    assert stats.active == len(list(sim.active_requests()))
-    assert stats.evicted + stats.departed + stats.active == stats.accepted
-    assert 0.0 <= stats.survival_ratio <= 1.0
-    for rid in list(sim.active_requests()):
-        sim.release(rid)
-    leaked_links = list(sim.state.used_links())
-    leaked_vnfs = list(sim.state.used_vnfs())
+    counters = engine.counters
+    active = len(list(engine.active_ids()))
+    assert engine.active_count() == active
+    assert counters["evictions"] + counters["departed"] + active == counters["accepted"]
+    for rid in list(engine.active_ids()):
+        engine.release(rid)
+    leaked_links = list(engine.ledger.state.used_links())
+    leaked_vnfs = list(engine.ledger.state.used_vnfs())
     assert leaked_links == [], f"leaked link rate after chaos: {leaked_links}"
     assert leaked_vnfs == [], f"leaked instance rate after chaos: {leaked_vnfs}"
 
@@ -90,16 +89,16 @@ class TestRepairConservesCapacity:
     )
     @CHAOS
     def test_random_fault_scripts_conserve_capacity(self, seed, algorithm, intensity):
-        sim = run_chaos_replay(algorithm, seed, intensity)
-        assert_capacity_conserved(sim)
+        engine = run_chaos_replay(algorithm, seed, intensity)
+        assert_capacity_conserved(engine)
 
     @pytest.mark.parametrize("algorithm", available_solvers())
     def test_every_registry_solver_conserves_capacity(self, algorithm):
         try:
-            sim = run_chaos_replay(algorithm, seed=29, intensity=1.0)
+            engine = run_chaos_replay(algorithm, seed=29, intensity=1.0)
         except IlpUnavailableError:
             pytest.skip(f"{algorithm} backend unavailable in this environment")
-        assert_capacity_conserved(sim)
+        assert_capacity_conserved(engine)
 
     @given(seed=st.integers(0, 100_000))
     @CHAOS
@@ -129,8 +128,8 @@ class TestMigrationConservesCapacity:
     #: eager enough that migrations actually fire on the tight substrate.
     _REBALANCE = RebalanceConfig(max_moves=2, candidates=4, min_gain=0.001, cooldown=0)
 
-    @staticmethod
-    def _tight_instance(seed: int) -> tuple[OnlineSimulator, dict[int, SfcRequest]]:
+    @classmethod
+    def _tight_instance(cls, seed: int) -> tuple[ShardTick, dict[int, EmbeddingRequest]]:
         cfg = NetworkConfig(
             size=14,
             connectivity=3.0,
@@ -145,12 +144,13 @@ class TestMigrationConservesCapacity:
         for rid in range(10):
             dag = generate_dag_sfc(SfcConfig(size=2), cfg.n_vnf_types, rng=gen)
             src, dst = (int(v) for v in gen.choice(cfg.size, size=2, replace=False))
-            requests[rid] = SfcRequest(
+            requests[rid] = EmbeddingRequest(
                 request_id=rid, dag=dag, source=src, dest=dst,
                 flow=FlowConfig(rate=1.0), seed=int(gen.integers(2**31)),
                 arrival_index=rid,
             )
-        return OnlineSimulator(net, make_solver("MBBE")), requests
+        engine = EmbeddingEngine(net, make_solver("MBBE"))
+        return ShardTick.for_engine(engine, rebalance=cls._REBALANCE), requests
 
     @given(
         seed=st.integers(0, 100_000),
@@ -165,14 +165,15 @@ class TestMigrationConservesCapacity:
     )
     @CHAOS
     def test_migrate_interleavings_conserve_capacity(self, seed, ops):
-        sim, requests = self._tight_instance(seed)
+        tick, requests = self._tight_instance(seed)
+        engine = tick.engine
         for kind, arg in ops:
             if kind == "submit":
-                if not sim.engine.is_active(arg):
-                    sim.submit(requests[arg], rng=requests[arg].seed)
+                if not engine.is_active(arg):
+                    tick.step(submits=[(requests[arg], requests[arg].seed)])
             elif kind == "release":
-                if sim.engine.is_active(arg):
-                    sim.release(arg)
+                if engine.is_active(arg):
+                    tick.step(releases=[arg])
             else:
-                sim.run_rebalance_cycle(self._REBALANCE)
-        assert_capacity_conserved(sim)
+                tick.step(cycles=1)
+        assert_capacity_conserved(engine)

@@ -1,15 +1,15 @@
-"""Tests for the online-arrivals simulator and residual-view mechanics."""
+"""Online admission on one shared engine, and residual-view mechanics."""
 
 import pytest
 
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
+from repro.engine import EmbeddingEngine, EmbeddingRequest
 from repro.exceptions import ConfigurationError
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
 from repro.network.state import ResidualState
 from repro.sfc.builder import DagSfcBuilder
 from repro.sfc.generator import generate_dag_sfc
-from repro.sim.online import OnlineSimulator, SfcRequest
 from repro.solvers import MbbeEmbedder, MinvEmbedder
 
 from .conftest import build_line_graph
@@ -73,54 +73,55 @@ def online_net():
 
 def request(rid, *, size=3, seed=0, rate=1.0):
     dag = generate_dag_sfc(SfcConfig(size=size), n_vnf_types=6, rng=seed)
-    return SfcRequest(rid, dag, 0, 39, FlowConfig(rate=rate))
+    return EmbeddingRequest(rid, dag, 0, 39, FlowConfig(rate=rate))
 
 
+# The class keeps its historical name so its test ids stay stable; it now
+# drives EmbeddingEngine directly.
 class TestOnlineSimulator:
     def test_accept_and_stats(self, online_net):
-        sim = OnlineSimulator(online_net, MbbeEmbedder())
-        r = sim.submit(request(1, seed=1))
+        engine = EmbeddingEngine(online_net, MbbeEmbedder())
+        r = engine.submit(request(1, seed=1))
         assert r.success
-        stats = sim.stats()
-        assert stats.arrivals == 1 and stats.accepted == 1
-        assert stats.acceptance_ratio == 1.0
-        assert stats.active == 1
-        assert list(sim.active_requests()) == [1]
+        assert engine.counters["dispatched"] == 1 and engine.counters["accepted"] == 1
+        assert engine.stats()["acceptance_ratio"] == 1.0
+        assert engine.active_count() == 1
+        assert list(engine.active_ids()) == [1]
 
     def test_resources_actually_reserved(self, online_net):
-        sim = OnlineSimulator(online_net, MbbeEmbedder())
-        r = sim.submit(request(1, seed=1))
-        used_links = dict(sim.state.used_links())
+        engine = EmbeddingEngine(online_net, MbbeEmbedder())
+        r = engine.submit(request(1, seed=1))
+        used_links = dict(engine.ledger.state.used_links())
         assert used_links  # some bandwidth held
         for key, count in r.cost.alpha_link.items():
             assert used_links[key] == pytest.approx(count * 1.0)
 
     def test_release_restores_capacity(self, online_net):
-        sim = OnlineSimulator(online_net, MbbeEmbedder())
-        sim.submit(request(1, seed=1))
-        sim.release(1)
-        assert dict(sim.state.used_links()) == {}
-        assert dict(sim.state.used_vnfs()) == {}
-        assert sim.stats().active == 0
+        engine = EmbeddingEngine(online_net, MbbeEmbedder())
+        engine.submit(request(1, seed=1))
+        engine.release(1)
+        assert dict(engine.ledger.state.used_links()) == {}
+        assert dict(engine.ledger.state.used_vnfs()) == {}
+        assert engine.active_count() == 0
 
     def test_duplicate_id_rejected(self, online_net):
-        sim = OnlineSimulator(online_net, MbbeEmbedder())
-        sim.submit(request(1, seed=1))
+        engine = EmbeddingEngine(online_net, MbbeEmbedder())
+        engine.submit(request(1, seed=1))
         with pytest.raises(ConfigurationError):
-            sim.submit(request(1, seed=2))
+            engine.submit(request(1, seed=2))
 
     def test_unknown_release_rejected(self, online_net):
-        sim = OnlineSimulator(online_net, MbbeEmbedder())
+        engine = EmbeddingEngine(online_net, MbbeEmbedder())
         with pytest.raises(ConfigurationError):
-            sim.release(99)
+            engine.release(99)
 
     def test_failed_request_holds_nothing(self, online_net):
-        sim = OnlineSimulator(online_net, MbbeEmbedder())
-        bad = SfcRequest(5, DagSfcBuilder().single(1).build(), 0, 999, FlowConfig())
-        r = sim.submit(bad)
+        engine = EmbeddingEngine(online_net, MbbeEmbedder())
+        bad = EmbeddingRequest(5, DagSfcBuilder().single(1).build(), 0, 999, FlowConfig())
+        r = engine.submit(bad)
         assert not r.success
-        assert sim.stats().arrivals == 1 and sim.stats().accepted == 0
-        assert dict(sim.state.used_links()) == {}
+        assert engine.counters["dispatched"] == 1 and engine.counters["accepted"] == 0
+        assert dict(engine.ledger.state.used_links()) == {}
 
     def test_saturation_then_departure_frees_capacity(self):
         # One instance of f(1), capacity for exactly one flow.
@@ -128,22 +129,22 @@ class TestOnlineSimulator:
         net = CloudNetwork(g)
         net.deploy(1, 1, price=5.0, capacity=1.0)
         dag = DagSfcBuilder().single(1).build()
-        sim = OnlineSimulator(net, MinvEmbedder())
-        a = sim.submit(SfcRequest(1, dag, 0, 2, FlowConfig(rate=1.0)))
+        engine = EmbeddingEngine(net, MinvEmbedder())
+        a = engine.submit(EmbeddingRequest(1, dag, 0, 2, FlowConfig(rate=1.0)))
         assert a.success
-        b = sim.submit(SfcRequest(2, dag, 0, 2, FlowConfig(rate=1.0)))
+        b = engine.submit(EmbeddingRequest(2, dag, 0, 2, FlowConfig(rate=1.0)))
         assert not b.success  # instance saturated
-        sim.release(1)
-        c = sim.submit(SfcRequest(3, dag, 0, 2, FlowConfig(rate=1.0)))
+        engine.release(1)
+        c = engine.submit(EmbeddingRequest(3, dag, 0, 2, FlowConfig(rate=1.0)))
         assert c.success  # capacity came back
-        assert sim.stats().acceptance_ratio == pytest.approx(2 / 3)
+        assert engine.stats()["acceptance_ratio"] == pytest.approx(2 / 3)
 
     def test_costs_rise_as_cheap_capacity_fills(self, online_net):
         """Later arrivals see a poorer residual network: cost is monotone-ish."""
-        sim = OnlineSimulator(online_net, MbbeEmbedder())
+        engine = EmbeddingEngine(online_net, MbbeEmbedder())
         costs = []
         for i in range(4):
-            r = sim.submit(request(i, seed=100 + i, size=3))
+            r = engine.submit(request(i, seed=100 + i, size=3))
             if r.success:
                 costs.append(r.total_cost)
         assert len(costs) >= 2

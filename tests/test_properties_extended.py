@@ -112,15 +112,15 @@ class TestOnlineConservation:
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_submit_release_restores_state(self, net, seed):
         """Any accepted request, once released, leaves zero residue."""
-        from repro.sim.online import OnlineSimulator, SfcRequest
+        from repro.engine import EmbeddingEngine, EmbeddingRequest
 
         dag = generate_dag_sfc(SfcConfig(size=3), n_vnf_types=6, rng=seed)
-        sim = OnlineSimulator(net, MbbeEmbedder())
+        engine = EmbeddingEngine(net, MbbeEmbedder())
         rng = np.random.default_rng(seed)
         src, dst = (int(v) for v in rng.choice(net.num_nodes, size=2, replace=False))
-        r = sim.submit(SfcRequest(1, dag, src, dst, FlowConfig()))
+        r = engine.submit(EmbeddingRequest(1, dag, src, dst, FlowConfig()))
         if not r.success:
             return
-        sim.release(1)
-        assert dict(sim.state.used_links()) == {}
-        assert dict(sim.state.used_vnfs()) == {}
+        engine.release(1)
+        assert dict(engine.ledger.state.used_links()) == {}
+        assert dict(engine.ledger.state.used_vnfs()) == {}

@@ -9,7 +9,7 @@
 * durability — migrations replay from the WAL (and tail into a standby)
   to the primary's exact fingerprint, counters included;
 * determinism — identically seeded engines produce identical cycles,
-  in-process and through ``OnlineSimulator.run_rebalance_cycle``;
+  in-process and as requested cycles of ``ShardTick.step``;
 * the wire — the ``rebalance`` verb (cycle + inspect), per-shard stats,
   degraded pause/resume over a live server, the background pump, churny
   load generation, and :class:`ResilientClient` retries.
@@ -31,6 +31,7 @@ from repro.engine import (
     EmbeddingRequest,
     RebalanceConfig,
     Rebalancer,
+    ShardTick,
     StandbyEngine,
     fragmentation_index,
     shard_wal_path,
@@ -48,7 +49,6 @@ from repro.service import (
 )
 from repro.service.loadgen import run_load
 from repro.sfc.generator import generate_dag_sfc
-from repro.sim.online import OnlineSimulator
 from repro.sim.trace import generate_trace
 from repro.solvers.registry import make_solver
 from repro.utils.rng import as_generator
@@ -353,22 +353,22 @@ class TestDecisionIdentity:
 
     def test_online_simulator_cycle_matches_direct_rebalancer(self):
         network = tight_network(seed=3)
-        sim = OnlineSimulator(network, make_solver("MBBE"))
+        engine = EmbeddingEngine(network, make_solver("MBBE"))
+        tick = ShardTick.for_engine(engine, rebalance=EAGER)
         shadow = EmbeddingEngine(tight_network(seed=3), make_solver("MBBE"))
         requests = make_requests(network, 40, seed=103)
+        tick.step(submits=[(request, request.seed) for request in requests])
         for request in requests:
-            sim.submit(request, rng=request.seed)
             shadow.submit(request, rng=request.seed)
-        for rid in list(sim.active_requests())[::2]:
-            sim.release(rid)
+        departing = list(engine.active_ids())[::2]
+        tick.step(releases=departing)
+        for rid in departing:
             shadow.release(rid)
         direct = Rebalancer(shadow, EAGER)
         for _ in range(4):
-            assert (
-                sim.run_rebalance_cycle(EAGER).to_dict()
-                == direct.run_cycle().to_dict()
-            )
-        assert sim.engine.ledger_fingerprint() == shadow.ledger_fingerprint()
+            ((report, _),) = tick.step(cycles=1).cycles
+            assert report.to_dict() == direct.run_cycle().to_dict()
+        assert engine.ledger_fingerprint() == shadow.ledger_fingerprint()
 
 
 # -- the wire: verb, stats, pump, churn, retries ----------------------------------

@@ -4,7 +4,7 @@ The end-to-end tests run the real asyncio server in-process (ephemeral
 loopback port, inline solves) and drive it with the real client. The
 central property: the server's accept/reject decisions and costs are
 identical to replaying the same requests, in the server's decision order,
-through the offline :class:`~repro.sim.online.OnlineSimulator`.
+through an in-process :class:`~repro.engine.core.EmbeddingEngine`.
 
 Plain ``asyncio.run`` per test — no asyncio pytest plugin is assumed.
 """
@@ -45,7 +45,6 @@ from repro.service import protocol
 from repro.service.loadgen import percentile
 from repro.sfc.builder import DagSfcBuilder
 from repro.sfc.generator import generate_dag_sfc
-from repro.sim.online import OnlineSimulator, SfcRequest
 from repro.solvers.registry import make_solver
 from repro.utils.rng import as_generator
 from repro.wal import records as wal_records
@@ -302,35 +301,41 @@ class TestServerEndToEnd:
 
         # Offline replay in the server's decision order must reproduce every
         # decision and every accepted cost exactly.
-        sim = OnlineSimulator(network, make_solver(config.solver))
+        engine = EmbeddingEngine(network, make_solver(config.solver))
         by_rid = {w[0]: w for w in workload}
         for outcome in sorted(outcomes, key=lambda o: o.decision_index):
             rid, dag, src, dst, rate, seed = by_rid[outcome.request_id]
-            result = sim.submit(
-                SfcRequest(rid, dag, src, dst, FlowConfig(rate=rate)), rng=seed
+            result = engine.submit(
+                EmbeddingRequest(rid, dag, src, dst, FlowConfig(rate=rate)), rng=seed
             )
             assert result.success == outcome.accepted
             if result.success:
                 assert result.total_cost == outcome.total_cost
-        assert sim.stats().total_cost_accepted == pytest.approx(
+        assert engine.counters["total_cost_accepted"] == pytest.approx(
             sum(o.total_cost for o in accepted)
         )
 
     def test_queue_overflow_yields_structured_rejections(self):
         network = service_network()
         workload = make_workload(network, 10)
-        config = ServiceConfig(queue_limit=2, batch_size=1, tick=0.2)
+        config = ServiceConfig(queue_limit=2, batch_size=1)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
                 host, port = server.address
                 async with await ServiceClient.connect(host, port) as client:
-                    outcomes = await asyncio.gather(
+                    # Park the dispatcher at a hold so the burst backs up.
+                    release = asyncio.Event()
+                    await server._barrier(release)
+                    submits = asyncio.gather(
                         *(
                             client.submit(rid, dag, src, dst, rate=rate, seed=s)
                             for rid, dag, src, dst, rate, s in workload
                         )
                     )
+                    await asyncio.sleep(0.1)
+                    release.set()
+                    outcomes = await submits
                     stats = await client.stats()  # server is still healthy
             return outcomes, stats
 
@@ -491,8 +496,6 @@ class TestServerEndToEnd:
             ServiceConfig(queue_limit=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(tick=-0.1)
 
 
 # -- event-loop offload regressions -----------------------------------------------

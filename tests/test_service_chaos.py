@@ -157,6 +157,63 @@ class TestChaosEndToEnd:
         assert "faults" in mid_stats
         assert mid_stats["faults"]["tracked_embeddings"] >= 0
 
+    def test_repair_notices_go_out_only_once_durable(self, tmp_path, monkeypatch):
+        """A ``notify`` is written only after the step's WAL sync, so a
+        kill -9 can never leave a client holding a notice restore loses."""
+        network = chaos_network(seed=21)
+        workload = make_workload(network, 6, seed=2)
+        pending_at_notify = []
+        real_write = EmbeddingServer._write_locked
+
+        async def spying_write(self, writer, lock, message):
+            if message.get("type") == "notify":
+                pending_at_notify.append(self.router.default.wal.pending_count)
+            await real_write(self, writer, lock, message)
+
+        monkeypatch.setattr(EmbeddingServer, "_write_locked", spying_write)
+
+        async def drive():
+            config = ServiceConfig(wal_dir=str(tmp_path))
+            async with EmbeddingServer(network, config) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    outcomes = [
+                        await client.submit(rid, dag, src, dst, rate=rate, seed=s)
+                        for rid, dag, src, dst, rate, s in workload
+                    ]
+                    victim = next(w for w, o in zip(workload, outcomes) if o.accepted)
+                    # Its source node dies: the ladder evicts and notifies.
+                    server.inject_fault(
+                        FaultEvent(
+                            time=0, action=FaultAction.FAIL, target=FaultTarget.node(victim[2])
+                        )
+                    )
+                    first = await asyncio.wait_for(client.notifications.get(), 5.0)
+                    await client.stats()  # later notices precede the stats reply
+                    return [first, *drain_notifications(client)]
+
+        notes = run(drive())
+        assert notes, "the fault must have damaged at least one embedding"
+        assert pending_at_notify == [0] * len(notes)
+
+    def test_stats_reflect_everything_queued_before_them(self):
+        network = chaos_network(seed=23)
+        link = next(iter(network.graph.links()))
+
+        async def drive():
+            async with EmbeddingServer(network, ServiceConfig()) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    server.inject_fault(
+                        FaultEvent(
+                            time=0, action=FaultAction.FAIL, target=FaultTarget.link(*link.key)
+                        )
+                    )
+                    # No polling: the stats hold parks behind the fault's step.
+                    return await client.stats()
+
+        stats = run(drive())
+        assert stats["faults"]["degraded"]
+        assert stats["counters"]["faults_injected"] == 1
+
     def test_chaos_complete_means_every_scripted_event_is_applied(self):
         """No sleep after ``wait_chaos_complete``: the stats already show the
         dead elements of the whole script, folded offline."""
@@ -200,8 +257,7 @@ class TestChaosEndToEnd:
     def test_degraded_admission_sheds_with_structured_code(self):
         network = chaos_network(seed=3)
         config = ServiceConfig(
-            batch_size=1, queue_limit=6, tick=0.2,
-            degraded_queue_factor=0.34,
+            batch_size=1, queue_limit=6, degraded_queue_factor=0.34,
         )
         workload = make_workload(network, 8, seed=5)
 
@@ -223,12 +279,18 @@ class TestChaosEndToEnd:
                             break
                         await asyncio.sleep(0.02)
                     assert stats["faults"]["degraded"]
-                    outcomes = await asyncio.gather(
+                    # Park the dispatcher at a hold so the burst backs up.
+                    release = asyncio.Event()
+                    await server._barrier(release)
+                    submits = asyncio.gather(
                         *(
                             client.submit(rid, dag, src, dst, rate=rate, seed=s)
                             for rid, dag, src, dst, rate, s in workload
                         )
                     )
+                    await asyncio.sleep(0.1)
+                    release.set()
+                    outcomes = await submits
                     shed = [o for o in outcomes if o.code == "degraded"]
                     # Recovery lifts the tightened limit again.
                     server.inject_fault(
@@ -256,13 +318,18 @@ class TestChaosEndToEnd:
 
     def test_resilient_client_rides_out_transient_sheds(self):
         network = chaos_network(seed=7)
-        config = ServiceConfig(batch_size=1, queue_limit=1, tick=0.05)
+        config = ServiceConfig(batch_size=1, queue_limit=1)
         workload = make_workload(network, 6, seed=9)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
                 host, port = server.address
                 policy = RetryPolicy(attempts=10, base_delay=0.02, max_delay=0.2)
+                # Park the dispatcher at a hold for a while so the burst
+                # collides with the one-slot queue.
+                release = asyncio.Event()
+                await server._barrier(release)
+                asyncio.get_running_loop().call_later(0.1, release.set)
                 async with ResilientClient(host, port, policy=policy, rng=4) as rc:
                     outcomes = await asyncio.gather(
                         *(

@@ -8,10 +8,10 @@ departures-before-arrivals convention at a shared step, request-id reuse
 import pytest
 
 from repro.config import FlowConfig, SfcConfig
+from repro.engine import EmbeddingEngine, EmbeddingRequest
 from repro.exceptions import ConfigurationError, LedgerError
 from repro.network.cloud import CloudNetwork
 from repro.sfc.builder import DagSfcBuilder
-from repro.sim.online import OnlineSimulator, SfcRequest
 from repro.sim.trace import ArrivalTrace, TraceEvent, generate_trace, replay
 from repro.solvers import MbbeEmbedder
 
@@ -25,9 +25,9 @@ def tight_network() -> CloudNetwork:
     return net
 
 
-def request(rid: int) -> SfcRequest:
+def request(rid: int) -> EmbeddingRequest:
     dag = DagSfcBuilder().single(1).build()
-    return SfcRequest(rid, dag, 0, 2, FlowConfig(rate=1.0))
+    return EmbeddingRequest(rid, dag, 0, 2, FlowConfig(rate=1.0))
 
 
 def event(rid: int, step: int, departure_step: int) -> TraceEvent:
@@ -47,10 +47,10 @@ class TestEmptyTrace:
             arrival_probability=0.0, rng=1,
         )
         assert len(trace) == 0
-        sim = OnlineSimulator(tight_network(), MbbeEmbedder())
-        replay(trace, sim, rng=1)
-        st = sim.stats()
-        assert (st.arrivals, st.accepted, st.departed) == (0, 0, 0)
+        engine = EmbeddingEngine(tight_network(), MbbeEmbedder())
+        replay(trace, engine, rng=1)
+        counters = engine.counters
+        assert (counters["dispatched"], counters["accepted"], counters["departed"]) == (0, 0, 0)
 
     def test_generate_trace_validation(self):
         kw = dict(n_nodes=5, n_vnf_types=3, sfc=SfcConfig(size=2))
@@ -77,71 +77,68 @@ class TestDepartureOrdering:
         # Request 1 arrives exactly when request 0 departs; the saturated
         # capacity must be freed *first*, so both are accepted.
         trace = ArrivalTrace(events=(event(0, 0, 5), event(1, 5, 7)), steps=8)
-        sim = OnlineSimulator(tight_network(), MbbeEmbedder())
-        replay(trace, sim, rng=0)
-        st = sim.stats()
-        assert st.accepted == 2
-        assert st.departed == 2
+        engine = EmbeddingEngine(tight_network(), MbbeEmbedder())
+        replay(trace, engine, rng=0)
+        assert engine.counters["accepted"] == 2
+        assert engine.counters["departed"] == 2
 
     def test_overlapping_arrival_is_rejected_not_crashed(self):
         # Request 1 arrives while 0 still holds everything: no capacity.
         trace = ArrivalTrace(events=(event(0, 0, 5), event(1, 3, 7)), steps=8)
-        sim = OnlineSimulator(tight_network(), MbbeEmbedder())
-        replay(trace, sim, rng=0)
-        st = sim.stats()
-        assert st.accepted == 1
+        engine = EmbeddingEngine(tight_network(), MbbeEmbedder())
+        replay(trace, engine, rng=0)
+        assert engine.counters["accepted"] == 1
         # The failed arrival never departs (it held nothing).
-        assert st.departed == 1
-        assert list(sim.active_requests()) == []
+        assert engine.counters["departed"] == 1
+        assert list(engine.active_ids()) == []
 
 
 class TestRequestIdReuse:
     def test_duplicate_overlapping_ids_raise(self):
         trace = ArrivalTrace(events=(event(0, 0, 10), event(0, 2, 12)), steps=13)
-        sim = OnlineSimulator(tight_network(), MbbeEmbedder())
+        engine = EmbeddingEngine(tight_network(), MbbeEmbedder())
         with pytest.raises(ConfigurationError, match="already active"):
-            replay(trace, sim, rng=0)
+            replay(trace, engine, rng=0)
 
     def test_sequential_id_reuse_is_allowed(self):
         # Id 0 departs at step 2, then a fresh request reuses id 0 at step 3.
         trace = ArrivalTrace(events=(event(0, 0, 2), event(0, 3, 5)), steps=6)
-        sim = OnlineSimulator(tight_network(), MbbeEmbedder())
-        replay(trace, sim, rng=0)
-        st = sim.stats()
-        assert st.accepted == 2
-        assert st.departed == 2
+        engine = EmbeddingEngine(tight_network(), MbbeEmbedder())
+        replay(trace, engine, rng=0)
+        assert engine.counters["accepted"] == 2
+        assert engine.counters["departed"] == 2
 
 
 class TestReleaseSemantics:
     def test_release_unknown_id_raises(self):
-        sim = OnlineSimulator(tight_network(), MbbeEmbedder())
+        engine = EmbeddingEngine(tight_network(), MbbeEmbedder())
         with pytest.raises(ConfigurationError, match="not active"):
-            sim.release(99)
+            engine.release(99)
 
     def test_double_release_raises_and_keeps_state_clean(self):
-        sim = OnlineSimulator(tight_network(), MbbeEmbedder())
-        result = sim.submit(request(0), rng=1)
+        engine = EmbeddingEngine(tight_network(), MbbeEmbedder())
+        result = engine.submit(request(0), rng=1)
         assert result.success
-        sim.release(0)
+        engine.release(0)
         with pytest.raises(ConfigurationError, match="not active"):
-            sim.release(0)
+            engine.release(0)
         # The double release must not have corrupted the residual state.
-        assert sim.state.link_used(0, 1) == 0.0
-        assert sim.submit(request(1), rng=1).success
+        assert engine.ledger.state.link_used(0, 1) == 0.0
+        assert engine.submit(request(1), rng=1).success
 
     def test_ledger_errors_are_structured(self):
         # The broad ConfigurationError the older tests catch is really a
         # LedgerError carrying machine-readable fields — server paths turn
         # these into typed rejections without parsing the message.
-        sim = OnlineSimulator(tight_network(), MbbeEmbedder())
+        engine = EmbeddingEngine(tight_network(), MbbeEmbedder())
         with pytest.raises(LedgerError) as exc_info:
-            sim.release(99)
+            engine.release(99)
         assert exc_info.value.request_id == 99
         assert exc_info.value.code == "unknown_request"
         assert isinstance(exc_info.value, ConfigurationError)
 
-        assert sim.submit(request(0), rng=1).success
+        assert engine.submit(request(0), rng=1).success
         with pytest.raises(LedgerError) as exc_info:
-            replay(ArrivalTrace(events=(event(0, 0, 5),), steps=6), sim, rng=0)
+            replay(ArrivalTrace(events=(event(0, 0, 5),), steps=6), engine, rng=0)
         assert exc_info.value.request_id == 0
         assert exc_info.value.code == "duplicate_request"
