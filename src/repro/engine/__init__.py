@@ -13,7 +13,7 @@ Offline replay and the server are both thin drivers over it now:
   → engine for multi-network sharding;
 * :mod:`repro.engine.tick` — :class:`ShardTick`, the one synchronous
   step (releases → faults → submits → rebalance → WAL sync) that both the
-  service dispatcher and offline replay run, plus a shard's timed work;
+  service dispatcher and offline replay run, counted as the shard's clock;
 * :mod:`repro.engine.rebalance` — :class:`Rebalancer`, the background
   defrag loop planning pinned re-embeds and applying them through the
   engine's atomic :meth:`~repro.engine.core.EmbeddingEngine.migrate`;

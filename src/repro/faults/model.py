@@ -162,13 +162,6 @@ class FaultScript:
     def __len__(self) -> int:
         return len(self.events)
 
-    def events_by_step(self) -> dict[int, list[FaultEvent]]:
-        """step -> events at that step, preserving the canonical order."""
-        out: dict[int, list[FaultEvent]] = {}
-        for ev in self.events:
-            out.setdefault(ev.time, []).append(ev)
-        return out
-
 
 class FaultState:
     """Mutable "currently dead" view of the substrate.

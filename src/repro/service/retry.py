@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Awaitable, Callable, TypeVar
 
 from ..exceptions import ConfigurationError, ServiceUnavailable
 from ..sfc.dag import DagSfc
@@ -31,6 +31,8 @@ __all__ = ["RetryPolicy", "ResilientClient", "DEFAULT_RETRY_CODES"]
 
 #: Rejection codes that describe a *transient* server state worth retrying.
 DEFAULT_RETRY_CODES = frozenset({"queue_full", "degraded"})
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,41 @@ class ResilientClient:
         if client is not None:
             await client.close()
 
+    async def _retrying(
+        self,
+        what: str,
+        call: Callable[[ServiceClient], Awaitable[T]],
+        *,
+        shed: Callable[[T], bool] | None = None,
+    ) -> T:
+        """``call`` on the live client, retried within the attempt budget.
+
+        Transport failures and timeouts reconnect and retry. A reply that
+        ``shed`` flags (a transient rejection) backs off and retries too;
+        once the budget is spent the last such reply is returned as-is.
+        """
+        last_exc: Exception | None = None
+        last_shed: T | None = None
+        for attempt in range(1, self.policy.attempts + 1):
+            try:
+                client = await self._ensure_client()
+                reply = await asyncio.wait_for(call(client), timeout=self.policy.timeout)
+            except (ServiceUnavailable, asyncio.TimeoutError) as exc:
+                last_exc = exc
+                await self._drop_client()
+            else:
+                if shed is None or not shed(reply) or attempt == self.policy.attempts:
+                    return reply
+                last_shed = reply
+            if attempt < self.policy.attempts:
+                self.retries += 1
+                await self._backoff(attempt)
+        if last_shed is not None:
+            return last_shed
+        raise ServiceUnavailable(
+            f"{what} failed after {self.policy.attempts} attempts: {last_exc}"
+        ) from last_exc
+
     # -- verbs ----------------------------------------------------------------------
 
     async def submit(
@@ -174,86 +211,26 @@ class ResilientClient:
         reports the id is active). Transient shed codes back off and retry;
         every other decision is final and returned as-is.
         """
-        last_exc: Exception | None = None
-        outcome: SubmitOutcome | None = None
-        for attempt in range(1, self.policy.attempts + 1):
-            try:
-                client = await self._ensure_client()
-                outcome = await asyncio.wait_for(
-                    client.submit(
-                        request_id,
-                        dag,
-                        source,
-                        dest,
-                        rate=rate,
-                        seed=seed,
-                        network_id=network_id,
-                        constraints=constraints,
-                    ),
-                    timeout=self.policy.timeout,
-                )
-            except (ServiceUnavailable, asyncio.TimeoutError) as exc:
-                last_exc = exc
-                await self._drop_client()
-                if attempt < self.policy.attempts:
-                    self.retries += 1
-                    await self._backoff(attempt)
-                continue
-            if (
-                not outcome.accepted
-                and outcome.code in self.policy.retry_codes
-                and attempt < self.policy.attempts
-            ):
-                self.retries += 1
-                await self._backoff(attempt)
-                continue
-            return outcome
-        if outcome is not None:
-            return outcome
-        raise ServiceUnavailable(
-            f"submit {request_id} failed after {self.policy.attempts} attempts: "
-            f"{last_exc}"
-        ) from last_exc
+        return await self._retrying(
+            f"submit {request_id}",
+            lambda client: client.submit(
+                request_id, dag, source, dest,
+                rate=rate, seed=seed, network_id=network_id, constraints=constraints,
+            ),
+            shed=lambda outcome: not outcome.accepted
+            and outcome.code in self.policy.retry_codes,
+        )
 
     async def release(self, request_id: int, *, network_id: str | None = None) -> bool:
         """Release with transport-level retries."""
-        last_exc: Exception | None = None
-        for attempt in range(1, self.policy.attempts + 1):
-            try:
-                client = await self._ensure_client()
-                return await asyncio.wait_for(
-                    client.release(request_id, network_id=network_id),
-                    timeout=self.policy.timeout,
-                )
-            except (ServiceUnavailable, asyncio.TimeoutError) as exc:
-                last_exc = exc
-                await self._drop_client()
-                if attempt < self.policy.attempts:
-                    self.retries += 1
-                    await self._backoff(attempt)
-        raise ServiceUnavailable(
-            f"release {request_id} failed after {self.policy.attempts} attempts: "
-            f"{last_exc}"
-        ) from last_exc
+        return await self._retrying(
+            f"release {request_id}",
+            lambda client: client.release(request_id, network_id=network_id),
+        )
 
     async def stats(self) -> dict[str, Any]:
         """Stats with transport-level retries."""
-        last_exc: Exception | None = None
-        for attempt in range(1, self.policy.attempts + 1):
-            try:
-                client = await self._ensure_client()
-                return await asyncio.wait_for(
-                    client.stats(), timeout=self.policy.timeout
-                )
-            except (ServiceUnavailable, asyncio.TimeoutError) as exc:
-                last_exc = exc
-                await self._drop_client()
-                if attempt < self.policy.attempts:
-                    self.retries += 1
-                    await self._backoff(attempt)
-        raise ServiceUnavailable(
-            f"stats failed after {self.policy.attempts} attempts: {last_exc}"
-        ) from last_exc
+        return await self._retrying("stats", lambda client: client.stats())
 
     async def promote(self, *, network_id: str | None = None) -> dict[str, Any]:
         """Promote with transport-level retries.
@@ -263,23 +240,9 @@ class ResilientClient:
         promote after a success simply promotes the next standby state or
         errors) — the retry never leaves the ledger half-swapped.
         """
-        last_exc: Exception | None = None
-        for attempt in range(1, self.policy.attempts + 1):
-            try:
-                client = await self._ensure_client()
-                return await asyncio.wait_for(
-                    client.promote(network_id=network_id),
-                    timeout=self.policy.timeout,
-                )
-            except (ServiceUnavailable, asyncio.TimeoutError) as exc:
-                last_exc = exc
-                await self._drop_client()
-                if attempt < self.policy.attempts:
-                    self.retries += 1
-                    await self._backoff(attempt)
-        raise ServiceUnavailable(
-            f"promote failed after {self.policy.attempts} attempts: {last_exc}"
-        ) from last_exc
+        return await self._retrying(
+            "promote", lambda client: client.promote(network_id=network_id)
+        )
 
     async def rebalance(
         self, *, network_id: str | None = None, inspect: bool = False
@@ -290,23 +253,10 @@ class ResilientClient:
         apply time, so a duplicated trigger at worst runs one extra guarded
         cycle whose moves are gated by the same min-gain threshold.
         """
-        last_exc: Exception | None = None
-        for attempt in range(1, self.policy.attempts + 1):
-            try:
-                client = await self._ensure_client()
-                return await asyncio.wait_for(
-                    client.rebalance(network_id=network_id, inspect=inspect),
-                    timeout=self.policy.timeout,
-                )
-            except (ServiceUnavailable, asyncio.TimeoutError) as exc:
-                last_exc = exc
-                await self._drop_client()
-                if attempt < self.policy.attempts:
-                    self.retries += 1
-                    await self._backoff(attempt)
-        raise ServiceUnavailable(
-            f"rebalance failed after {self.policy.attempts} attempts: {last_exc}"
-        ) from last_exc
+        return await self._retrying(
+            "rebalance",
+            lambda client: client.rebalance(network_id=network_id, inspect=inspect),
+        )
 
     async def drain(self, *, shutdown: bool = False) -> dict[str, Any]:
         """Drain (no retries — a drain must not be replayed blindly)."""

@@ -126,32 +126,30 @@ def replay(
 
     Each trace step is one :meth:`~repro.engine.tick.ShardTick.step`: the
     step's **departures** of still-active requests (failed arrivals and
-    evicted requests never depart), then its **fault events** (recoveries
-    before failures — the script's canonical order — so freed elements are
-    visible to same-step repairs), then its **arrivals** against the
-    possibly-degraded view. ``rng`` draws one seed per fault event, then
-    one per arrival. Mutates the engine; read results from its
-    ``counters``/``stats()``. Returns every repair outcome, in occurrence
-    order.
+    evicted requests never depart), then the script's **fault events** due
+    at that step (recoveries before failures — the script's canonical order
+    — so freed elements are visible to same-step repairs), then its
+    **arrivals** against the possibly-degraded view. The tick runs the
+    script on its step count, as the service's shard does; repairs draw
+    from the engine's chaos stream and ``rng`` draws one seed per arrival.
+    Runs until the last departure and the last scripted event. Mutates the
+    engine; read results from its ``counters``/``stats()``. Returns every
+    repair outcome, in occurrence order.
     """
     gen = as_generator(rng)
-    tick = ShardTick.for_engine(engine)
+    tick = ShardTick.for_engine(engine, fault_script=faults)
     departures = trace.departures_by_step()
-    faults_by_step = faults.events_by_step() if faults is not None else {}
     arrivals_by_step: dict[int, list[TraceEvent]] = {}
     for ev in trace:
         arrivals_by_step.setdefault(ev.step, []).append(ev)
-    last = max(
-        trace.steps,
-        int(max(departures, default=0)),
-        int(max(faults_by_step, default=0)),
-    )
+    last = max(trace.steps, max(departures, default=0), *(e.time for e in faults or ()))
     outcomes: list[RepairOutcome] = []
     for step in range(last + 1):
         result = tick.step(
-            [rid for rid in departures.get(step, ()) if engine.is_active(rid)],
-            [(event, int(gen.integers(2**31))) for event in faults_by_step.get(step, ())],
-            [(ev.request, int(gen.integers(2**31))) for ev in arrivals_by_step.get(step, ())],
+            releases=[rid for rid in departures.get(step, ()) if engine.is_active(rid)],
+            submits=[
+                (ev.request, int(gen.integers(2**31))) for ev in arrivals_by_step.get(step, ())
+            ],
         )
         outcomes.extend(result.repairs)
     return outcomes

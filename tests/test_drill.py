@@ -47,11 +47,6 @@ TIMING_FIELDS = {
     "crash.recovery_time_s",
     "promotion.promotion_time_s",
     "live.cycles_time_s",
-    # how many timer cycles ran before the kill, and the crash ledger
-    # those moves left behind
-    "crash.migrations_at_kill",
-    "crash.replayed_migrations",
-    "crash.ledger_fingerprint",
 }
 
 

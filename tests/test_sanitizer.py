@@ -42,8 +42,10 @@ def test_stall_monitor_fires_on_blocking_coroutine() -> None:
     sanitizer.run(blocks_the_loop())
     assert sanitizer.stalls, "a 0.2s sync sleep on the loop must be detected"
     assert max(s.lag_s for s in sanitizer.stalls) >= 0.05
-    with pytest.raises(SanitizerError, match="stall"):
+    # The sampler thread caught the loop thread inside the blocker.
+    with pytest.raises(SanitizerError, match="stall") as caught:
         sanitizer.check()
+    assert "in blocks_the_loop" in str(caught.value)
 
 
 def test_stall_monitor_quiet_on_well_behaved_coroutine() -> None:

@@ -67,6 +67,16 @@ def make_workload(network, n: int, *, seed: int = 11):
     return out
 
 
+async def step_through_script(client: ServiceClient, script: FaultScript) -> None:
+    """Step the shard with releases of an unknown id (one no-op step each)
+    until its fault script, which runs on the step count, is applied."""
+    for _ in range(script.events[-1].time + 1):
+        if (await client.stats())["faults"]["chaos_complete"]:
+            return
+        assert not await client.release(10**6)
+    assert (await client.stats())["faults"]["chaos_complete"]
+
+
 def drain_notifications(client: ServiceClient) -> list[dict]:
     out = []
     while not client.notifications.empty():
@@ -87,7 +97,7 @@ class TestChaosEndToEnd:
         workload = make_workload(network, 36)
         config = ServiceConfig(
             batch_size=4, queue_limit=128,
-            fault_script=script, chaos_tick=0.01,
+            fault_script=script,
         )
 
         async def drive():
@@ -100,10 +110,8 @@ class TestChaosEndToEnd:
                             for rid, dag, src, dst, rate, s in workload
                         )
                     )
-                    await server.wait_chaos_complete()
-                    # Let the dispatcher finish the final fault batch, then a
-                    # round-trip to flush any notify still in the socket.
-                    await asyncio.sleep(0.1)
+                    await step_through_script(client, script)
+                    # Each step's notifications precede its reply.
                     mid_stats = await client.stats()
                     notes = drain_notifications(client)
                     evicted = {
@@ -215,8 +223,8 @@ class TestChaosEndToEnd:
         assert stats["counters"]["faults_injected"] == 1
 
     def test_chaos_complete_means_every_scripted_event_is_applied(self):
-        """No sleep after ``wait_chaos_complete``: the stats already show the
-        dead elements of the whole script, folded offline."""
+        """Once the stats say ``chaos_complete``, they already show the dead
+        elements of the whole script, folded offline."""
         network = chaos_network(seed=19)
         spec = FaultSpec(
             horizon=20, node_mtbf=15.0, link_mtbf=8.0, instance_mtbf=10.0,
@@ -233,7 +241,7 @@ class TestChaosEndToEnd:
         assert offline.any_dead
         workload = make_workload(network, 12, seed=3)
         config = ServiceConfig(
-            batch_size=4, queue_limit=64, fault_script=script, chaos_tick=0.01
+            batch_size=4, queue_limit=64, fault_script=script
         )
 
         async def drive():
@@ -245,7 +253,7 @@ class TestChaosEndToEnd:
                             for rid, dag, src, dst, rate, s in workload
                         )
                     )
-                    await server.wait_chaos_complete()
+                    await step_through_script(client, script)
                     return await client.stats()
 
         faults = run(drive())["faults"]

@@ -194,26 +194,34 @@ class TestShardedDispatch:
             horizon=5,
         )
         config = ServiceConfig(
-            fault_script=script, chaos_network_id="beta", chaos_tick=0.01,
+            fault_script=script, chaos_network_id="beta",
             wal_dir=str(tmp_path / "wal"), standby=True,
-            rebalance=RebalanceConfig(interval=0.01),
+            rebalance=RebalanceConfig(interval=1),
         )
 
         async def drive():
             before = asyncio.all_tasks()
             async with EmbeddingServer(networks, config) as server:
-                await asyncio.wait_for(server.wait_chaos_complete(), 5)
-                await asyncio.sleep(0.05)
-                added = [t.get_coro().__qualname__ for t in asyncio.all_tasks() - before]
-                degraded = server.router.get("beta").degraded
-            return added, degraded
+                async with await ServiceClient.connect(*server.address) as client:
+                    # The script runs on beta's step count: two steps (no-op
+                    # releases) reach its event at step 1.
+                    for _ in range(2):
+                        await client.release(0, network_id="beta")
+                    client_tasks = asyncio.all_tasks() - before
+                    added = [t.get_coro().__qualname__ for t in client_tasks]
+                    stats = await client.stats()
+            return added, stats
 
-        added, degraded = run(drive())
-        # A dispatcher waiting for a timed deadline runs its queue get as a
-        # short-lived task of asyncio.wait_for; nothing else may exist.
-        long_lived = [name for name in added if name != "Queue.get"]
-        assert long_lived == ["EmbeddingServer._dispatch_loop"] * len(networks)
-        assert degraded
+        added, stats = run(drive())
+        # The dispatchers await their queues, never wait_for: no task but
+        # one dispatcher per shard and the one connection's two ends exists.
+        assert sorted(added) == sorted(
+            ["EmbeddingServer._dispatch_loop"] * len(networks)
+            + ["EmbeddingServer._on_connection", "ServiceClient._read_loop"]
+        )
+        assert stats["faults"]["chaos_complete"]
+        assert stats["shards"]["beta"]["faults"]["degraded"]
+        assert stats["shards"]["beta"]["rebalance"]["cycles"] >= 1
 
 
 class TestShardFaultIsolation:
