@@ -483,29 +483,21 @@ class EmbeddingEngine:
 
     # -- faults ---------------------------------------------------------------------
 
-    def apply_fault(
-        self,
-        event: FaultEvent,
-        rng: RngStream = None,
-        *,
-        auto_seed: bool = False,
-    ) -> list[RepairOutcome]:
+    def apply_fault(self, event: FaultEvent) -> list[RepairOutcome]:
         """Fold one fault event in, repairing every affected embedding.
 
         Failures immediately run the reroute → re-embed → evict ladder over
-        the affected requests; recoveries just restore visibility (a later
-        arrival sees the element again). With ``auto_seed`` the repair
-        solves draw from the engine's own chaos stream (one seed per
-        effective failure); otherwise ``rng`` is used verbatim. Only
+        the affected requests, seeded from the engine's own chaos stream
+        (one seed per effective failure); recoveries just restore
+        visibility (a later arrival sees the element again). Only
         *effective* events are applied and logged — no-ops mutate nothing.
         """
         if not self._faults.changes(event):
             return []
         failure = event.action is FaultAction.FAIL
-        if failure and auto_seed:
-            rng = trial_seed(self.seed, self._fault_counter, salt=_CHAOS_SEED_SALT)
+        rng = trial_seed(self.seed, self._fault_counter, salt=_CHAOS_SEED_SALT)
         # The auto_seed flag is logged so replay advances the chaos stream.
-        effect = wal_records.FaultEffect(event, auto_seed=failure and auto_seed)
+        effect = wal_records.FaultEffect(event, auto_seed=failure)
         self._apply(effect)
         self._append(effect)
         if not failure:

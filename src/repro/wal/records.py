@@ -311,7 +311,8 @@ class FaultEffect:
     type: ClassVar[str] = FAULT
 
     event: FaultEvent
-    #: the failure drew its repair seed from the engine's chaos stream.
+    #: the failure drew its repair seed from the engine's chaos stream (every
+    #: failure the engine logs; False only in older, caller-seeded logs).
     auto_seed: bool = False
 
     def to_payload(self) -> dict[str, Any]:

@@ -433,13 +433,13 @@ class TestEngineIntegration:
 
         free_engine = EmbeddingEngine(net(), "MBBE")
         assert free_engine.submit(zoned_request(1, ConstraintSet.EMPTY), rng=0).success
-        outcomes = free_engine.apply_fault(fault, auto_seed=True)
+        outcomes = free_engine.apply_fault(fault)
         assert [o.action for o in outcomes] != [RepairAction.EVICTED]
         assert free_engine.is_active(1)  # detour 1-3-2 keeps it alive
 
         capped_engine = EmbeddingEngine(net(), "MBBE")
         assert capped_engine.submit(zoned_request(1, cap), rng=0).success
-        outcomes = capped_engine.apply_fault(fault, auto_seed=True)
+        outcomes = capped_engine.apply_fault(fault)
         assert [o.action for o in outcomes] == [RepairAction.EVICTED]
         assert not capped_engine.is_active(1)  # no lawful detour exists
 

@@ -153,8 +153,7 @@ class TestEngineFaults:
         engine = EmbeddingEngine(tight_network(), "MBBE")
         assert engine.submit(line_request(1), rng=0).success
         outcomes = engine.apply_fault(
-            FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.link(0, 1)),
-            auto_seed=True,
+            FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.link(0, 1))
         )
         assert engine.degraded
         assert engine.counters["faults_injected"] == 1
@@ -171,15 +170,14 @@ class TestEngineFaults:
     def test_duplicate_fail_is_a_noop(self):
         engine = EmbeddingEngine(tight_network(), "MBBE")
         event = FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(0))
-        engine.apply_fault(event, auto_seed=True)
-        engine.apply_fault(event, auto_seed=True)
+        engine.apply_fault(event)
+        engine.apply_fault(event)
         assert engine.counters["faults_injected"] == 1
 
     def test_stats_reports_fault_gauges(self):
         engine = EmbeddingEngine(tight_network(), "MBBE")
         engine.apply_fault(
-            FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(0)),
-            auto_seed=True,
+            FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(0))
         )
         stats = engine.stats()
         assert stats["faults"]["degraded"] is True
@@ -236,8 +234,7 @@ class TestResidualView:
         ends = {victim.source, victim.dest}
         node = next(n for n in victim.placements.values() if n not in ends)
         outcomes = engine.apply_fault(
-            FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(node)),
-            auto_seed=True,
+            FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(node))
         )
         assert outcomes  # at least one repair effect was applied
         assert not check_view().graph.has_node(node)

@@ -217,7 +217,7 @@ class TestRepairLadder:
     def test_link_failure_reroutes(self):
         engine = self.make_square_engine()
         assert engine.submit(single_vnf_request(0, 0, 2), rng=1).success
-        outcomes = engine.apply_fault(fail(FaultTarget.link(1, 2)), rng=2)
+        outcomes = engine.apply_fault(fail(FaultTarget.link(1, 2)))
         assert [o.action for o in outcomes] == [RepairAction.REROUTED]
         assert outcomes[0].survived
         assert outcomes[0].cost_delta >= 0
@@ -230,7 +230,7 @@ class TestRepairLadder:
         engine = self.make_square_engine(extra_instance=True)
         result = engine.submit(single_vnf_request(0, 0, 2), rng=1)
         assert result.success
-        outcomes = engine.apply_fault(fail(FaultTarget.instance(1, 1)), rng=2)
+        outcomes = engine.apply_fault(fail(FaultTarget.instance(1, 1)))
         assert [o.action for o in outcomes] == [RepairAction.RE_EMBEDDED]
         # The cheap instance died; the repair pays the expensive one.
         assert outcomes[0].new_cost > result.total_cost
@@ -242,7 +242,7 @@ class TestRepairLadder:
     def test_instance_failure_without_alternative_evicts(self):
         engine = self.make_square_engine()
         assert engine.submit(single_vnf_request(0, 0, 2), rng=1).success
-        outcomes = engine.apply_fault(fail(FaultTarget.instance(1, 1)), rng=2)
+        outcomes = engine.apply_fault(fail(FaultTarget.instance(1, 1)))
         assert [o.action for o in outcomes] == [RepairAction.EVICTED]
         assert not outcomes[0].survived
         assert outcomes[0].new_cost == 0.0
@@ -254,7 +254,7 @@ class TestRepairLadder:
     def test_dead_endpoint_evicts_without_solving(self):
         engine = self.make_square_engine(extra_instance=True)
         assert engine.submit(single_vnf_request(0, 0, 2), rng=1).success
-        outcomes = engine.apply_fault(fail(FaultTarget.node(2)), rng=2)
+        outcomes = engine.apply_fault(fail(FaultTarget.node(2)))
         assert [o.action for o in outcomes] == [RepairAction.EVICTED]
         assert outcomes[0].attempts == ()
         assert "endpoints dead" in outcomes[0].detail
@@ -265,9 +265,9 @@ class TestRepairLadder:
         net = CloudNetwork(build_line_graph(3))
         net.deploy(1, 1, price=2.0, capacity=10.0)
         engine = EmbeddingEngine(net, MbbeEmbedder())
-        assert engine.apply_fault(fail(FaultTarget.node(1)), rng=0) == []
+        assert engine.apply_fault(fail(FaultTarget.node(1))) == []
         assert not engine.submit(single_vnf_request(0, 0, 2), rng=1).success
-        assert engine.apply_fault(recover(FaultTarget.node(1)), rng=0) == []
+        assert engine.apply_fault(recover(FaultTarget.node(1))) == []
         assert engine.submit(single_vnf_request(1, 0, 2), rng=1).success
 
     def test_unaffected_requests_are_left_alone(self):
@@ -279,7 +279,7 @@ class TestRepairLadder:
         untouched = next(
             link.key for link in engine.network.graph.links() if link.key not in used
         )
-        outcomes = engine.apply_fault(fail(FaultTarget.link(*untouched)), rng=2)
+        outcomes = engine.apply_fault(fail(FaultTarget.link(*untouched)))
         assert outcomes == []
         assert engine.counters["repairs_rerouted"] == 0
         assert list(engine.active_ids()) == [0]

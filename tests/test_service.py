@@ -600,9 +600,9 @@ class TestAsyncOffload:
         config = ServiceConfig()
         real_apply = EmbeddingEngine.apply_fault
 
-        def slow_apply(engine, event, rng=None, *, auto_seed=False):
+        def slow_apply(engine, event):
             time.sleep(0.4)  # exaggerate the repair-ladder solve
-            return real_apply(engine, event, rng, auto_seed=auto_seed)
+            return real_apply(engine, event)
 
         monkeypatch.setattr(EmbeddingEngine, "apply_fault", slow_apply)
 

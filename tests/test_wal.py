@@ -247,8 +247,7 @@ class TestEngineRecovery:
                 engine.release(rid)
         if fault:
             engine.apply_fault(
-                FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(3)),
-                auto_seed=True,
+                FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(3))
             )
 
     def test_wal_only_restore_reproduces_the_fingerprint(self, tmp_path):
@@ -364,7 +363,7 @@ class TestSnapshotRestoresTheEngine:
         engine = wal_engine(network, path)
         for request in make_requests(network, 6):
             engine.submit(request, rng=request.seed)
-        engine.apply_fault(fail(3), auto_seed=True)
+        engine.apply_fault(fail(3))
         engine.checkpoint()  # node 3 is dead in this checkpoint
         engine.apply_fault(recover(3))
         engine.detach_wal()
@@ -388,8 +387,8 @@ class TestSnapshotRestoresTheEngine:
         # so must an engine that never replayed their commits, only loaded
         # the checkpoint.
         assert engine.ledger.affected_by(nodes=[0]) == [1, 2]
-        ours = restored.apply_fault(fail(0), auto_seed=True)
-        theirs = engine.apply_fault(fail(0), auto_seed=True)
+        ours = restored.apply_fault(fail(0))
+        theirs = engine.apply_fault(fail(0))
         assert [(o.request_id, o.action, o.new_cost) for o in ours] == [
             (o.request_id, o.action, o.new_cost) for o in theirs
         ]
@@ -496,7 +495,7 @@ class TestReplayPrefixProperty:
                 ).run_cycle()
             else:
                 engine.apply_fault(
-                    fail(arg) if kind == "fault" else recover(arg), auto_seed=True
+                    fail(arg) if kind == "fault" else recover(arg)
                 )
 
         for event in events[:cut]:
@@ -572,8 +571,7 @@ def write_effect_scenario(path) -> EmbeddingEngine:
         engine, RebalanceConfig(max_moves=2, candidates=6, min_gain=0.001, cooldown=0)
     ).run_cycle()
     engine.apply_fault(
-        FaultEvent(time=3, action=FaultAction.FAIL, target=FaultTarget.node(1)),
-        auto_seed=True,
+        FaultEvent(time=3, action=FaultAction.FAIL, target=FaultTarget.node(1))
     )
     engine.apply_fault(
         FaultEvent(time=5, action=FaultAction.RECOVER, target=FaultTarget.node(1))
@@ -663,8 +661,8 @@ class TestStandbyPromotion:
                 primary.release(rid)
                 twin.release(rid)
         event = FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(7))
-        primary.apply_fault(event, auto_seed=True)
-        twin.apply_fault(event, auto_seed=True)
+        primary.apply_fault(event)
+        twin.apply_fault(event)
         primary.wal.sync()
         standby.poll()
         assert standby.ledger_fingerprint() == primary.ledger_fingerprint()
