@@ -775,11 +775,11 @@ async def _burst(
 
 async def _shard_bursts(
     server: Server, seed: int
-) -> tuple[dict[str, dict[str, Any]], str, dict[str, int]]:
+) -> tuple[dict[str, dict[str, Any]], str, dict[str, int], dict[str, int]]:
     """Bursts keyed ``network_id`` or ``network_id+constraint``, the reply
     type of the ``net0`` promotion between the first two bursts and the
-    constraint bursts, and the per-shard checkpoint seqs of the ``snapshot``
-    taken before the drain."""
+    constraint bursts, the per-shard checkpoint seqs of the ``snapshot``
+    taken before the drain, and each shard's rebalance cycle count then."""
     client = await _call(ServiceClient.connect(server.host, server.port))
     try:
         net0, net1 = await asyncio.gather(
@@ -799,10 +799,12 @@ async def _shard_bursts(
             checkpoints = (await _call(client.snapshot()))["checkpoints"]
         except ServiceError:
             checkpoints = {}
+        shards = (await _call(client.stats()))["shards"]
+        cycles = {nid: shard["rebalance"]["cycles"] for nid, shard in sorted(shards.items())}
         await _call(client.drain(shutdown=True))
     finally:
         await _close(client)
-    return bursts, promoted, checkpoints
+    return bursts, promoted, checkpoints, cycles
 
 
 def _shards(*, solver: str, seed: int) -> dict[str, Any]:
@@ -810,11 +812,11 @@ def _shards(*, solver: str, seed: int) -> dict[str, Any]:
         wal_dir = os.path.join(workdir, "wal")
         command = _serve_command(
             solver, seed, "--network-size", "40", "--shards", "2",
-            "--wal", wal_dir, "--standby", "--rebalance",
+            "--wal", wal_dir, "--standby", "--rebalance", "--rebalance-interval", "5",
             "--chaos", "horizon=60,link=20,instance=30", "--chaos-shard", "net1",
         )
         with served(command, workdir, "bursts") as server:
-            bursts, promoted, checkpoints = asyncio.run(_shard_bursts(server, seed))
+            bursts, promoted, checkpoints, cycles = asyncio.run(_shard_bursts(server, seed))
             exit_code = server.wait()
         # Shards whose log holds a checkpoint record at the replied seq.
         found: list[str] = []
@@ -828,10 +830,13 @@ def _shards(*, solver: str, seed: int) -> dict[str, Any]:
         net0_promote=promoted,
         server_exit_code=exit_code,
         checkpoints=checkpoints,
+        rebalance_cycles=cycles,
         ok=all(b["accepted"] > 0 for key, b in bursts.items() if key.startswith("net0"))
         and promoted == "promoted"
         and exit_code == 0
-        and found == ["net0", "net1"],
+        and found == ["net0", "net1"]
+        # Both shards reached the step timer (net0's count restarts at promotion).
+        and sorted(nid for nid, count in cycles.items() if count >= 1) == ["net0", "net1"],
     )
 
 

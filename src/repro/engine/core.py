@@ -9,8 +9,8 @@ down the reroute → re-embed → evict ladder — and exposes the full admissio
 lifecycle as plain synchronous methods:
 
 * :meth:`view` — the residual network solves run on, without the dead
-  elements under active faults; built once per engine state and shared by
-  the solve and the commit-time checks until the next effect;
+  elements under active faults; one cached object that every effect
+  patches in place (or drops, for a rebuild on the next call);
 * :meth:`solve` / :meth:`commit` — the two halves of one decision, split
   so a transport can run the solve in a thread and feed the result back
   into the sole state mutator;
@@ -184,7 +184,8 @@ class EmbeddingEngine:
             self.counters[key] = 0.0
         self._faults = FaultState()
         self._tracked: dict[int, EmbeddedRequest] = {}
-        # The residual view of the current state; _apply drops it.
+        # The residual view of the current state, built on first use; _apply
+        # patches it, or drops it when an effect changes its shape.
         self._view: CloudNetwork | None = None
         # The repair ladder plans in-process on read-only views of this
         # state (a transport's dispatcher is the sole writer, so repairs
@@ -249,9 +250,13 @@ class EmbeddingEngine:
     def view(self) -> CloudNetwork:
         """The residual view solves run on, without the dead elements.
 
-        Built once per engine state: every call until the next effect
-        returns the same object, so a decision's solve and its commit-time
-        checks share one build. Callers must not mutate it.
+        One object whose contents follow every effect: an effect rewrites
+        the links and instances it touches in place, and only an effect
+        that adds or removes an element (a saturation crossing, a fault or
+        a recovery) drops it for a rebuild on the next call. A decision's
+        solve and its commit-time checks therefore share it. Callers must
+        not mutate it, nor keep it as a snapshot across effects — build one
+        with ``ledger.state.to_network(faults)`` instead.
         """
         if self._view is None:
             self._view = self.ledger.state.to_network(self._faults)
@@ -644,7 +649,6 @@ class EmbeddingEngine:
         :class:`LedgerError`, or :class:`WalError` for a no-op fault)
         before anything is mutated.
         """
-        self._view = None
         if isinstance(effect, wal_records.CommitEffect):
             if effect.accepted:
                 assert effect.reservation is not None and effect.total_cost is not None
@@ -658,17 +662,19 @@ class EmbeddingEngine:
                 else:
                     self.counters["rejected_no_solution"] += 1
                 return
+            self._patch_view(effect.reservation)
             if effect.embedding is not None:
                 self._track(effect.request_id, effect, effect.total_cost)
             self.counters["accepted"] += 1
             self.counters["total_cost_accepted"] += effect.total_cost
         elif isinstance(effect, wal_records.ReleaseEffect):
-            self.ledger.release(effect.request_id)
+            self._patch_view(self.ledger.release(effect.request_id))
             self._tracked.pop(effect.request_id, None)
             self.counters["departed"] += 1
         elif isinstance(effect, wal_records.FaultEffect):
             if not self._faults.apply(effect.event):
                 raise WalError("the fault event changes no element's liveness")
+            self._view = None
             if effect.event.action is FaultAction.RECOVER:
                 self.counters["recoveries"] += 1
             else:
@@ -677,7 +683,7 @@ class EmbeddingEngine:
         elif isinstance(effect, wal_records.RepairEffect):
             outcome = effect.outcome
             if effect.reservation is None:
-                self.ledger.release(outcome.request_id)
+                self._patch_view(self.ledger.release(outcome.request_id))
             else:
                 self._swap(outcome.request_id, effect.reservation)
             self._tracked.pop(outcome.request_id, None)
@@ -702,14 +708,27 @@ class EmbeddingEngine:
         """Release-old + reserve-new as one step, or raise with nothing changed.
 
         On a capacity conflict the old reservation is re-reserved — it just
-        vacated these exact resources, so that cannot fail.
+        vacated these exact resources, so that cannot fail. The round trip
+        may still move a residual by a rounding step, so the view is dropped.
         """
         old = self.ledger.release(request_id)
         try:
             self.ledger.reserve(request_id, reservation)
         except CapacityError:
             self.ledger.reserve(request_id, old)
+            self._view = None
             raise
+        self._patch_view(old, reservation)
+
+    def _patch_view(self, *reservations: Reservation) -> None:
+        """Rewrite the cached view's elements ``reservations`` hold, after the
+        ledger changed them; drop the view when one crossed saturation."""
+        if self._view is None:
+            return
+        links = set().union(*(r.links for r in reservations))
+        vnfs = set().union(*(r.vnf for r in reservations))
+        if not self.ledger.state.patch_network(self._view, links, vnfs, self._faults):
+            self._view = None
 
     def _track(self, request_id: int, effect: Any, cost: float) -> None:
         """Remember an effect's embedding for the repair ladder and the

@@ -108,6 +108,20 @@ class Graph:
             del self._adj[nb][node]
         del self._adj[node]
 
+    def resize_link(self, u: NodeId, v: NodeId, capacity: float) -> Link:
+        """Replace the link ``{u, v}`` by one of a new capacity, in place.
+
+        The new link takes the old one's key in :meth:`links` and in both
+        endpoints' adjacency, so every iteration order is unchanged. Only
+        :class:`~repro.network.state.ResidualState` patches its views with it.
+        """
+        old = self.link(u, v)
+        link = Link(u=old.u, v=old.v, price=old.price, capacity=capacity)
+        self._links[link.key] = link
+        self._adj[link.u][link.v] = link
+        self._adj[link.v][link.u] = link
+        return link
+
     # -- queries -----------------------------------------------------------------
 
     @property

@@ -6,7 +6,8 @@ processing rate and link bandwidth on it (through
 :class:`~repro.network.reservations.Reservation`), and
 :meth:`ResidualState.to_network` projects what is left (minus anything a
 :class:`~repro.faults.model.FaultState` marks dead) into the network every
-solve runs on.
+solve runs on; :meth:`ResidualState.patch_network` keeps such a view current
+in place after a usage change that leaves its shape alone.
 
 Reservation semantics follow the paper's reuse model:
 
@@ -20,9 +21,10 @@ Reservation semantics follow the paper's reuse model:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..exceptions import CapacityError
+from ..nfv.instances import VnfInstance
 from ..types import EdgeKey, NodeId, VnfTypeId, edge_key
 from .cloud import CloudNetwork
 from .graph import Graph, Link
@@ -134,6 +136,22 @@ class ResidualState:
 
     # -- derived views -----------------------------------------------------------------
 
+    def _link_residual(self, link: Link, faults: FaultState | None) -> float | None:
+        """Base ``link``'s capacity in a view, or None when the view drops it."""
+        residual = link.capacity - self._link_used.get(link.key, 0.0)
+        if residual > 1e-9 and (faults is None or faults.link_alive(link.u, link.v)):
+            return residual
+        return None
+
+    def _vnf_residual(self, inst: VnfInstance, faults: FaultState | None) -> float | None:
+        """Base ``inst``'s capacity in a view, or None when the view drops it."""
+        residual = inst.capacity - self._vnf_used.get((inst.node, inst.vnf_type), 0.0)
+        if residual > 1e-9 and (
+            faults is None or faults.instance_alive(inst.node, inst.vnf_type)
+        ):
+            return residual
+        return None
+
     def to_network(self, faults: FaultState | None = None) -> CloudNetwork:
         """A :class:`CloudNetwork` whose capacities are the current residuals.
 
@@ -152,17 +170,53 @@ class ResidualState:
             node for node in base.graph.nodes() if faults is None or faults.node_alive(node)
         )
         for link in base.graph.links():
-            residual = link.capacity - self._link_used.get(link.key, 0.0)
-            if residual > 1e-9 and (faults is None or faults.link_alive(link.u, link.v)):
+            residual = self._link_residual(link, faults)
+            if residual is not None:
                 graph.add_link(link.u, link.v, price=link.price, capacity=residual)
         out = CloudNetwork(graph)
         for inst in base.deployments.all_instances():
-            residual = inst.capacity - self._vnf_used.get((inst.node, inst.vnf_type), 0.0)
-            if residual > 1e-9 and (
-                faults is None or faults.instance_alive(inst.node, inst.vnf_type)
-            ):
+            residual = self._vnf_residual(inst, faults)
+            if residual is not None:
                 out.deploy(inst.node, inst.vnf_type, price=inst.price, capacity=residual)
         return out
+
+    def patch_network(
+        self,
+        view: CloudNetwork,
+        links: Iterable[EdgeKey],
+        vnfs: Iterable[tuple[NodeId, VnfTypeId]],
+        faults: FaultState | None = None,
+    ) -> bool:
+        """Bring ``view`` up to date on the given elements, in place.
+
+        ``view`` must be this state's :meth:`to_network` under ``faults``
+        as it was before the usage of ``links`` and ``vnfs`` changed. An
+        element in the view before and after gets its new residual under
+        its existing key, so every iteration order stays that of a fresh
+        build; an element absent before and after stays absent. Returns
+        False when an element crossed the saturation line either way — a
+        fresh build would insert or delete it — and ``view`` is then
+        part-patched: the caller must discard it.
+        """
+        if faults is not None and not faults.any_dead:
+            faults = None
+        base = self.network
+        graph = view.graph
+        for key in links:
+            link = base.graph.link(*key)
+            residual = self._link_residual(link, faults)
+            if graph.has_link(link.u, link.v) != (residual is not None):
+                return False
+            if residual is not None:
+                graph.resize_link(link.u, link.v, residual)
+        deployments = view.deployments
+        for node, vnf_type in vnfs:
+            residual = self._vnf_residual(base.instance(node, vnf_type), faults)
+            if deployments.has(node, vnf_type) != (residual is not None):
+                return False
+            if residual is not None:
+                deployments.resize_instance(node, vnf_type, residual)
+        return True
 
     # -- filters for searches -----------------------------------------------------------
 

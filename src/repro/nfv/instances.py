@@ -63,6 +63,20 @@ class DeploymentMap:
         node_map[instance.vnf_type] = instance
         self._by_type.setdefault(instance.vnf_type, set()).add(instance.node)
 
+    def resize_instance(self, node: NodeId, vnf_type: VnfTypeId, capacity: float) -> VnfInstance:
+        """Replace the instance ``f_node(vnf_type)`` by one of a new capacity, in place.
+
+        The new instance takes the old one's key, so :meth:`instances_at`
+        order and the type index are unchanged. Only
+        :class:`~repro.network.state.ResidualState` patches its views with it.
+        """
+        old = self.instance(node, vnf_type)
+        if old is None:
+            raise ConfigurationError(f"node {node} does not host {vnf_name(vnf_type)}")
+        instance = VnfInstance(node=node, vnf_type=vnf_type, price=old.price, capacity=capacity)
+        self._by_node[node][vnf_type] = instance
+        return instance
+
     # -- queries ---------------------------------------------------------------
 
     def instance(self, node: NodeId, vnf_type: VnfTypeId) -> VnfInstance | None:

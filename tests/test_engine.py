@@ -13,6 +13,8 @@ import asyncio
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
 from repro.engine import (
@@ -31,6 +33,7 @@ from repro.wal import records as wal_records
 from repro.faults.model import FaultAction, FaultEvent, FaultTarget
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
+from repro.network.state import ResidualState
 from repro.service import EmbeddingServer, ServiceClient, ServiceConfig
 from repro.sfc.builder import DagSfcBuilder
 from repro.sfc.generator import generate_dag_sfc
@@ -48,17 +51,20 @@ def engine_network(seed: int = 17) -> CloudNetwork:
     return generate_network(cfg, rng=seed)
 
 
-def tight_network() -> CloudNetwork:
+def tight_network(vnf_capacity: float = 1.0) -> CloudNetwork:
     """0-1-2 line where one unit-rate request saturates everything."""
     net = CloudNetwork(build_line_graph(3, price=1.0, capacity=1.0))
-    net.deploy(1, 1, price=5.0, capacity=1.0)
+    net.deploy(1, 1, price=5.0, capacity=vnf_capacity)
     return net
 
 
-def line_request(rid: int, *, rate: float = 1.0, seed: int | None = None) -> EmbeddingRequest:
+def line_request(
+    rid: int, *, rate: float = 1.0, seed: int | None = None, ends: tuple[int, int] = (0, 2)
+) -> EmbeddingRequest:
     dag = DagSfcBuilder().single(1).build()
     return EmbeddingRequest(
-        request_id=rid, dag=dag, source=0, dest=2, flow=FlowConfig(rate=rate), seed=seed
+        request_id=rid, dag=dag, source=ends[0], dest=ends[1], flow=FlowConfig(rate=rate),
+        seed=seed,
     )
 
 
@@ -187,27 +193,72 @@ class TestEngineFaults:
 
 def network_shape(network: CloudNetwork) -> tuple:
     """Everything a solve can observe of a network, in iteration order."""
+    graph, deployments = network.graph, network.deployments
     return (
-        list(network.graph.nodes()),
-        [(link.key, link.price, link.capacity) for link in network.graph.links()],
-        [list(network.graph.neighbors(node)) for node in network.graph.nodes()],
+        list(graph.nodes()),
+        [(link.key, link.price, link.capacity) for link in graph.links()],
+        [
+            [(nb, link.key, link.price, link.capacity) for nb, link in graph.adjacency(node)]
+            for node in graph.nodes()
+        ],
+        [
+            [(t, inst.price, inst.capacity) for t, inst in deployments.instances_at(node)]
+            for node in graph.nodes()
+        ],
         [
             (inst.node, inst.vnf_type, inst.price, inst.capacity)
-            for inst in network.deployments.all_instances()
+            for inst in deployments.all_instances()
         ],
+        list(deployments.deployed_types),
+        [list(deployments.nodes_with(t)) for t in sorted(deployments.deployed_types)],
     )
 
 
+def count_builds(monkeypatch) -> list[int]:
+    """Count ``ResidualState.to_network`` calls from here on (one entry each)."""
+    builds: list[int] = []
+    build = ResidualState.to_network
+
+    def counted(state, faults=None):
+        builds.append(1)
+        return build(state, faults)
+
+    monkeypatch.setattr(ResidualState, "to_network", counted)
+    return builds
+
+
+#: the elements of ``tight_network`` a fault can target.
+_TIGHT_TARGETS = (
+    FaultTarget.node(0),
+    FaultTarget.node(1),
+    FaultTarget.node(2),
+    FaultTarget.link(0, 1),
+    FaultTarget.link(1, 2),
+    FaultTarget.instance(1, 1),
+)
+
+#: effect sequences on ``tight_network``: rates small enough to leave
+#: residuals (patched in place) and large enough to saturate (rebuilt);
+#: end pairs that load one link or both, so links saturate and free
+#: apart and a freed link's position in the adjacency order matters.
+_TIGHT_EFFECTS = st.lists(
+    st.tuples(
+        st.sampled_from(["commit", "conflict", "release", "fault", "recover", "migrate"]),
+        st.integers(0, 5),
+        st.sampled_from([0.25, 0.375, 0.5, 1.0]),
+        st.sampled_from([(0, 2), (0, 1), (1, 2), (2, 0)]),
+    ),
+    max_size=20,
+)
+
+
 class TestResidualView:
-    def test_one_view_per_engine_state_through_every_effect_kind(self):
+    def test_view_follows_every_effect_kind(self):
         engine = EmbeddingEngine(engine_network(), "MBBE")
-        seen: list[CloudNetwork] = []
 
         def check_view() -> CloudNetwork:
             view = engine.view()
             assert engine.view() is view
-            assert all(view is not old for old in seen)
-            seen.append(view)
             fresh = engine.ledger.state.to_network(faults=engine.faults)
             assert network_shape(view) == network_shape(fresh)
             return view
@@ -255,6 +306,103 @@ class TestResidualView:
         )
         assert engine.migrate(moved, plan).applied
         check_view()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(effects=_TIGHT_EFFECTS, vnf_capacity=st.sampled_from([1.0, 2.0]))
+    # Link 0-1 saturates alone, then frees: a rebuild must restore its order.
+    @example(
+        effects=[("commit", 0, 1.0, (0, 1)), ("release", 0, 1.0, (0, 2))], vnf_capacity=2.0
+    )
+    def test_patched_view_equals_a_fresh_build_after_any_effect_sequence(
+        self, effects, vnf_capacity
+    ):
+        # A roomier instance lets a link saturate or free on its own.
+        engine = EmbeddingEngine(tight_network(vnf_capacity), "MBBE", seed=3)
+        next_id = iter(range(1, 1000))
+
+        for kind, pick, rate, ends in effects:
+            view = engine.view()
+            active = list(engine.active_ids())
+            if kind == "commit":
+                request = line_request(next(next_id), rate=rate, seed=pick, ends=ends)
+                engine.commit(request, engine.solve(request, rng=pick))
+            elif kind == "conflict":
+                # Two solves on one view; the second commit may no longer fit.
+                pair = [
+                    line_request(next(next_id), rate=rate, seed=pick, ends=ends)
+                    for _ in range(2)
+                ]
+                results = [engine.solve(r, view=view, rng=pick) for r in pair]
+                for request, result in zip(pair, results):
+                    engine.commit(request, result)
+            elif kind == "release" and active:
+                engine.release(active[pick % len(active)])
+            elif kind in ("fault", "recover"):
+                action = FaultAction.FAIL if kind == "fault" else FaultAction.RECOVER
+                target = _TIGHT_TARGETS[pick]
+                engine.apply_fault(FaultEvent(time=0, action=action, target=target))
+            elif kind == "migrate" and active:
+                moved = active[pick % len(active)]
+                tracked = engine.repair_engine.tracked(moved)
+                plan = engine.solver.embed(
+                    engine.ledger.credited(moved).to_network(engine.faults),
+                    tracked.embedding.dag,
+                    tracked.embedding.source,
+                    tracked.embedding.dest,
+                    tracked.flow,
+                    rng=pick,
+                )
+                engine.migrate(moved, plan)
+            fresh = engine.ledger.state.to_network(faults=engine.faults)
+            assert network_shape(engine.view()) == network_shape(fresh)
+
+    def test_restore_builds_no_view(self, tmp_path, monkeypatch):
+        network = engine_network()
+        path = str(tmp_path / "engine.wal")
+        engine = EmbeddingEngine(network, "MBBE", seed=5)
+        engine.attach_wal_file(path)
+        requests = make_requests(network, 8)
+        for request in requests:
+            engine.submit(request, rng=request.seed)
+        for rid in list(engine.active_ids())[:3]:
+            engine.release(rid)
+        engine.detach_wal()
+        assert len(read_wal(path).records) > 8
+        builds = count_builds(monkeypatch)
+        restored, _ = EmbeddingEngine.restore(network, "MBBE", path, seed=5)
+        assert restored.ledger_fingerprint() == engine.ledger_fingerprint()
+        assert builds == []
+
+    def test_effects_that_keep_the_shape_build_one_view(self, monkeypatch):
+        engine = EmbeddingEngine(engine_network(), "MBBE")
+        builds = count_builds(monkeypatch)
+        requests = [
+            dataclasses.replace(r, flow=FlowConfig(rate=0.01))
+            for r in make_requests(engine.network, 8)
+        ]
+        decisions = [engine.commit(r, engine.solve(r)) for r in requests]
+        assert all(d.accepted for d in decisions)
+        for decision in decisions[::2]:
+            engine.release(decision.request_id)
+        view = engine.view()
+        assert builds == [1]
+        assert network_shape(view) == network_shape(engine.ledger.state.to_network())
+
+    def test_rejected_commits_keep_the_view(self, monkeypatch):
+        engine = EmbeddingEngine(tight_network(), "MBBE")
+        view = engine.view()
+        builds = count_builds(monkeypatch)
+        greedy = line_request(1, rate=100.0, seed=0)
+        decision = engine.commit(greedy, engine.solve(greedy, rng=0))
+        assert decision.code == "no_solution"
+        # Two solves on one view: the first commit leaves a residual (the
+        # view is patched), the second no longer fits (capacity_conflict).
+        pair = [line_request(2, rate=0.75, seed=0), line_request(3, rate=0.75, seed=0)]
+        results = [engine.solve(r, view=view, rng=0) for r in pair]
+        decisions = [engine.commit(r, result) for r, result in zip(pair, results)]
+        assert [d.code for d in decisions] == [None, "capacity_conflict"]
+        assert engine.view() is view
+        assert builds == []
 
 
 class TestEngineDurability:

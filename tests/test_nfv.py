@@ -171,6 +171,16 @@ class TestInstances:
         with pytest.raises(ConfigurationError):
             dm.add(VnfInstance(node=0, vnf_type=1, price=9.0, capacity=2.0))
 
+    def test_resize_instance_keeps_every_order(self):
+        dm = DeploymentMap.from_mapping({0: {2: (5.0, 2.0), 1: (6.0, 3.0)}, 1: {1: (7.0, 1.0)}})
+        resized = dm.resize_instance(0, 2, 0.5)
+        assert (resized.price, resized.capacity) == (5.0, 0.5)
+        assert [t for t, _ in dm.instances_at(0)] == [2, 1]
+        assert dm.instance(0, 2) is resized
+        assert dm.nodes_with(1) == {0, 1}
+        with pytest.raises(ConfigurationError):
+            dm.resize_instance(1, 2, 1.0)
+
     def test_from_mapping(self):
         dm = DeploymentMap.from_mapping({0: {1: (5.0, 2.0)}, 1: {2: (6.0, 3.0)}})
         assert dm.instance(0, 1).capacity == 2.0

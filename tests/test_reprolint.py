@@ -43,6 +43,7 @@ EXPECTED: dict[str, list[str]] = {
     "solvers/fail_rpl202_unbalanced_reserve.py": ["RPL212"],
     "service/fail_rpl601_direct_imports.py": ["RPL601", "RPL601", "RPL601"],
     "service/fail_rpl212_transport_append.py": ["RPL212"] * 3,
+    "engine/fail_rpl212_view_resize.py": ["RPL212", "RPL212"],
     # RPL213 is retired; RPL212 catches its hand-rolled migrations.
     "service/fail_rpl213_manual_migration.py": ["RPL212"] * 4,
     "pass_rpl213_engine_migrate.py": [],

@@ -18,6 +18,10 @@ commit/release/migrate/apply_fault surface instead. One level down, the
 per-element ``ResidualState.reserve_*``/``release_*`` calls belong to the
 state itself and to the ledger's all-or-nothing ``Reservation.claim``;
 anywhere else a failed multi-element attempt would leave a partial claim.
+The in-place view mutators (``Graph.resize_link``,
+``DeploymentMap.resize_instance``) belong to the state alone: it patches
+the views it built, and a call on any other network — the base network
+above all — would silently corrupt every later build.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from ..engine import FileContext, rule
 #: may call them: the state itself and the ledger's all-or-nothing claim.
 _STATE_WRITES = frozenset({"reserve_link", "reserve_vnf", "release_link", "release_vnf"})
 _STATE_WRITE_OWNERS = ("network/state.py", "network/reservations.py")
+#: The in-place view mutators, and the only module that may call them.
+_VIEW_WRITES = frozenset({"resize_link", "resize_instance"})
+_VIEW_WRITE_OWNERS = ("network/state.py",)
 
 
 def _is_effect_owner(ctx: FileContext) -> bool:
@@ -49,14 +56,14 @@ def _is_ledger_write(node: ast.Call, fragments: tuple[str, ...]) -> bool:
     "effect-outside-engine",
     "WAL appends and ledger reserve/release calls belong to the engine's "
     "effect path (engine core, WAL package, ledger), and per-element "
-    "ResidualState reserve_*/release_* calls to the state and the ledger; "
-    "everything else must go through the engine",
+    "ResidualState reserve_*/release_* calls to the state and the ledger, "
+    "in-place view resize_* calls to the state; everything else must go "
+    "through the engine",
 )
 def check_effect_outside_engine(ctx: FileContext) -> None:
     state_owner = ctx.has_suffix(_STATE_WRITE_OWNERS)
+    view_owner = ctx.has_suffix(_VIEW_WRITE_OWNERS)
     effect_owner = _is_effect_owner(ctx)
-    if state_owner and effect_owner:
-        return
     appends = frozenset(ctx.config.wal_append_methods)
     ledger_methods = frozenset(ctx.config.ledger_write_methods)
     fragments = tuple(f.lower() for f in ctx.config.ledger_receiver_fragments)
@@ -64,7 +71,17 @@ def check_effect_outside_engine(ctx: FileContext) -> None:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         call = ast.unparse(node.func)
-        if node.func.attr in _STATE_WRITES:
+        if node.func.attr in _VIEW_WRITES:
+            if not view_owner:
+                ctx.report(
+                    "RPL212",
+                    node,
+                    f"`{call}(...)` rewrites a network in place outside "
+                    "network/state.py; only ResidualState.patch_network may, "
+                    "on a view it built — on the base network it would "
+                    "corrupt every later residual view",
+                )
+        elif node.func.attr in _STATE_WRITES:
             if not state_owner:
                 ctx.report(
                     "RPL212",
