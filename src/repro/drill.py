@@ -5,12 +5,11 @@ Each scenario in :data:`DRILLS` is one function returning a report dict with
 an ``ok`` verdict; the CLI prints it, writes it with ``--out`` and exits 1
 unless ``ok``.
 
-* ``smoke``, ``stress``, ``delay_budget`` — in-process fault injection: a
-  seeded substrate, trace and MTBF/MTTR fault script drive a chaos-mode
-  :class:`~repro.service.server.EmbeddingServer` through a
-  :class:`~repro.service.retry.ResilientClient`; every survivor is released
-  and the drain must leave no capacity in use. ``ok``: a repair ran and the
-  drain is clean.
+* ``smoke``, ``stress``, ``delay_budget`` — a seeded substrate, trace and
+  fault script drive an in-process chaos-mode server one request at a time
+  (``BENCH_<scenario>.json``); an in-process :class:`~repro.engine.tick.ShardTick`
+  fed the same steps must match its ledgers, counters and repairs. ``ok``:
+  a repair ran, the replay matches and no capacity stays in use.
 * ``durability`` — kill -9 a ``serve --wal`` after 8 acknowledged accepts;
   the log alone must hold every one and a restart must report the same
   fingerprint. Then a promoted standby must decide like a never-crashed twin
@@ -21,11 +20,11 @@ unless ``ok``.
   hold exactly the acknowledged active set (``BENCH_rebalance.json``).
 * ``shards`` — a 2-shard ``serve --wal --standby --rebalance`` with chaos on
   ``net1``, so the fault script, the rebalance timer and standby catch-up
-  all run in one process: one load burst per shard, a ``promote`` of ``net0`` that must succeed, then
-  one burst per constraint plugin on the promoted ``net0``, each of which
-  must accept work; a ``snapshot`` before the drain must leave a
-  ``checkpoint`` record in both shard logs (``net0``'s written by the
-  promoted standby).
+  all run in one process: one trace walk per shard, a ``promote`` of
+  ``net0`` that must succeed, then one walk per constraint plugin on the
+  promoted ``net0``, each of which must accept work; a ``snapshot`` before
+  the drain must leave a ``checkpoint`` record in both shard logs
+  (``net0``'s written by the promoted standby).
 
 No wait on a spawned server is unbounded: its output goes to a log file that
 is polled for the listening banner, and every client call and process exit
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -45,13 +45,14 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Awaitable, Callable, Iterator, Mapping, TypeVar
 
 from .config import FlowConfig, NetworkConfig, SfcConfig
+from .constraints.base import ConstraintSet
 from .constraints.registry import parse_constraint_args
-from .engine import DEFAULT_NETWORK_ID, EmbeddingEngine, EmbeddingRequest, ShardRouter
+from .engine import DEFAULT_NETWORK_ID, EmbeddingEngine, EmbeddingRequest, ShardRouter, ShardTick
 from .engine.rebalance import RebalanceConfig, Rebalancer, fragmentation_index
 from .exceptions import ServiceError
 from .faults.model import FaultAction, FaultEvent, FaultSpec, FaultTarget, generate_fault_script
@@ -59,11 +60,9 @@ from .network.cloud import CloudNetwork
 from .network.generator import generate_network
 from .network.reservations import ReservationLedger
 from .service.client import ServiceClient, SubmitOutcome
-from .service.loadgen import run_load
-from .service.retry import ResilientClient, RetryPolicy
 from .service.server import EmbeddingServer, ServiceConfig
 from .sfc.generator import generate_dag_sfc
-from .sim.trace import TraceEvent, generate_trace
+from .sim.trace import ArrivalTrace, generate_trace
 from .utils.rng import as_generator, trial_seed
 from .utils.stats import percentile
 from .wal.log import read_wal, shard_wal_path
@@ -243,12 +242,15 @@ async def _close(client: ServiceClient) -> None:
         pass
 
 
-async def _submit(client: ServiceClient, request: EmbeddingRequest) -> SubmitOutcome:
+async def _submit(
+    client: ServiceClient, request: EmbeddingRequest, network_id: str | None = None
+) -> SubmitOutcome:
     """One submit under :data:`CALL_TIMEOUT_S`."""
     return await asyncio.wait_for(
         client.submit(
             request.request_id, request.dag, request.source, request.dest,
-            rate=request.flow.rate, seed=request.seed,
+            rate=request.flow.rate, seed=request.seed, network_id=network_id,
+            constraints=request.constraints,
         ),
         CALL_TIMEOUT_S,
     )
@@ -293,7 +295,63 @@ def _report(kind: str, solver: str, seed: int, **body: Any) -> dict[str, Any]:
     }
 
 
-# -- fault drills: in-process server, scripted failures ------------------------------
+# -- the trace walk (shared with the shards drill), then the in-process fault drills --
+
+
+@dataclass
+class TraceWalk:
+    """One walk of a trace, in order: its shard steps (as :meth:`ShardTick.step`
+    keyword arguments), its submit outcomes and every repair notice."""
+
+    steps: list[dict[str, Any]] = field(default_factory=list)
+    outcomes: list[SubmitOutcome] = field(default_factory=list)
+    notices: list[dict[str, Any]] = field(default_factory=list)
+
+    def summary(self) -> dict[str, Any]:
+        accepted = sum(1 for o in self.outcomes if o.accepted)
+        rejects = Counter(o.code for o in self.outcomes if not o.accepted and o.code is not None)
+        return {
+            "submitted": len(self.outcomes),
+            "accepted": accepted,
+            "rejects_by_code": dict(sorted(rejects.items())),
+        }
+
+
+async def _walk_trace(
+    client: ServiceClient, trace: ArrivalTrace, *, rng: int, network_id: str | None = None,
+    constraints: ConstraintSet = ConstraintSet.EMPTY, after_op: Callable[[], None] = lambda: None,
+) -> TraceWalk:
+    """Serve ``trace`` one request (so one shard step) at a time, in
+    :meth:`~repro.sim.trace.ArrivalTrace.schedule` order: release the step's
+    departures still active (accepted, no eviction notice: a step's notices
+    precede its reply), then submit its arrivals with seeds drawn from ``rng``."""
+    gen = as_generator(rng)
+    walk = TraceWalk()
+    active: set[int] = set()
+
+    def settle() -> None:
+        while not client.notifications.empty():
+            note = client.notifications.get_nowait()
+            walk.notices.append(note)
+            if note["status"] == "evicted":
+                active.discard(int(note["request_id"]))
+        after_op()
+
+    for departing, arriving in trace.schedule():
+        for rid in [rid for rid in departing if rid in active]:
+            active.discard(rid)
+            walk.steps.append({"releases": [rid]})
+            await _call(client.release(rid, network_id=network_id))
+            settle()
+        for event in arriving:
+            request = replace(event.request, seed=int(gen.integers(2**31)), constraints=constraints)
+            walk.steps.append({"submits": [(request, request.seed)]})
+            outcome = await _submit(client, request, network_id)
+            walk.outcomes.append(outcome)
+            if outcome.accepted:
+                active.add(request.request_id)
+            settle()
+    return walk
 
 
 @dataclass(frozen=True)
@@ -303,130 +361,79 @@ class FaultSetup:
     network: NetworkConfig
     fault: FaultSpec
     trace_steps: int = 80
-    queue_limit: int = 32
-    #: constraint specs attached to every submission (``()`` = unconstrained);
-    #: repairs then re-validate against the same rules.
-    constraints: tuple[Mapping[str, Any], ...] = ()
+    #: ``--constraint`` specs attached to every submission (``()`` =
+    #: unconstrained); repairs then re-validate against the same rules.
+    constraints: tuple[str, ...] = ()
 
 
-#: seed salt for fault-drill streams (network / script / trace / jitter).
+#: seed salt of the fault-drill streams (network, fault script, trace, solve seeds).
 _FAULT_SALT = 0xC405
-#: wall seconds per trace step of the drill's load (the fault script runs
-#: on the shard's own step count).
-_FAULT_TICK_S = 0.01
 _REPAIR_QUANTILES = (("p50", 0.5), ("p95", 0.95), ("max", 1.0))
+_FAULT_COUNTERS = (
+    "faults_injected", "recoveries", "repairs_rerouted", "repairs_reembedded", "evictions",
+)
 
 
 def _fault_drill(name: str, *, solver: str, seed: int) -> dict[str, Any]:
-    return asyncio.run(_fault_drill_async(name, solver=solver, seed=seed))
-
-
-async def _fault_drill_async(name: str, *, solver: str, seed: int) -> dict[str, Any]:
     setup = _FAULT_SETUPS[name]
-
-    def stream(index: int) -> int:
-        return trial_seed(seed, index, salt=_FAULT_SALT)
-
-    network = generate_network(setup.network, rng=stream(0))
-    config = ServiceConfig(
-        solver=solver, queue_limit=setup.queue_limit, batch_size=8, seed=seed,
-        fault_script=generate_fault_script(setup.fault, network, rng=stream(1)),
-    )
+    streams = [trial_seed(seed, index, salt=_FAULT_SALT) for index in range(4)]
+    network = generate_network(setup.network, rng=streams[0])
+    script = generate_fault_script(setup.fault, network, rng=streams[1])
     trace = generate_trace(
         steps=setup.trace_steps, n_nodes=setup.network.size,
         n_vnf_types=setup.network.n_vnf_types, sfc=SfcConfig(),
-        arrival_probability=0.9, mean_hold=40.0, rng=stream(2),
+        arrival_probability=0.9, mean_hold=40.0, rng=streams[2],
     )
-    evicted: set[int] = set()
-    notifications = 0
-    outcomes: list[SubmitOutcome] = []
-    holds: list[asyncio.Task[bool]] = []
+    config = ServiceConfig(solver=solver, seed=seed, fault_script=script)
+    # The ledger after every operation, folded into one digest per side.
+    served_trail, trail = hashlib.sha256(), hashlib.sha256()
 
-    def count_notification(note: dict[str, Any]) -> None:
-        nonlocal notifications
-        notifications += 1
-        if note.get("status") == "evicted":
-            evicted.add(int(note["request_id"]))
+    async def serve() -> tuple[EmbeddingEngine, TraceWalk]:
+        async with EmbeddingServer(network, config) as server:
+            engine = server.router.default
+            async with await ServiceClient.connect(*server.address) as client:
+                walk = await _walk_trace(
+                    client, trace, rng=streams[3],
+                    constraints=parse_constraint_args(setup.constraints),
+                    after_op=lambda: served_trail.update(engine.ledger_fingerprint().encode()),
+                )
+        return engine, walk
 
-    async def watch_notifications(client: ResilientClient) -> None:
-        while True:
-            count_notification(await client.notifications.get())
+    started = time.perf_counter()
+    engine, walk = asyncio.run(serve())
+    duration_s = time.perf_counter() - started
+    times = sorted(engine.repair_times())
+    clean = engine.active_count() == 0 and _residual_clean(engine.ledger)
 
-    async def at_step(step: int) -> None:
-        delay = step * _FAULT_TICK_S - (time.perf_counter() - start)
-        if delay > 0:
-            await asyncio.sleep(delay)
-
-    async def hold_then_release(client: ResilientClient, event: TraceEvent) -> bool:
-        await at_step(event.departure_step)
-        # An eviction may still race this release: the server then answers
-        # ok=False for the unknown id, the right terminal state either way.
-        rid = event.request.request_id
-        return rid not in evicted and await client.release(rid)
-
-    async def submit(client: ResilientClient, event: TraceEvent) -> None:
-        await at_step(event.step)
-        request = event.request
-        outcome = await client.submit(
-            request.request_id, request.dag, request.source, request.dest,
-            rate=request.flow.rate, seed=request.request_id,
-            constraints=list(setup.constraints) or None,
-        )
-        outcomes.append(outcome)
-        if outcome.accepted:
-            holds.append(asyncio.create_task(hold_then_release(client, event)))
-
-    async with EmbeddingServer(network, config, n_vnf_types=setup.network.n_vnf_types) as server:
-        client = ResilientClient(
-            *server.address,
-            policy=RetryPolicy(attempts=5, base_delay=0.01, max_delay=0.2, timeout=60.0),
-            rng=stream(3),
-        )
-        start = time.perf_counter()
-        try:
-            await client.connect()
-            watcher = asyncio.create_task(watch_notifications(client))
-            try:
-                await asyncio.gather(*(submit(client, event) for event in trace))
-                # Holds release every survivor. A step's notifications precede
-                # its replies: count any the watcher has not picked up yet.
-                await asyncio.gather(*holds)
-                while not client.notifications.empty():
-                    count_notification(client.notifications.get_nowait())
-            finally:
-                watcher.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await watcher
-            final = await client.drain(shutdown=False)
-        finally:
-            await client.close()
-        duration_s = time.perf_counter() - start
-        times = sorted(server.repair_times())
-        clean = int(final["active"]) == 0 and _residual_clean(server.ledger)
-
-    counters = final["counters"]
-    rerouted, reembedded, evictions = (
-        int(counters[key]) for key in ("repairs_rerouted", "repairs_reembedded", "evictions")
+    # The oracle: the same operations and seeds, one in-process step each.
+    oracle = EmbeddingEngine(generate_network(setup.network, rng=streams[0]), solver, seed=seed)
+    tick = ShardTick.for_engine(oracle, fault_script=script)
+    repairs: list[tuple[Any, ...]] = []
+    for step in walk.steps:
+        for o in tick.step(**step).repairs:
+            repairs.append((o.request_id, o.action.value, o.detail, o.old_cost, o.new_cost))
+        trail.update(oracle.ledger_fingerprint().encode())
+    keys = ("request_id", "status", "detail", "old_cost", "new_cost")
+    replay_match = (
+        trail.digest() == served_trail.digest()
+        and oracle.counters == engine.counters
+        and repairs == [tuple(note[k] for k in keys) for note in walk.notices]
     )
-    repairs = rerouted + reembedded + evictions
-    accepted = sum(1 for o in outcomes if o.accepted)
-    rejects = Counter(o.code for o in outcomes if not o.accepted and o.code is not None)
-    cost_delta = float(counters["repair_cost_delta"])
-    total_cost = float(counters["total_cost_accepted"])
+
+    counters = engine.counters
+    repaired = counters["repairs_rerouted"] + counters["repairs_reembedded"]
+    repairs_total = repaired + counters["evictions"]
+    summary = walk.summary()
+    accepted = summary["accepted"]
+    cost_delta, total_cost = counters["repair_cost_delta"], counters["total_cost_accepted"]
     return _report(
         "faults", solver, seed,
         scenario=name,
         duration_s=round(duration_s, 3),
-        submitted=len(outcomes),
-        accepted=accepted,
-        rejects_by_code=dict(sorted(rejects.items())),
-        faults_injected=int(counters["faults_injected"]),
-        recoveries=int(counters["recoveries"]),
-        repairs_rerouted=rerouted,
-        repairs_reembedded=reembedded,
-        evictions=evictions,
-        survival_rate=round(1.0 - evictions / accepted if accepted else 1.0, 6),
-        repair_success_rate=round((rerouted + reembedded) / repairs if repairs else 1.0, 6),
+        **summary,
+        **{key: int(counters[key]) for key in _FAULT_COUNTERS},
+        survival_rate=round(1.0 - counters["evictions"] / accepted if accepted else 1.0, 6),
+        repair_success_rate=round(repaired / repairs_total if repairs_total else 1.0, 6),
         repair_cost_delta=round(cost_delta, 3),
         repair_cost_overhead=round(cost_delta / total_cost if total_cost > 0 else 0.0, 6),
         time_to_repair_ms=(
@@ -434,10 +441,11 @@ async def _fault_drill_async(name: str, *, solver: str, seed: int) -> dict[str, 
             if times
             else None
         ),
-        notifications=notifications,
-        client_retries=client.retries,
-        clean_drain=clean,
-        ok=repairs > 0 and clean,
+        notifications=len(walk.notices),
+        ledger_trail=served_trail.hexdigest(),
+        replay_match=replay_match,
+        residual_clean=clean,
+        ok=repairs_total > 0 and clean and replay_match,
     )
 
 
@@ -756,21 +764,17 @@ async def _burst(
     client: ServiceClient, network_id: str, seed: int, first_id: int = 0,
     constraint: str | None = None,
 ) -> dict[str, Any]:
-    """One 60-step open-loop load burst on one shard."""
+    """One 60-step trace walked on one shard."""
     (shard,) = (s for s in client.hello["shards"] if s["network_id"] == network_id)
     trace = generate_trace(
         steps=60, n_nodes=int(shard["n_nodes"]), n_vnf_types=max(1, int(shard["n_vnf_types"])),
         sfc=SfcConfig(size=4), mean_hold=40.0, first_id=first_id, rng=seed,
     )
     constraints = parse_constraint_args([constraint] if constraint else None)
-    report = await _call(
-        run_load(
-            client, trace, tick_s=0.01, rng=seed + 1, network_id=network_id,
-            constraints=constraints or None,
-        )
+    walk = await _walk_trace(
+        client, trace, rng=seed + 1, network_id=network_id, constraints=constraints
     )
-    doc = report.to_dict()
-    return {k: doc[k] for k in ("submitted", "accepted", "rejects_by_code", "acceptance_ratio")}
+    return walk.summary()
 
 
 async def _shard_bursts(
@@ -782,10 +786,7 @@ async def _shard_bursts(
     taken before the drain, and each shard's rebalance cycle count then."""
     client = await _call(ServiceClient.connect(server.host, server.port))
     try:
-        net0, net1 = await asyncio.gather(
-            _burst(client, "net0", seed + 6), _burst(client, "net1", seed + 4)
-        )
-        bursts = {"net0": net0, "net1": net1}
+        bursts = {nid: await _burst(client, nid, seed + s) for nid, s in (("net0", 6), ("net1", 4))}
         try:
             reply = await asyncio.wait_for(client.promote(network_id="net0"), CALL_TIMEOUT_S)
             promoted = reply["type"]
@@ -860,12 +861,9 @@ _FAULT_SETUPS = {
         NetworkConfig(size=60, n_vnf_types=8),
         FaultSpec(horizon=200, node_mtbf=40.0, link_mtbf=25.0, instance_mtbf=50.0),
         trace_steps=250,
-        queue_limit=64,
     ),
     "delay_budget": FaultSetup(
-        NetworkConfig(size=25, n_vnf_types=6),
-        _SMOKE_FAULTS,
-        constraints=({"kind": "delay", "budget": 14.0},),
+        NetworkConfig(size=25, n_vnf_types=6), _SMOKE_FAULTS, constraints=("delay:budget=14.0",)
     ),
 }
 

@@ -190,9 +190,11 @@ class ProtocolError(ServiceError):
 class ServiceUnavailable(ServiceError):
     """The service connection was lost or refused while a request was in flight.
 
-    The typed signal the client retry layer acts on: raised for connection
-    resets, unexpected EOF, and refused reconnects — never for structured
-    rejections (those come back as :class:`~repro.service.client.SubmitOutcome`).
+    Raised by :class:`~repro.service.client.ServiceClient` on every in-flight
+    call when the connection resets, hits EOF mid-request or fails a write,
+    and on any call made after that; a caller tells a dead transport from a
+    decision by this type. Never raised for structured rejections (those
+    come back as :class:`~repro.service.client.SubmitOutcome`).
     """
 
 

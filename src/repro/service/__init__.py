@@ -12,7 +12,6 @@ substrate networks, one engine each.
 * :mod:`repro.service.protocol` — the versioned JSON-lines wire protocol;
 * :mod:`repro.service.server` — the transport (queueing, dispatch, shards);
 * :mod:`repro.service.client` — multiplexing async client;
-* :mod:`repro.service.retry` — bounded-retry client wrapper (chaos-safe);
 * :mod:`repro.service.loadgen` — open/closed-loop load generation.
 
 See ``docs/serving.md`` for the architecture and failure modes, and
@@ -29,14 +28,11 @@ from .protocol import (
     SubmitIntent,
 )
 from ..engine.state_store import network_fingerprint
-from .retry import ResilientClient, RetryPolicy
 from .server import EmbeddingServer, ServiceConfig
 
 __all__ = [
     "ServiceClient",
     "SubmitOutcome",
-    "ResilientClient",
-    "RetryPolicy",
     "LoadReport",
     "run_load",
     "write_report",

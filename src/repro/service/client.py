@@ -10,8 +10,8 @@ micro-batching reorders decisions.
 Two failure/notification channels matter under faults:
 
 * a broken transport (reset, EOF mid-request, failed write) surfaces as
-  :class:`~repro.exceptions.ServiceUnavailable` on every in-flight call —
-  the typed signal :class:`~repro.service.retry.ResilientClient` retries on;
+  :class:`~repro.exceptions.ServiceUnavailable` on every in-flight call and
+  on every later one, so a caller never waits on a dead connection;
 * unsolicited server pushes (``type: "notify"`` — repair/eviction events
   for this connection's accepted requests) land in :attr:`notifications`
   instead of being dropped.
@@ -144,7 +144,7 @@ class ServiceClient:
                 message = await protocol.read_message(self._reader)
                 if message is None:
                     # EOF with requests still in flight is a transport
-                    # failure, not a reply: surface the retryable type.
+                    # failure, not a reply: surface the typed error.
                     self._fail_pending(
                         ServiceUnavailable("server closed the connection")
                     )

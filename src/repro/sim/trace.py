@@ -67,6 +67,17 @@ class ArrivalTrace:
             out.setdefault(ev.departure_step, []).append(ev.request.request_id)
         return out
 
+    def schedule(self, until: int = 0) -> Iterator[tuple[list[int], list[TraceEvent]]]:
+        """Per step, from 0 through the last departure (or ``until`` if
+        later): the ids departing at it and its arrivals, in trace order.
+        The one step order every driver of a trace follows."""
+        departures = self.departures_by_step()
+        arrivals: dict[int, list[TraceEvent]] = {}
+        for ev in self.events:
+            arrivals.setdefault(ev.step, []).append(ev)
+        for step in range(max(self.steps, max(departures, default=0), until) + 1):
+            yield departures.get(step, []), arrivals.get(step, [])
+
 
 def generate_trace(
     *,
@@ -138,18 +149,11 @@ def replay(
     """
     gen = as_generator(rng)
     tick = ShardTick.for_engine(engine, fault_script=faults)
-    departures = trace.departures_by_step()
-    arrivals_by_step: dict[int, list[TraceEvent]] = {}
-    for ev in trace:
-        arrivals_by_step.setdefault(ev.step, []).append(ev)
-    last = max(trace.steps, max(departures, default=0), *(e.time for e in faults or ()))
     outcomes: list[RepairOutcome] = []
-    for step in range(last + 1):
+    for departing, arriving in trace.schedule(until=max((e.time for e in faults or ()), default=0)):
         result = tick.step(
-            releases=[rid for rid in departures.get(step, ()) if engine.is_active(rid)],
-            submits=[
-                (ev.request, int(gen.integers(2**31))) for ev in arrivals_by_step.get(step, ())
-            ],
+            releases=[rid for rid in departing if engine.is_active(rid)],
+            submits=[(ev.request, int(gen.integers(2**31))) for ev in arriving],
         )
         outcomes.extend(result.repairs)
     return outcomes

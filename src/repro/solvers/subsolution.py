@@ -3,15 +3,17 @@
 A *sub-solution* is a feasible embedding of one layer: placements for the
 layer's positions, real-paths for its inter- and inner-layer meta-paths, the
 layer's end node, and the cumulative cost/resource usage along the chain back
-to the root. Sub-solutions link to their parent (the previous layer's
-sub-solution they extend) — the bi-directed parent/child links the paper
-describes — forming the sub-solution tree whose layer-``omega+1`` leaves are
-complete candidate solutions.
+to the root. Each sub-solution links up to its parent (the previous layer's
+sub-solution it extends); the tree indexes them by layer, and its
+layer-``omega+1`` leaves are complete candidate solutions. The paper's tree
+is bi-directed, but nothing here walks it downwards, so there are no
+parent → child links: a solve's tree then holds no reference cycle and is
+freed by reference counting as soon as the solve returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from ..embedding.mapping import Embedding
@@ -38,7 +40,6 @@ class SubSolution:
     vnf_counts: Mapping[tuple[NodeId, VnfTypeId], int]
     #: cumulative charged link uses *after* this layer (eq. 8 state).
     link_counts: Mapping[EdgeKey, int]
-    children: list["SubSolution"] = field(default_factory=list)
 
     @staticmethod
     def root(source: NodeId) -> "SubSolution":
@@ -97,9 +98,9 @@ class SubSolutionTree:
 
     Layer 0 holds the root (source, zero cost); layers ``1..omega`` the
     per-layer sub-solutions; layer ``omega+1`` the completed candidates
-    (end node connected to the destination). Down-links (``children``) serve
-    generation/traversal; up-links (``parent``) let a leaf reconstruct its
-    full solution without re-walking the tree from the root.
+    (end node connected to the destination). Generation walks the layer
+    index; up-links (``parent``) let a leaf reconstruct its full solution
+    without re-walking the tree from the root.
     """
 
     def __init__(self, source: NodeId) -> None:
@@ -112,14 +113,13 @@ class SubSolutionTree:
         return self._root
 
     def insert(self, parent: SubSolution, child: SubSolution) -> None:
-        """Attach ``child`` under ``parent`` and index it by layer."""
+        """Index ``child``, which extends ``parent``, by its layer."""
         if child.parent is not parent:
             raise ValueError("child.parent must be the given parent")
         if child.layer != parent.layer + 1:
             raise ValueError(
                 f"child layer {child.layer} must follow parent layer {parent.layer}"
             )
-        parent.children.append(child)
         self._layers.setdefault(child.layer, []).append(child)
 
     def layer_nodes(self, layer: int) -> list[SubSolution]:

@@ -3,10 +3,14 @@ follows it, and no subprocess wait can hang.
 
 The drills themselves run end to end through ``repro.cli.main`` (a few
 seconds each): the in-process fault drills, the kill -9 durability and
-rebalance drills, and the 2-shard serve drill.
+rebalance drills, and the 2-shard serve drill. Every drill but ``shards``
+must reproduce its committed ``BENCH_<scenario>.json``. ``stress`` takes
+about 15 s, so it runs only with ``REPRO_SLOW_DRILLS=1`` (CI's stress leg
+sets it).
 """
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -19,10 +23,7 @@ from repro.drill import DRILLS, Drill, DrillTimeout, run_drill, spawn_server
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "scenario, seed",
-    [("smoke", 5), ("delay_budget", 5), ("shards", 5)],
-)
+@pytest.mark.parametrize("scenario, seed", [("shards", 5)])
 def test_drill_passes(scenario, seed, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["drill", scenario, "--seed", str(seed), "--out", str(out)]) == 0
@@ -42,25 +43,45 @@ def flatten(doc, prefix=""):
     return out
 
 
-#: fields that depend on wall-clock timing rather than on the seed.
-TIMING_FIELDS = {
+#: fields that depend on wall-clock timing rather than on the seed, matched
+#: by prefix: ``time_to_repair_ms`` is a table, or null when no repair ran.
+TIMING_FIELDS = (
     "crash.recovery_time_s",
     "promotion.promotion_time_s",
     "live.cycles_time_s",
-}
+    "duration_s",
+    "time_to_repair_ms",
+)
 
 
-@pytest.mark.parametrize("scenario", ["durability", "rebalance"])
+def seeded(doc):
+    """The report's fields that the seed decides, flattened."""
+    return {
+        key: value
+        for key, value in flatten(doc).items()
+        if not any(key == field or key.startswith(f"{field}.") for field in TIMING_FIELDS)
+    }
+
+
+slow = pytest.mark.skipif(
+    os.environ.get("REPRO_SLOW_DRILLS") != "1", reason="set REPRO_SLOW_DRILLS=1 to run"
+)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ["durability", "rebalance", "smoke", "delay_budget", pytest.param("stress", marks=slow)],
+)
 def test_drill_reproduces_the_committed_bench(scenario, tmp_path):
-    """The committed BENCH_<scenario>.json is a drill output: same format,
-    same fields, and the same values wherever the seed decides them."""
-    committed = flatten(json.loads((ROOT / f"BENCH_{scenario}.json").read_text()))
+    """The committed BENCH_<scenario>.json is a drill output at the drill's
+    default seed: same format, same fields, and the same values wherever
+    the seed decides them."""
+    committed = seeded(json.loads((ROOT / f"BENCH_{scenario}.json").read_text()))
     out = tmp_path / "report.json"
-    assert main(["drill", scenario, "--seed", "1", "--out", str(out)]) == 0
-    fresh = flatten(json.loads(out.read_text()))
-    assert set(fresh) == set(committed)
-    for key in set(committed) - TIMING_FIELDS:
-        assert fresh[key] == committed[key], key
+    assert main(["drill", scenario, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["ok"] is True and report["seed"] == DRILLS[scenario].default_seed
+    assert seeded(report) == committed
 
 
 def test_unknown_scenario_exits_2_and_names_the_registry(capsys):

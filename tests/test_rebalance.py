@@ -11,8 +11,8 @@
 * determinism — identically seeded engines produce identical cycles,
   in-process and as requested cycles of ``ShardTick.step``;
 * the wire — the ``rebalance`` verb (cycle + inspect), per-shard stats,
-  degraded pause/resume over a live server, the background pump, churny
-  load generation, and :class:`ResilientClient` retries.
+  degraded pause/resume over a live server, the background pump and churny
+  load generation.
 
 Plain ``asyncio.run`` per test — no asyncio pytest plugin is assumed.
 """
@@ -36,17 +36,11 @@ from repro.engine import (
     fragmentation_index,
     shard_wal_path,
 )
-from repro.exceptions import ConfigurationError, ServiceUnavailable
+from repro.exceptions import ConfigurationError
 from repro.faults.model import FaultAction, FaultEvent, FaultTarget
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
-from repro.service import (
-    EmbeddingServer,
-    ResilientClient,
-    RetryPolicy,
-    ServiceClient,
-    ServiceConfig,
-)
+from repro.service import EmbeddingServer, ServiceClient, ServiceConfig
 from repro.service.loadgen import run_load
 from repro.sfc.generator import generate_dag_sfc
 from repro.sim.trace import generate_trace
@@ -586,39 +580,3 @@ class TestLoadgenChurn:
         )
         with pytest.raises(ConfigurationError, match="churn"):
             run(run_load(None, trace, churn=1.5))
-
-
-class TestResilientRebalance:
-    def test_retries_then_raises_typed_error_when_server_is_gone(self):
-        network = service_network(seed=37)
-
-        async def drive():
-            server = EmbeddingServer(network, ServiceConfig())
-            host, port = await server.start()
-            await server.stop()
-            policy = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.02)
-            rc = ResilientClient(host, port, policy=policy, rng=1)
-            with pytest.raises(ServiceUnavailable):
-                await rc.rebalance()
-            with pytest.raises(ServiceUnavailable):
-                await rc.promote()
-            retries = rc.retries
-            await rc.close()
-            return retries
-
-        assert run(drive()) >= 2
-
-    def test_rebalance_and_promote_ride_through_a_live_server(self):
-        network = service_network(seed=41)
-
-        async def drive():
-            async with EmbeddingServer(network, ServiceConfig()) as server:
-                host, port = server.address
-                policy = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.05)
-                async with ResilientClient(host, port, policy=policy, rng=2) as rc:
-                    reply = await rc.rebalance(inspect=True)
-            return reply
-
-        reply = run(drive())
-        assert reply["type"] == "rebalanced"
-        assert reply["rebalance"]["cycles"] == 0

@@ -8,9 +8,8 @@ injected events) and drives it with real clients. The central properties:
   releasing the survivors leaves the server empty;
 * repair outcomes reach the submitting connection as structured `notify`
   pushes with the documented status vocabulary;
-* while degraded the server sheds with the retryable code ``degraded``,
-  and :class:`~repro.service.retry.ResilientClient` rides out transient
-  sheds and surfaces hard connection loss as typed
+* while degraded the server sheds with the self-describing code
+  ``degraded``, and a lost connection surfaces as the typed
   :class:`~repro.exceptions.ServiceUnavailable`.
 
 Plain ``asyncio.run`` per test — no asyncio pytest plugin is assumed.
@@ -32,13 +31,7 @@ from repro.faults.model import (
     generate_fault_script,
 )
 from repro.network.generator import generate_network
-from repro.service import (
-    EmbeddingServer,
-    ResilientClient,
-    RetryPolicy,
-    ServiceClient,
-    ServiceConfig,
-)
+from repro.service import EmbeddingServer, ServiceClient, ServiceConfig
 from repro.service.protocol import NOTIFY_STATUSES
 from repro.sfc.generator import generate_dag_sfc
 from repro.utils.rng import as_generator
@@ -324,39 +317,6 @@ class TestChaosEndToEnd:
         assert all(o.reason for o in shed)
         assert final["counters"]["shed_degraded"] == len(shed)
 
-    def test_resilient_client_rides_out_transient_sheds(self):
-        network = chaos_network(seed=7)
-        config = ServiceConfig(batch_size=1, queue_limit=1)
-        workload = make_workload(network, 6, seed=9)
-
-        async def drive():
-            async with EmbeddingServer(network, config) as server:
-                host, port = server.address
-                policy = RetryPolicy(attempts=10, base_delay=0.02, max_delay=0.2)
-                # Park the dispatcher at a hold for a while so the burst
-                # collides with the one-slot queue.
-                release = asyncio.Event()
-                await server._barrier(release)
-                asyncio.get_running_loop().call_later(0.1, release.set)
-                async with ResilientClient(host, port, policy=policy, rng=4) as rc:
-                    outcomes = await asyncio.gather(
-                        *(
-                            rc.submit(rid, dag, src, dst, rate=rate, seed=s)
-                            for rid, dag, src, dst, rate, s in workload
-                        )
-                    )
-                    retries = rc.retries
-                    await rc.drain()
-            return outcomes, retries
-
-        outcomes, retries = run(drive())
-        # queue_limit=1 guarantees the 6-wide burst collides; the retrying
-        # client must absorb every queue_full shed and land all submits.
-        assert retries > 0
-        assert all(o.accepted for o in outcomes), [
-            (o.request_id, o.code) for o in outcomes
-        ]
-
     def test_connection_loss_surfaces_as_service_unavailable(self):
         network = chaos_network(seed=13)
 
@@ -368,12 +328,5 @@ class TestChaosEndToEnd:
             with pytest.raises(ServiceUnavailable):
                 await client.stats()
             await client.close()
-            # The retrying client's reconnect budget is bounded: with the
-            # server gone it raises the typed error instead of spinning.
-            policy = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.02)
-            rc = ResilientClient(host, port, policy=policy, rng=1)
-            with pytest.raises(ServiceUnavailable):
-                await rc.stats()
-            await rc.close()
 
         run(drive())

@@ -53,7 +53,7 @@ class TestSubSolutionChain:
         )
         tree.insert(tree.root, child)
         assert tree.layer_nodes(1) == [child]
-        assert tree.root.children == [child]
+        assert tree.layer_nodes(0) == [tree.root]
         assert tree.size() == 2
         assert tree.depth() == 1
         assert tree.cheapest(1) is child
