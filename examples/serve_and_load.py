@@ -7,7 +7,7 @@ arrival trace — the same moving parts `dag-sfc serve` / `dag-sfc loadgen`
 wire up across two processes (see docs/serving.md). The server writes one
 write-ahead log per shard into a temporary directory; the `snapshot` verb
 appends a checkpoint to it, and a second server restarted through
-`ShardRouter.restore` (the last checkpoint plus the records after it) shows
+`restore_shards` (the last checkpoint plus the records after it) shows
 that the restored residual capacity is identical.
 
 Run:  python examples/serve_and_load.py
@@ -17,7 +17,7 @@ import asyncio
 import tempfile
 
 from repro import NetworkConfig, SfcConfig, generate_network
-from repro.engine import DEFAULT_NETWORK_ID, ShardRouter
+from repro.engine import DEFAULT_NETWORK_ID, restore_shards
 from repro.service import EmbeddingServer, ServiceClient, ServiceConfig
 from repro.service.loadgen import run_load
 from repro.sim.trace import generate_trace
@@ -54,14 +54,14 @@ async def main(wal_dir: str) -> None:
             seq = reply["checkpoints"][DEFAULT_NETWORK_ID]
             print(f"\nsnapshot: {reply['active']} active reservations -> "
                   f"checkpoint at WAL seq {seq}")
-        before = server.router.default.ledger_fingerprint()
+        before = server.shard_tick().engine.ledger_fingerprint()
 
     # "Crash", then resume a fresh server from the shard's log.
-    router, leftovers = ShardRouter.restore(
+    engines, leftovers = restore_shards(
         {DEFAULT_NETWORK_ID: network}, config.solver, wal_dir, seed=SEED
     )
-    async with EmbeddingServer(router, config, transport_counters=leftovers) as server:
-        same = server.router.default.ledger_fingerprint() == before
+    async with EmbeddingServer(engines, config, transport_counters=leftovers) as server:
+        same = server.shard_tick().engine.ledger_fingerprint() == before
         print(f"restarted from the WAL: {len(server.ledger)} reservations restored, "
               f"residual state identical: {same}")
         assert same

@@ -572,7 +572,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Generate the substrate(s), then serve until drained (Ctrl-C also stops)."""
     import asyncio
 
-    from .engine import RebalanceConfig, ShardRouter
+    from .engine import RebalanceConfig, restore_shards
     from .service import EmbeddingServer, ServiceConfig
 
     if args.shards < 1:
@@ -636,14 +636,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Each shard: its log's last checkpoint + the records after it. The
         # checkpoint's counters carry the transport keys alongside the
         # engine's; the leftovers rehydrate them.
-        router, leftovers = ShardRouter.restore(
-            networks, args.solver, args.wal, seed=args.seed
-        )
+        engines, leftovers = restore_shards(networks, args.solver, args.wal, seed=args.seed)
         print(
-            f"resumed {router.active_count()} active reservations across "
-            f"{len(router)} shard(s) from {args.wal}"
+            f"resumed {sum(e.active_count() for e in engines.values())} active "
+            f"reservations across {len(engines)} shard(s) from {args.wal}"
         )
-        server_target: Any = router
+        server_target: Any = engines
         server_kwargs = {"transport_counters": leftovers}
         if args.shards == 1:
             server_kwargs["n_vnf_types"] = args.n_vnf_types

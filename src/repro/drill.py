@@ -52,7 +52,7 @@ from typing import Any, Awaitable, Callable, Iterator, Mapping, TypeVar
 from .config import FlowConfig, NetworkConfig, SfcConfig
 from .constraints.base import ConstraintSet
 from .constraints.registry import parse_constraint_args
-from .engine import DEFAULT_NETWORK_ID, EmbeddingEngine, EmbeddingRequest, ShardRouter, ShardTick
+from .engine import DEFAULT_NETWORK_ID, EmbeddingEngine, EmbeddingRequest, ShardTick
 from .engine.rebalance import RebalanceConfig, Rebalancer, fragmentation_index
 from .exceptions import ServiceError
 from .faults.model import FaultAction, FaultEvent, FaultSpec, FaultTarget, generate_fault_script
@@ -64,7 +64,7 @@ from .service.server import EmbeddingServer, ServiceConfig
 from .sfc.generator import generate_dag_sfc
 from .sim.trace import ArrivalTrace, generate_trace
 from .utils.rng import as_generator, trial_seed
-from .utils.stats import percentile
+from .utils.stats import p50_p95_max
 from .wal.log import read_wal, shard_wal_path
 from .wal.standby import StandbyEngine
 
@@ -368,7 +368,6 @@ class FaultSetup:
 
 #: seed salt of the fault-drill streams (network, fault script, trace, solve seeds).
 _FAULT_SALT = 0xC405
-_REPAIR_QUANTILES = (("p50", 0.5), ("p95", 0.95), ("max", 1.0))
 _FAULT_COUNTERS = (
     "faults_injected", "recoveries", "repairs_rerouted", "repairs_reembedded", "evictions",
 )
@@ -390,7 +389,7 @@ def _fault_drill(name: str, *, solver: str, seed: int) -> dict[str, Any]:
 
     async def serve() -> tuple[EmbeddingEngine, TraceWalk]:
         async with EmbeddingServer(network, config) as server:
-            engine = server.router.default
+            engine = server.shard_tick().engine
             async with await ServiceClient.connect(*server.address) as client:
                 walk = await _walk_trace(
                     client, trace, rng=streams[3],
@@ -402,12 +401,12 @@ def _fault_drill(name: str, *, solver: str, seed: int) -> dict[str, Any]:
     started = time.perf_counter()
     engine, walk = asyncio.run(serve())
     duration_s = time.perf_counter() - started
-    times = sorted(engine.repair_times())
+    repair_s = p50_p95_max(engine.repair_times())
     clean = engine.active_count() == 0 and _residual_clean(engine.ledger)
 
     # The oracle: the same operations and seeds, one in-process step each.
     oracle = EmbeddingEngine(generate_network(setup.network, rng=streams[0]), solver, seed=seed)
-    tick = ShardTick.for_engine(oracle, fault_script=script)
+    tick = ShardTick(oracle, fault_script=script)
     repairs: list[tuple[Any, ...]] = []
     for step in walk.steps:
         for o in tick.step(**step).repairs:
@@ -437,9 +436,7 @@ def _fault_drill(name: str, *, solver: str, seed: int) -> dict[str, Any]:
         repair_cost_delta=round(cost_delta, 3),
         repair_cost_overhead=round(cost_delta / total_cost if total_cost > 0 else 0.0, 6),
         time_to_repair_ms=(
-            {q: round(percentile(times, f) * 1e3, 3) for q, f in _REPAIR_QUANTILES}
-            if times
-            else None
+            {q: round(s * 1e3, 3) for q, s in repair_s.items()} if repair_s else None
         ),
         notifications=len(walk.notices),
         ledger_trail=served_trail.hexdigest(),
@@ -512,10 +509,8 @@ def _durability_promotion(*, solver: str, seed: int, workdir: str) -> dict[str, 
     primary = EmbeddingEngine(network, solver, seed=seed)
     primary.attach_wal_file(wal_path, network_id=DEFAULT_NETWORK_ID)
     twin = EmbeddingEngine(network, solver, seed=seed)
-    router = ShardRouter({DEFAULT_NETWORK_ID: primary})
-    router.attach_standby(
-        DEFAULT_NETWORK_ID, StandbyEngine(network, solver, wal_path, seed=seed)
-    )
+    tick = ShardTick(primary)
+    tick.standby = StandbyEngine(network, solver, wal_path, seed=seed)
 
     for request in batch1:
         primary.submit(request, rng=request.seed)
@@ -537,7 +532,7 @@ def _durability_promotion(*, solver: str, seed: int, workdir: str) -> dict[str, 
     # Fail-over: the primary "dies" with that record still buffered; the
     # standby catches up from the synced log and takes over.
     started = time.perf_counter()
-    promoted = router.promote(DEFAULT_NETWORK_ID)
+    promoted = tick.promote()
     promotion_time_s = time.perf_counter() - started
 
     identical = promoted.ledger_fingerprint() == twin.ledger_fingerprint()
@@ -863,7 +858,7 @@ _FAULT_SETUPS = {
         trace_steps=250,
     ),
     "delay_budget": FaultSetup(
-        NetworkConfig(size=25, n_vnf_types=6), _SMOKE_FAULTS, constraints=("delay:budget=14.0",)
+        NetworkConfig(size=25, n_vnf_types=6), _SMOKE_FAULTS, constraints=("delay:budget=7.0",)
     ),
 }
 
@@ -875,7 +870,7 @@ DRILLS: dict[str, Drill] = {
               partial(_fault_drill, "smoke"), 5),
         Drill("stress", "in-process faults: larger substrate, sustained churn",
               partial(_fault_drill, "stress"), 5),
-        Drill("delay_budget", "smoke under a delay budget; repairs stay inside it or evict",
+        Drill("delay_budget", "smoke under a binding delay budget; repairs stay inside it or evict",
               partial(_fault_drill, "delay_budget"), 5),
         Drill("durability", "kill -9 a serve --wal, recover from the log; promote a standby",
               _durability, 1),

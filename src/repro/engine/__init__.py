@@ -9,11 +9,11 @@ Offline replay and the server are both thin drivers over it now:
   type the sim, the wire protocol, and the engine all share;
 * :mod:`repro.engine.core` — :class:`EmbeddingEngine` (ledger + fault state
   + repair ladder + decision logic) and its :class:`Decision` verdicts;
-* :mod:`repro.engine.router` — :class:`ShardRouter`, mapping ``network_id``
-  → engine for multi-network sharding;
-* :mod:`repro.engine.tick` — :class:`ShardTick`, the one synchronous
-  step (releases → faults → submits → rebalance → WAL sync) that both the
-  service dispatcher and offline replay run, counted as the shard's clock;
+* :mod:`repro.engine.tick` — :class:`ShardTick`, one shard: its engine,
+  its optional warm standby, and the one synchronous step (releases →
+  faults → submits → rebalance → WAL sync) that both the service
+  dispatcher and offline replay run, counted as the shard's clock; plus
+  :func:`restore_shards`, which rebuilds every shard from its own log;
 * :mod:`repro.engine.rebalance` — :class:`Rebalancer`, the background
   defrag loop planning pinned re-embeds and applying them through the
   engine's atomic :meth:`~repro.engine.core.EmbeddingEngine.migrate`;
@@ -45,8 +45,13 @@ from .rebalance import (
     fragmentation_index,
 )
 from .request import EmbeddingRequest
-from .router import DEFAULT_NETWORK_ID, ShardRouter, advertised_vnf_types
-from .tick import ShardTick, StepResult
+from .tick import (
+    DEFAULT_NETWORK_ID,
+    ShardTick,
+    StepResult,
+    advertised_vnf_types,
+    restore_shards,
+)
 from .state_store import network_fingerprint
 
 __all__ = [
@@ -63,10 +68,10 @@ __all__ = [
     "Rebalancer",
     "fragmentation_index",
     "DEFAULT_NETWORK_ID",
-    "ShardRouter",
     "ShardTick",
     "StepResult",
     "advertised_vnf_types",
+    "restore_shards",
     "RepairAction",
     "RepairOutcome",
     "Reservation",

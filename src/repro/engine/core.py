@@ -60,7 +60,7 @@ from ..network.reservations import Reservation, ReservationLedger
 from ..network.state import ResidualState
 from ..solvers.registry import make_solver
 from ..utils.rng import RngStream, trial_seed
-from ..utils.stats import percentile
+from ..utils.stats import p50_p95_max
 from ..wal import records as wal_records
 from ..wal.log import WalRecord, WalWriter, read_wal
 from . import state_store
@@ -748,7 +748,6 @@ class EmbeddingEngine:
         accepted = self.counters["accepted"]
         dispatched = self.counters["dispatched"]
         dead_nodes, dead_links, dead_instances = self._faults.dead_sets()
-        times = sorted(self._repair_times)
         return {
             "counters": {key: self.counters[key] for key in ENGINE_COUNTER_KEYS},
             "acceptance_ratio": accepted / dispatched if dispatched else 1.0,
@@ -762,15 +761,7 @@ class EmbeddingEngine:
                 "dead_links": len(dead_links),
                 "dead_instances": len(dead_instances),
                 "tracked_embeddings": len(self._tracked),
-                "repair_time_s": (
-                    {
-                        "p50": percentile(times, 0.50),
-                        "p95": percentile(times, 0.95),
-                        "max": times[-1],
-                    }
-                    if times
-                    else None
-                ),
+                "repair_time_s": p50_p95_max(self._repair_times),
             },
         }
 

@@ -1,4 +1,4 @@
-"""One shard step: the phase order every driver of a shard runs.
+"""One shard: its engine, its standby, and the step every driver runs.
 
 :meth:`ShardTick.step` is the only implementation of the per-step phase
 order: **releases**, then **faults** (the due fault script first, then the
@@ -15,27 +15,47 @@ number of steps run so far. A fault script event is due once its
 ``time`` (a trace step) is at most ``now``, and a timer rebalance cycle
 runs every ``interval`` steps. No wall clock decides anything here, so a
 shard's decisions depend on its inputs alone, never on host speed, and an
-idle shard's time stands still. Nothing here touches asyncio. The engine
-and standby are read through the :class:`~repro.engine.router.ShardRouter`,
-so a promotion is seen at once and the standby has one owner.
+idle shard's time stands still. Nothing here touches asyncio.
+
+A tick is the whole shard: it holds the engine and its optional warm
+standby as plain attributes, and :meth:`ShardTick.promote` swaps one for
+the other. :func:`restore_shards` rebuilds every shard's engine from its
+own write-ahead log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from ..embedding.base import EmbeddingResult
-from ..exceptions import ConfigurationError
+from ..embedding.base import Embedder, EmbeddingResult
+from ..exceptions import ConfigurationError, WalError
 from ..faults.model import FaultEvent, FaultScript
 from ..faults.repair import RepairOutcome
 from ..network.cloud import CloudNetwork
+from ..wal.log import logged_shard_ids, shard_wal_path
+from ..wal.standby import StandbyEngine
 from .core import Decision, EmbeddingEngine
 from .rebalance import RebalanceConfig, RebalanceReport, Rebalancer
 from .request import EmbeddingRequest
-from .router import DEFAULT_NETWORK_ID, ShardRouter
 
-__all__ = ["ShardTick", "StepResult"]
+__all__ = [
+    "DEFAULT_NETWORK_ID",
+    "ShardTick",
+    "StepResult",
+    "advertised_vnf_types",
+    "restore_shards",
+]
+
+#: the network id assigned when a single bare network is served.
+DEFAULT_NETWORK_ID = "net0"
+
+
+def advertised_vnf_types(network: CloudNetwork) -> int:
+    """Catalog size advertised for one substrate (drives client trace
+    generation): the largest deployed regular VNF category."""
+    return max((t for t in network.deployments.deployed_types if t > 0), default=0)
+
 
 #: ``solve(engine, request, view, seed)``: one submit's solve on ``view``.
 SolveFn = Callable[[EmbeddingEngine, EmbeddingRequest, CloudNetwork, int], EmbeddingResult]
@@ -64,7 +84,7 @@ class StepResult:
 
 
 class ShardTick:
-    """The phase order and the step clock of one shard.
+    """One shard: its engine, its optional standby, its phase order and step clock.
 
     ``fault_script`` events apply in the step whose :attr:`now` first
     reaches their ``time``; ``rebalance`` (None = no timer cycles) runs a
@@ -74,18 +94,19 @@ class ShardTick:
 
     def __init__(
         self,
-        router: ShardRouter,
-        network_id: str,
+        engine: EmbeddingEngine,
         *,
         fault_script: FaultScript | None = None,
         rebalance: RebalanceConfig | None = None,
     ) -> None:
-        self._router = router
-        self.network_id = network_id
+        #: the shard's current primary (:meth:`promote` replaces it).
+        self.engine = engine
+        #: the WAL-tailing warm standby :meth:`promote` swaps in, if any.
+        self.standby: StandbyEngine | None = None
         self._interval = None if rebalance is None else rebalance.interval
         #: the defrag loop; always present so requested cycles work
         #: without timer cycles configured.
-        self.rebalancer = Rebalancer(self.engine, rebalance)
+        self.rebalancer = Rebalancer(engine, rebalance)
         self._script: tuple[FaultEvent, ...] = tuple(fault_script or ())
         self._next_fault = 0
         #: steps run so far; the step running now sees this count.
@@ -93,30 +114,7 @@ class ShardTick:
         #: set once the shard drains: no further timer cycle runs.
         self.draining = False
 
-    @classmethod
-    def for_engine(
-        cls,
-        engine: EmbeddingEngine,
-        *,
-        fault_script: FaultScript | None = None,
-        rebalance: RebalanceConfig | None = None,
-    ) -> "ShardTick":
-        """A timer-free tick over one bare engine; ``rebalance`` sets requested cycles' rails."""
-        router = ShardRouter({DEFAULT_NETWORK_ID: engine})
-        tick = cls(router, DEFAULT_NETWORK_ID, fault_script=fault_script, rebalance=rebalance)
-        tick._interval = None
-        return tick
-
     # -- reads (cheap; safe on the event loop) ----------------------------------------
-
-    @property
-    def engine(self) -> EmbeddingEngine:
-        """The shard's current primary (follows promotions)."""
-        return self._router.get(self.network_id)
-
-    @property
-    def has_standby(self) -> bool:
-        return self._router.has_standby(self.network_id)
 
     @property
     def chaos_complete(self) -> bool:
@@ -188,18 +186,53 @@ class ShardTick:
             synced=synced,
         )
 
-    # -- standby (not part of the phase order) ------------------------------------------
-
-    def poll_standby(self) -> int:
-        """Fold every synced record into the standby; returns the count."""
-        standby = self._router.get_standby(self.network_id)
-        return 0 if standby is None else standby.poll()
+    # -- promotion (not part of the phase order) ---------------------------------------
 
     def promote(self) -> EmbeddingEngine:
-        """Swap the primary for its caught-up standby (see ``ShardRouter.promote``).
+        """Swap a dead primary for its caught-up standby (blocking file IO).
 
-        The rebalancer is rebuilt over the promoted engine.
+        Abandons the old primary's writer (it may be gone already; a dead
+        process holds no lock we could check), promotes the standby into a
+        fully caught-up engine writing to the same log, and rebuilds the
+        rebalancer over it. Returns the new primary.
         """
-        engine = self._router.promote(self.network_id)
-        self.rebalancer = Rebalancer(engine, self.rebalancer.config)
-        return engine
+        standby, self.standby = self.standby, None
+        if standby is None:
+            raise ConfigurationError("this shard has no standby attached")
+        # Abandon, never sync: the dead primary's unsynced buffer holds
+        # decisions that were never acknowledged, and the standby is about
+        # to resume the log file itself.
+        self.engine.abandon_wal()
+        self.engine = standby.promote()
+        self.rebalancer = Rebalancer(self.engine, self.rebalancer.config)
+        return self.engine
+
+
+def restore_shards(
+    networks: Mapping[str, CloudNetwork],
+    solver: Embedder | str,
+    wal_dir: str,
+    *,
+    seed: int = 0,
+) -> tuple[dict[str, EmbeddingEngine], dict[str, dict[str, float]]]:
+    """Rebuild every shard's engine from its own write-ahead log in ``wal_dir``.
+
+    Each shard goes through :meth:`EmbeddingEngine.restore` on its own log
+    (a shard without one starts fresh). A non-empty log for a shard that is
+    not configured raises :class:`WalError` rather than silently dropping
+    the reservations it holds. Returns the engines plus the per-shard
+    leftover (transport-level) counters, both keyed by network id.
+    """
+    logged = logged_shard_ids(wal_dir)
+    if not logged <= set(networks):
+        raise WalError(
+            f"logged shards {sorted(logged)} in {wal_dir} do not match "
+            f"the configured networks {sorted(networks)}"
+        )
+    engines: dict[str, EmbeddingEngine] = {}
+    leftovers: dict[str, dict[str, float]] = {}
+    for network_id, network in networks.items():
+        engines[network_id], leftovers[network_id] = EmbeddingEngine.restore(
+            network, solver, shard_wal_path(wal_dir, network_id), seed=seed
+        )
+    return engines, leftovers

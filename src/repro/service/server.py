@@ -3,8 +3,9 @@
 One :class:`EmbeddingServer` is a pure *transport*: it owns sockets, queues,
 and backpressure, while every embedding decision lives in the
 transport-agnostic :class:`~repro.engine.core.EmbeddingEngine` — one per
-served substrate network, resolved through a
-:class:`~repro.engine.router.ShardRouter`. The server holds **no** solver,
+served substrate network, held by that shard's
+:class:`~repro.engine.tick.ShardTick` together with its optional standby.
+The server keeps one ``network_id`` → shard map and holds **no** solver,
 ledger, or repair logic of its own, and no phase order either: every engine
 effect runs inside :meth:`~repro.engine.tick.ShardTick.step`, the same step
 offline replay (:func:`repro.sim.trace.replay`) drives, so offline replay ≡
@@ -69,7 +70,6 @@ from ..engine import (
     RepairAction,
     RepairOutcome,
     ReservationLedger,
-    ShardRouter,
     ShardTick,
     StandbyEngine,
     advertised_vnf_types,
@@ -78,7 +78,7 @@ from ..engine import (
 from ..exceptions import ConfigurationError, WalError
 from ..faults.model import FaultEvent, FaultScript
 from ..network.cloud import CloudNetwork
-from ..utils.stats import percentile
+from ..utils.stats import p50_p95_max
 from . import protocol
 from .protocol import MAX_LINE_BYTES, SubmitIntent
 
@@ -260,47 +260,54 @@ class EmbeddingServer:
 
     def __init__(
         self,
-        network: CloudNetwork | Mapping[str, CloudNetwork] | ShardRouter,
+        network: CloudNetwork | Mapping[str, CloudNetwork | EmbeddingEngine],
         config: ServiceConfig | None = None,
         *,
         n_vnf_types: int | None = None,
         transport_counters: Mapping[str, Mapping[str, float]] | None = None,
     ) -> None:
+        """Serve one network, or a ``network_id`` → network mapping.
+
+        A mapping's values may also be engines (``restore_shards`` output);
+        its first key is the default shard.
+        """
         self.config = config if config is not None else ServiceConfig()
-        # Restores go through ShardRouter.restore and arrive as a router.
-        if isinstance(network, ShardRouter):
-            self.router = network
-        else:
-            networks = network if isinstance(network, Mapping) else {DEFAULT_NETWORK_ID: network}
-            self.router = ShardRouter.from_networks(
-                networks, self.config.solver, seed=self.config.seed
-            )
-        #: the default shard's substrate (single-network callers' view).
-        self.network = self.router.default.network
-        if (
-            self.config.fault_script is not None
-            and self.config.chaos_network_id is not None
-            and self.config.chaos_network_id not in self.router
-        ):
+        targets: Mapping[str, CloudNetwork | EmbeddingEngine] = (
+            network if isinstance(network, Mapping) else {DEFAULT_NETWORK_ID: network}
+        )
+        if not targets:
+            raise ConfigurationError("a server needs at least one network")
+        for network_id in targets:
+            if not network_id or not isinstance(network_id, str):
+                raise ConfigurationError(
+                    f"network ids must be non-empty strings, got {network_id!r}"
+                )
+        chaos_id = self.config.chaos_network_id or next(iter(targets))
+        if chaos_id not in targets:
             raise ConfigurationError(
-                f"chaos_network_id {self.config.chaos_network_id!r} is not a "
-                f"served shard ({', '.join(self.router.network_ids)})"
+                f"chaos_network_id {chaos_id!r} is not a served shard "
+                f"({', '.join(targets)})"
             )
-        chaos_id = self.config.chaos_network_id or self.router.default_id
+        #: the one ``network_id`` → shard map; the first entry is the default.
         self._shards: dict[str, _Shard] = {
             network_id: _Shard(
                 network_id,
                 ShardTick(
-                    self.router,
-                    network_id,
+                    (
+                        target
+                        if isinstance(target, EmbeddingEngine)
+                        else EmbeddingEngine(target, self.config.solver, seed=self.config.seed)
+                    ),
                     fault_script=(
                         self.config.fault_script if network_id == chaos_id else None
                     ),
                     rebalance=self.config.rebalance,
                 ),
             )
-            for network_id in self.router.network_ids
+            for network_id, target in targets.items()
         }
+        #: the default shard's substrate (single-network callers' view).
+        self.network = self._default_shard().engine.network
         #: catalog size advertised in the hello for the default shard (drives
         #: client trace generation); per-shard sizes ride in the shard list.
         if n_vnf_types is not None:
@@ -318,10 +325,10 @@ class EmbeddingServer:
     # -- shard resolution -------------------------------------------------------------
 
     def _default_shard(self) -> _Shard:
-        return self._shards[self.router.default_id]
+        return next(iter(self._shards.values()))
 
     def _shard(self, network_id: str | None) -> _Shard:
-        """The shard a message addresses; raises on unknown ids."""
+        """The shard a message addresses (None = the default); raises on unknown ids."""
         if network_id is None:
             return self._default_shard()
         try:
@@ -331,6 +338,10 @@ class EmbeddingServer:
                 f"unknown network_id {network_id!r}; serving: "
                 f"{', '.join(self._shards)}"
             ) from None
+
+    def shard_tick(self, network_id: str | None = None) -> ShardTick:
+        """A shard's tick (None = the default shard): its engine and standby."""
+        return self._shard(network_id).tick
 
     @property
     def n_vnf_types(self) -> int:
@@ -468,12 +479,12 @@ class EmbeddingServer:
                     "at startup; resume the server from its log "
                     "(serve --resume --wal --standby)"
                 )
-            self.router.attach_standby(network_id, standby)
+            shard.tick.standby = standby
 
     def _close_wals(self) -> None:
         """Detach (sync + close) every shard's writer; thread-side."""
-        for _, engine in self.router.items():
-            engine.detach_wal()
+        for shard in self._shards.values():
+            shard.engine.detach_wal()
 
     async def __aenter__(self) -> "EmbeddingServer":
         await self.start()
@@ -494,7 +505,7 @@ class EmbeddingServer:
     @property
     def ledger(self) -> ReservationLedger:
         """The default shard's authoritative ledger (single-network callers)."""
-        return self.router.default.ledger
+        return self._default_shard().engine.ledger
 
     @property
     def queue_depth(self) -> int:
@@ -504,21 +515,17 @@ class EmbeddingServer:
     @property
     def degraded(self) -> bool:
         """True while any shard's substrate has a dead element."""
-        return any(engine.degraded for _, engine in self.router.items())
+        return any(shard.engine.degraded for shard in self._shards.values())
 
     def inject_fault(self, event: FaultEvent, network_id: str | None = None) -> None:
         """Queue one ad-hoc fault event on a shard (tests and operator tooling)."""
         self._shard(network_id).queue.put_nowait(_PendingFault(event=event))
 
-    def repair_times(self) -> tuple[float, ...]:
-        """Wall seconds of every completed repair, across shards in shard order."""
-        return self.router.repair_times()
-
     def _shard_payload(self, shard: _Shard) -> dict[str, Any]:
         """One shard's stats body (its engine's gauges + transport counters)."""
         engine_stats = shard.engine.stats()
         wal = shard.engine.wal
-        standby = self.router.get_standby(shard.network_id)
+        standby = shard.tick.standby
         return {
             "network_id": shard.network_id,
             "counters": shard.wire_counters(),
@@ -553,14 +560,13 @@ class EmbeddingServer:
             dead_links += payload["faults"]["dead_links"]
             dead_instances += payload["faults"]["dead_instances"]
             tracked += payload["faults"]["tracked_embeddings"]
-        times = sorted(self.router.repair_times())
         accepted = merged["accepted"]
         dispatched = merged["dispatched"]
         return {
             "solver": self.config.solver,
             "counters": merged,
             "acceptance_ratio": accepted / dispatched if dispatched else 1.0,
-            "active": self.router.active_count(),
+            "active": sum(payload["active"] for payload in shards.values()),
             "queue_depth": self.queue_depth,
             "draining": self._draining,
             "faults": {
@@ -570,14 +576,8 @@ class EmbeddingServer:
                 "dead_links": dead_links,
                 "dead_instances": dead_instances,
                 "tracked_embeddings": tracked,
-                "repair_time_s": (
-                    {
-                        "p50": percentile(times, 0.50),
-                        "p95": percentile(times, 0.95),
-                        "max": times[-1],
-                    }
-                    if times
-                    else None
+                "repair_time_s": p50_p95_max(
+                    t for shard in self._shards.values() for t in shard.engine.repair_times()
                 ),
             },
             "network_ids": list(self._shards),
@@ -602,7 +602,7 @@ class EmbeddingServer:
                 }
                 for shard in self._shards.values()
             ],
-            default_network_id=self.router.default_id,
+            default_network_id=default.network_id,
         )
 
     async def _on_connection(
@@ -812,7 +812,7 @@ class EmbeddingServer:
         return {
             "type": "snapshotted",
             "msg_id": msg_id,
-            "active": self.router.active_count(),
+            "active": sum(shard.engine.active_count() for shard in self._shards.values()),
             "checkpoints": checkpoints,
         }
 
@@ -945,8 +945,8 @@ class EmbeddingServer:
                 future.set_result(reply)
         # Standby catch-up after the acks (it never delays a reply) and
         # before any promotion (the two never overlap on one log).
-        if result.synced and tick.has_standby:
-            await asyncio.to_thread(tick.poll_standby)
+        if result.synced and tick.standby is not None:
+            await asyncio.to_thread(tick.standby.poll)
 
     # -- promotion and rebalancing (dispatcher-only, like every engine mutation) ---------
 
@@ -956,7 +956,7 @@ class EmbeddingServer:
             shard = self._shard(protocol.network_id_of(message))
         except ConfigurationError as exc:
             return {"type": "error", "msg_id": msg_id, "reason": str(exc)}
-        if not shard.tick.has_standby:
+        if shard.tick.standby is None:
             return {
                 "type": "error",
                 "msg_id": msg_id,

@@ -148,7 +148,7 @@ def replay(
     repair outcome, in occurrence order.
     """
     gen = as_generator(rng)
-    tick = ShardTick.for_engine(engine, fault_script=faults)
+    tick = ShardTick(engine, fault_script=faults)
     outcomes: list[RepairOutcome] = []
     for departing, arriving in trace.schedule(until=max((e.time for e in faults or ()), default=0)):
         result = tick.step(

@@ -16,8 +16,8 @@ drain the last complete records, resume a writer on the very same log file
 inner engine over. The promoted engine continues the decision sequence and
 the chaos seed stream exactly where the primary stopped, so the next batch
 of decisions is identical to what a never-crashed primary would have made.
-:meth:`repro.engine.router.ShardRouter.promote` wires this into the
-sharded service.
+:meth:`repro.engine.tick.ShardTick.promote` wires this into a shard: the
+served shard's ``promote`` verb and the durability drill both call it.
 """
 
 from __future__ import annotations

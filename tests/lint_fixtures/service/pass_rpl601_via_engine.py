@@ -1,8 +1,8 @@
 """RPL601-clean fixture: transport code reaching domain logic via the engine."""
 
-from repro.engine import EmbeddingEngine, ReservationLedger, ShardRouter
+from repro.engine import EmbeddingEngine, ReservationLedger, ShardTick, restore_shards
 from repro.network.cloud import CloudNetwork
 
 
-def build(network: CloudNetwork) -> tuple[object, object, object]:
-    return EmbeddingEngine, ReservationLedger, ShardRouter
+def build(network: CloudNetwork) -> tuple[object, object, object, object]:
+    return EmbeddingEngine, ReservationLedger, ShardTick, restore_shards

@@ -84,6 +84,17 @@ def test_drill_reproduces_the_committed_bench(scenario, tmp_path):
     assert seeded(report) == committed
 
 
+def test_committed_delay_budget_binds_at_admission():
+    """``delay_budget`` is ``smoke`` plus a delay budget: the same network,
+    trace and fault script. Its committed report must accept fewer
+    requests, so the budget shapes admissions and not only repairs."""
+    smoke = json.loads((ROOT / "BENCH_smoke.json").read_text())
+    delay = json.loads((ROOT / "BENCH_delay_budget.json").read_text())
+    assert delay["submitted"] == smoke["submitted"]
+    assert delay["faults_injected"] == smoke["faults_injected"]
+    assert delay["accepted"] < smoke["accepted"]
+
+
 def test_unknown_scenario_exits_2_and_names_the_registry(capsys):
     assert main(["drill", "no-such-drill"]) == 2
     err = capsys.readouterr().err

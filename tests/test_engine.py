@@ -22,10 +22,10 @@ from repro.engine import (
     ENGINE_COUNTER_KEYS,
     EmbeddingEngine,
     EmbeddingRequest,
-    ShardRouter,
     ShardTick,
     advertised_vnf_types,
     read_wal,
+    restore_shards,
     shard_wal_path,
 )
 from repro.exceptions import ConfigurationError, LedgerError, WalError
@@ -430,33 +430,30 @@ class TestEngineDurability:
             EmbeddingEngine.restore(engine_network(), "MBBE", path)
 
 
-class TestShardRouter:
+class TestShards:
     def test_default_and_unknown_resolution(self):
-        router = ShardRouter.from_networks(
-            {"a": engine_network(1), "b": engine_network(2)}, "MBBE"
-        )
-        assert router.default_id == "a"
-        assert router.get() is router.get("a")
-        assert "b" in router and len(router) == 2
+        server = EmbeddingServer({"a": engine_network(1), "b": engine_network(2)})
+        assert server.shard_tick() is server.shard_tick("a")
+        assert server.shard_tick("b") is not server.shard_tick("a")
+        assert server.network is server.shard_tick("a").engine.network
         with pytest.raises(ConfigurationError, match="unknown network_id"):
-            router.get("zap")
+            server.shard_tick("zap")
 
     def test_single_shard_snapshot_is_plain_v1(self, tmp_path):
         network = engine_network()
-        router = ShardRouter({DEFAULT_NETWORK_ID: EmbeddingEngine(network, "MBBE")})
+        engine = EmbeddingEngine(network, "MBBE")
         path = shard_wal_path(str(tmp_path), DEFAULT_NETWORK_ID)
-        router.default.attach_wal_file(path, network_id=DEFAULT_NETWORK_ID)
-        seq = router.default.checkpoint()
-        router.default.detach_wal()
+        engine.attach_wal_file(path, network_id=DEFAULT_NETWORK_ID)
+        seq = engine.checkpoint()
+        engine.detach_wal()
         # A checkpoint is one more record in a version-1 log, not a new format.
         header, checkpoint = read_wal(path).records
         assert header.payload["version"] == wal_records.WAL_VERSION == 1
         assert (checkpoint.seq, checkpoint.type) == (seq, wal_records.CHECKPOINT)
-        restored, _ = ShardRouter.restore(
-            {DEFAULT_NETWORK_ID: network}, "MBBE", str(tmp_path)
-        )
+        engines, _ = restore_shards({DEFAULT_NETWORK_ID: network}, "MBBE", str(tmp_path))
+        (restored,) = engines.values()
         assert restored.active_count() == 0
-        assert restored.default.wal_applied_seq == seq
+        assert restored.wal_applied_seq == seq
 
     def test_advertised_vnf_types_ignores_endpoints(self):
         network = tight_network()
@@ -489,7 +486,7 @@ class TestGoldenEquivalence:
                     releases = {
                         rid: await client.release(rid) for rid in released
                     }
-                fingerprint = server.router.default.ledger_fingerprint()
+                fingerprint = server.shard_tick().engine.ledger_fingerprint()
             return outcomes, releases, fingerprint
 
         outcomes, releases, service_fingerprint = asyncio.run(drive())
@@ -497,7 +494,7 @@ class TestGoldenEquivalence:
         assert [o.decision_index for o in outcomes] == list(range(len(requests)))
 
         engine = EmbeddingEngine(network, make_solver(config.solver))
-        tick = ShardTick.for_engine(engine)
+        tick = ShardTick(engine)
         for request, outcome in zip(requests, outcomes):
             (decision,) = tick.step(submits=[(request, request.seed)]).decisions
             assert decision.accepted == outcome.accepted

@@ -150,7 +150,7 @@ class TestMigrationConservesCapacity:
                 arrival_index=rid,
             )
         engine = EmbeddingEngine(net, make_solver("MBBE"))
-        return ShardTick.for_engine(engine, rebalance=cls._REBALANCE), requests
+        return ShardTick(engine, rebalance=cls._REBALANCE), requests
 
     @given(
         seed=st.integers(0, 100_000),

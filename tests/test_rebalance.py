@@ -350,7 +350,7 @@ class TestDecisionIdentity:
     def test_online_simulator_cycle_matches_direct_rebalancer(self):
         network = tight_network(seed=3)
         engine = EmbeddingEngine(network, make_solver("MBBE"))
-        tick = ShardTick.for_engine(engine, rebalance=EAGER)
+        tick = ShardTick(engine, rebalance=EAGER)
         shadow = EmbeddingEngine(tight_network(seed=3), make_solver("MBBE"))
         requests = make_requests(network, 40, seed=103)
         tick.step(submits=[(request, request.seed) for request in requests])
@@ -437,7 +437,7 @@ class TestServiceRebalance:
                 host, port = server.address
                 client = await ServiceClient.connect(host, port)
                 await churny_fill(client, network, 16, seed=5)
-                engine = server.router.default
+                engine = server.shard_tick().engine
                 engine.apply_fault(
                     FaultEvent(time=0, action=FaultAction.FAIL, target=FaultTarget.node(3))
                 )

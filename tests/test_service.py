@@ -18,10 +18,10 @@ from repro.engine import (
     DEFAULT_NETWORK_ID,
     EmbeddingEngine,
     EmbeddingRequest,
-    ShardRouter,
     WalWriter,
     network_fingerprint,
     read_wal,
+    restore_shards,
     shard_wal_path,
 )
 from repro.exceptions import (
@@ -438,7 +438,7 @@ class TestServerEndToEnd:
                     )
                     reply = await client.snapshot()
                     assert reply["type"] == "snapshotted"
-                fingerprint = server.router.default.ledger_fingerprint()
+                fingerprint = server.shard_tick().engine.ledger_fingerprint()
             return outcomes, reply, fingerprint
 
         outcomes, reply, fingerprint = run(first_life())
@@ -448,17 +448,18 @@ class TestServerEndToEnd:
         path = shard_wal_path(wal_dir, DEFAULT_NETWORK_ID)
         assert read_wal(path).records[seq].type == wal_records.CHECKPOINT
 
-        router, leftovers = ShardRouter.restore(
+        engines, leftovers = restore_shards(
             {DEFAULT_NETWORK_ID: network}, config.solver, wal_dir, seed=config.seed
         )
-        assert router.default.ledger_fingerprint() == fingerprint
-        assert list(router.default.active_ids()) == accepted_ids
-        assert router.default.counters["accepted"] == len(accepted_ids)
+        restored = engines[DEFAULT_NETWORK_ID]
+        assert restored.ledger_fingerprint() == fingerprint
+        assert list(restored.active_ids()) == accepted_ids
+        assert restored.counters["accepted"] == len(accepted_ids)
         assert leftovers[DEFAULT_NETWORK_ID]["submitted"] == len(workload)
 
         async def second_life():
             async with EmbeddingServer(
-                router, config, transport_counters=leftovers
+                engines, config, transport_counters=leftovers
             ) as server:
                 host, port = server.address
                 async with await ServiceClient.connect(host, port) as client:
@@ -532,7 +533,7 @@ class TestAsyncOffload:
 
         async def drive() -> float:
             async with EmbeddingServer(network, config) as server:
-                engine = server.router.default
+                engine = server.shard_tick().engine
                 real_checkpoint = engine.checkpoint
 
                 def slow_checkpoint(*args, **kwargs):

@@ -168,7 +168,7 @@ class TestChaosEndToEnd:
 
         async def spying_write(self, writer, lock, message):
             if message.get("type") == "notify":
-                pending_at_notify.append(self.router.default.wal.pending_count)
+                pending_at_notify.append(self.shard_tick().engine.wal.pending_count)
             await real_write(self, writer, lock, message)
 
         monkeypatch.setattr(EmbeddingServer, "_write_locked", spying_write)

@@ -6,7 +6,7 @@ independent substrates, each behind its own
 server on a loopback socket and assert the sharding contract: per-shard
 request-id spaces, per-shard admission and fault state (chaos on one shard
 never degrades another), aggregate + per-shard telemetry, and the sharded
-snapshot document round-tripping through :meth:`ShardRouter.restore`.
+snapshot document round-tripping through :func:`restore_shards`.
 """
 
 import asyncio
@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.config import NetworkConfig, SfcConfig
-from repro.engine import RebalanceConfig, ShardRouter, state_store
+from repro.engine import RebalanceConfig, restore_shards, state_store
 from repro.faults.model import FaultAction, FaultEvent, FaultScript, FaultTarget
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
@@ -328,8 +328,8 @@ class TestShardedDurability:
                     reply = await client.snapshot()
                     assert reply["type"] == "snapshotted"
                 pre_states = {
-                    network_id: engine.checkpoint_payload()
-                    for network_id, engine in server.router.items()
+                    network_id: server.shard_tick(network_id).engine.checkpoint_payload()
+                    for network_id in networks
                 }
             return accepted, reply, pre_states
 
@@ -337,17 +337,17 @@ class TestShardedDurability:
         assert all(accepted[nid] for nid in networks), "both shards must accept"
         assert set(reply["checkpoints"]) == set(networks)
 
-        router, leftovers = ShardRouter.restore(networks, config.solver, wal_dir)
+        engines, leftovers = restore_shards(networks, config.solver, wal_dir)
         assert set(leftovers) == set(networks)
         for network_id in networks:
             assert leftovers[network_id]["submitted"] == len(workloads[network_id])
-            restored = router.get(network_id)
+            restored = engines[network_id]
             assert restored.wal_applied_seq == reply["checkpoints"][network_id]
             assert restored.checkpoint_payload() == pre_states[network_id]
 
         async def second_life():
             async with EmbeddingServer(
-                router, config, transport_counters=leftovers
+                engines, config, transport_counters=leftovers
             ) as server:
                 host, port = server.address
                 async with await ServiceClient.connect(host, port) as client:
@@ -382,23 +382,23 @@ class TestShardedDurability:
         # Each log's header names its substrate: swapping the shards' networks
         # is refused before anything is replayed.
         with pytest.raises(WalError, match="different network"):
-            ShardRouter.restore(
+            restore_shards(
                 {"alpha": networks["beta"], "beta": networks["alpha"]}, "MBBE", wal_dir
             )
         # A log for a shard that is not configured holds acknowledged state:
         # restoring without it is refused, naming both shard sets.
         with pytest.raises(WalError, match="do not match"):
-            ShardRouter.restore(
+            restore_shards(
                 {"alpha": networks["alpha"], "gamma": networks["beta"]}, "MBBE", wal_dir
             )
         with pytest.raises(WalError, match="'beta'"):
-            ShardRouter.restore({"alpha": networks["alpha"]}, "MBBE", wal_dir)
+            restore_shards({"alpha": networks["alpha"]}, "MBBE", wal_dir)
         # A configured shard without a log of its own starts fresh.
-        router, _ = ShardRouter.restore(
+        engines, _ = restore_shards(
             {**networks, "gamma": networks["alpha"]}, "MBBE", wal_dir
         )
-        assert set(router.network_ids) == {"alpha", "beta", "gamma"}
-        assert router.get("gamma").active_count() == 0
+        assert list(engines) == ["alpha", "beta", "gamma"]
+        assert engines["gamma"].active_count() == 0
 
     def test_drain_covers_every_shard(self):
         networks = two_networks()

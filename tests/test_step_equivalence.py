@@ -20,11 +20,9 @@ from hypothesis import strategies as st
 
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
 from repro.engine import (
-    DEFAULT_NETWORK_ID,
     EmbeddingEngine,
     EmbeddingRequest,
     RebalanceConfig,
-    ShardRouter,
     ShardTick,
 )
 from repro.faults.model import FaultAction, FaultEvent, FaultScript, FaultTarget
@@ -110,12 +108,9 @@ async def drive_both(ops, *, timed: bool = False) -> None:
     rebalance = TIMER if timed else None
     config = ServiceConfig(batch_size=1, seed=3, fault_script=script, rebalance=rebalance)
     engine = EmbeddingEngine(generate_network(NETWORK, rng=5), config.solver, seed=config.seed)
-    tick = ShardTick(
-        ShardRouter({DEFAULT_NETWORK_ID: engine}), DEFAULT_NETWORK_ID,
-        fault_script=script, rebalance=rebalance,
-    )
+    tick = ShardTick(engine, fault_script=script, rebalance=rebalance)
     async with EmbeddingServer(network, config) as server:
-        served = server.router.default
+        served = server.shard_tick().engine
         async with await ServiceClient.connect(*server.address) as client:
             for kind, arg in ops:
                 if kind == "submit":

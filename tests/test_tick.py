@@ -7,7 +7,8 @@ shard's only clock. These tests pin the step and the schedule it folds in:
 * one step runs releases → faults → submits → rebalance cycles → sync;
 * each step advances ``now`` by one, and nothing else does;
 * due faults come out in script order, the step's own events after them;
-* a timer cycle runs every ``interval`` steps, however long a cycle takes;
+* a timer cycle runs every ``interval`` steps, however long a cycle takes,
+  and only when a rebalance config is given;
 * no timer cycle runs while the shard drains;
 * a step that folds faults in runs its cycles paused.
 """
@@ -19,7 +20,6 @@ from repro.engine import (
     EmbeddingEngine,
     EmbeddingRequest,
     RebalanceConfig,
-    ShardRouter,
     ShardTick,
     StepResult,
 )
@@ -41,8 +41,7 @@ def make_tick(*, script=(), rebalance=None):
     network = generate_network(NetworkConfig(size=12, n_vnf_types=4), rng=3)
     engine = EmbeddingEngine(network, "MBBE", seed=0)
     tick = ShardTick(
-        ShardRouter({"net0": engine}),
-        "net0",
+        engine,
         fault_script=FaultScript(events=tuple(script), horizon=10) if script else None,
         rebalance=rebalance,
     )
@@ -94,14 +93,14 @@ class TestClock:
         assert cycles_at == [2, 4]
         assert tick.chaos_complete
 
-    def test_for_engine_runs_no_timer(self):
-        engine = EmbeddingEngine(
-            generate_network(NetworkConfig(size=12, n_vnf_types=4), rng=3), "MBBE", seed=0
-        )
-        tick = ShardTick.for_engine(engine, rebalance=RebalanceConfig(interval=1))
+    def test_no_rebalance_config_runs_no_timer(self):
+        tick, _ = make_tick()
         run_steps(tick, 3)
         assert tick.rebalancer.stats()["cycles"] == 0
-        assert tick.rebalancer.config.interval == 1
+        # A requested cycle still runs, on the default rails.
+        ((report, stats),) = tick.step(cycles=1).cycles
+        assert stats["cycles"] == 1
+        assert tick.rebalancer.config == RebalanceConfig()
 
 
 class TestFaults:

@@ -35,7 +35,7 @@ from repro.engine import (
     EmbeddingRequest,
     RebalanceConfig,
     Rebalancer,
-    ShardRouter,
+    ShardTick,
     StandbyEngine,
     WalWriter,
     read_wal,
@@ -698,28 +698,33 @@ class TestStandbyPromotion:
         with pytest.raises(WalError, match="promoted"):
             standby.poll()
 
-    def test_router_promote_swaps_the_shard(self, tmp_path):
+    def test_tick_promote_swaps_the_shard(self, tmp_path):
         network = tight_network()
         path = str(tmp_path / "net0.wal")
-        router = ShardRouter({"net0": EmbeddingEngine(network, "MBBE", seed=5)})
-        router.get("net0").attach_wal_file(path, network_id="net0")
-        standby = StandbyEngine(network, "MBBE", path, seed=5)
-        router.attach_standby("net0", standby)
-        assert router.has_standby("net0")
-        router.get("net0").submit(line_request(1), rng=0)
-        router.get("net0").wal.sync()
+        primary = EmbeddingEngine(network, "MBBE", seed=5)
+        primary.attach_wal_file(path, network_id="net0")
+        rails = RebalanceConfig(max_moves=2)
+        tick = ShardTick(primary, rebalance=rails)
+        tick.standby = StandbyEngine(network, "MBBE", path, seed=5)
+        primary.submit(line_request(1), rng=0)
+        primary.wal.sync()
 
-        promoted = router.promote("net0")
-        assert router.get("net0") is promoted
-        assert not router.has_standby("net0")
+        promoted = tick.promote()
+        assert tick.engine is promoted and promoted is not primary
+        assert tick.standby is None
+        assert primary.wal is None  # abandoned, not synced
+        assert tick.rebalancer.engine is promoted
+        assert tick.rebalancer.config is rails
         assert promoted.is_active(1)
         assert promoted.wal is not None
         promoted.detach_wal()
 
-    def test_router_promote_without_standby_raises(self):
-        router = ShardRouter({"net0": EmbeddingEngine(tight_network(), "MBBE")})
+    def test_tick_promote_without_standby_raises(self):
+        engine = EmbeddingEngine(tight_network(), "MBBE")
+        tick = ShardTick(engine)
         with pytest.raises(ConfigurationError, match="standby"):
-            router.promote("net0")
+            tick.promote()
+        assert tick.engine is engine
 
 
 def make_workload(network, n: int, *, seed: int = 11):
@@ -752,7 +757,7 @@ class TestServiceDurability:
                     accepted = [o.request_id for o in outcomes if o.accepted]
                     await client.release(accepted[0])
                     stats = await client.stats()
-                fingerprint = server.router.default.ledger_fingerprint()
+                fingerprint = server.shard_tick().engine.ledger_fingerprint()
             return outcomes, stats, fingerprint, accepted
 
         outcomes, stats, fingerprint, accepted = run(drive())
@@ -857,7 +862,7 @@ class TestServiceDurability:
                 async with await ServiceClient.connect(*server.address) as client:
                     armed = True
                     await client.submit(rid, dag, src, dst, rate=rate, seed=seed)
-                    fingerprint = server.router.default.ledger_fingerprint()
+                    fingerprint = server.shard_tick().engine.ledger_fingerprint()
                     try:
                         assert await asyncio.to_thread(held.wait, 5)
                         promote = asyncio.ensure_future(client.promote())
@@ -896,8 +901,8 @@ class TestServiceDurability:
                     drained = await client.drain()
                     positions = {
                         network_id: (
-                            server.router.get_standby(network_id).applied_seq,
-                            server.router.get(network_id).wal.seq,
+                            server.shard_tick(network_id).standby.applied_seq,
+                            server.shard_tick(network_id).engine.wal.seq,
                         )
                         for network_id in networks
                     }
