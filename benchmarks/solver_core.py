@@ -5,8 +5,9 @@ fast-path acceptance bar (see ``docs/performance.md``).
 Dependency-free (stdlib + this repo): runs as a plain script, NOT through
 pytest-benchmark, so CI and laptops measure the exact same loop::
 
-    python benchmarks/solver_core.py                # measure + check + write
+    python benchmarks/solver_core.py                # measure + check
     python benchmarks/solver_core.py --reps 3 --budget 120   # CI smoke mode
+    python benchmarks/solver_core.py --out BENCH_solver_core.json  # refresh
 
 What it does:
 
@@ -20,9 +21,12 @@ What it does:
 3. **equivalence-checks every benchmarked seed** against the committed
    golden fixture (``tests/golden/solver_equivalence.json``) — a fast run
    with wrong answers is a failure, not a result;
-4. writes ``BENCH_solver_core.json`` comparing against the pinned
-   pre-optimization baseline (measured on the pre-change tree, commit
-   ``47df349``, same machine/methodology as the committed numbers).
+4. compares against the pinned pre-optimization baseline (measured on
+   the pre-change tree, commit ``47df349``, same machine/methodology as
+   the committed numbers) and, only when ``--out`` names a file, writes
+   the result there. The committed ``BENCH_solver_core.json`` is rewritten
+   only by passing it to ``--out`` on purpose; a check run leaves it as
+   it is.
 
 Exit status is non-zero when the equivalence check fails or the harness
 exceeds ``--budget`` wall seconds (used by the CI smoke job; the budget is
@@ -65,7 +69,7 @@ BASELINE = {
 }
 
 GOLDEN_FIXTURE = REPO_ROOT / "tests" / "golden" / "solver_equivalence.json"
-DEFAULT_OUT = REPO_ROOT / "BENCH_solver_core.json"
+COMMITTED = REPO_ROOT / "BENCH_solver_core.json"
 
 #: Deterministic per-embed work counters (``EmbeddingResult.stats`` keys).
 WORK_COUNTERS = ("combos_scored", "combos_materialised")
@@ -121,7 +125,7 @@ def count_work(
 def committed_work() -> dict[str, int] | None:
     """The work counters of the committed result file, if it records them."""
     try:
-        with open(DEFAULT_OUT, encoding="utf-8") as fh:
+        with open(COMMITTED, encoding="utf-8") as fh:
             return json.load(fh).get("work")
     except FileNotFoundError:
         return None
@@ -162,7 +166,9 @@ def check_equivalence(cell: Any) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=7, help="timing repetitions (best-of)")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="result JSON path")
+    parser.add_argument(
+        "--out", type=Path, default=None, help="write the result JSON here (default: none)"
+    )
     parser.add_argument(
         "--budget",
         type=float,
@@ -175,7 +181,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     harness_t0 = time.perf_counter()
-    baseline_work = committed_work()  # read before --out may overwrite it
+    baseline_work = committed_work()  # read before --out may rewrite it
     cell = _bench_cell()
     print(f"scenario {cell.scenario_id}: {len(cell.seeds)} seeds, best of {args.reps}")
 
@@ -225,10 +231,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "equivalence": equivalence,
         "work": work,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"  wrote {args.out}")
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"  wrote {args.out}")
 
     harness_wall = time.perf_counter() - harness_t0
     print(f"  harness wall time: {harness_wall:.1f}s")

@@ -108,16 +108,19 @@ class Graph:
             del self._adj[nb][node]
         del self._adj[node]
 
-    def resize_link(self, u: NodeId, v: NodeId, capacity: float) -> Link:
-        """Replace the link ``{u, v}`` by one of a new capacity, in place.
+    def resize_link(self, key: EdgeKey, capacity: float) -> Link:
+        """Replace the link under the canonical ``key`` by one of a new
+        capacity, in place.
 
         The new link takes the old one's key in :meth:`links` and in both
         endpoints' adjacency, so every iteration order is unchanged. Only
         :class:`~repro.network.state.ResidualState` patches its views with it.
         """
-        old = self.link(u, v)
+        old = self._links.get(key)
+        if old is None:
+            raise LinkNotFoundError(*key)
         link = Link(u=old.u, v=old.v, price=old.price, capacity=capacity)
-        self._links[link.key] = link
+        self._links[key] = link
         self._adj[link.u][link.v] = link
         self._adj[link.v][link.u] = link
         return link
@@ -149,6 +152,10 @@ class Graph:
     def has_link(self, u: NodeId, v: NodeId) -> bool:
         """True when the undirected link ``{u, v}`` exists."""
         return edge_key(u, v) in self._links
+
+    def link_at(self, key: EdgeKey) -> Link | None:
+        """The link under the canonical ``key``, or None."""
+        return self._links.get(key)
 
     def link(self, u: NodeId, v: NodeId) -> Link:
         """The link ``{u, v}`` (raises :class:`LinkNotFoundError`)."""

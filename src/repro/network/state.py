@@ -190,7 +190,8 @@ class ResidualState:
         """Bring ``view`` up to date on the given elements, in place.
 
         ``view`` must be this state's :meth:`to_network` under ``faults``
-        as it was before the usage of ``links`` and ``vnfs`` changed. An
+        as it was before the usage of ``links`` (canonical edge keys) and
+        ``vnfs`` changed. An
         element in the view before and after gets its new residual under
         its existing key, so every iteration order stays that of a fresh
         build; an element absent before and after stays absent. Returns
@@ -202,13 +203,15 @@ class ResidualState:
             faults = None
         base = self.network
         graph = view.graph
+        base_link, view_link = base.graph.link_at, graph.link_at
         for key in links:
-            link = base.graph.link(*key)
+            link = base_link(key)
+            assert link is not None  # a reservation holds only base links
             residual = self._link_residual(link, faults)
-            if graph.has_link(link.u, link.v) != (residual is not None):
+            if (view_link(key) is not None) != (residual is not None):
                 return False
             if residual is not None:
-                graph.resize_link(link.u, link.v, residual)
+                graph.resize_link(key, residual)
         deployments = view.deployments
         for node, vnf_type in vnfs:
             residual = self._vnf_residual(base.instance(node, vnf_type), faults)

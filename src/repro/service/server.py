@@ -306,8 +306,6 @@ class EmbeddingServer:
             )
             for network_id, target in targets.items()
         }
-        #: the default shard's substrate (single-network callers' view).
-        self.network = self._default_shard().engine.network
         #: catalog size advertised in the hello for the default shard (drives
         #: client trace generation); per-shard sizes ride in the shard list.
         if n_vnf_types is not None:

@@ -11,8 +11,18 @@ MBBE adds three complementary strategies on top of the BBE framework:
    sub-solution tree, and each parent keeps at most ``X_d`` children overall
    — the "``X_d``-tree" whose size drives the paper's complexity bound
    ``O(k·phi·n²·X_max^phi)`` with ``k = (1 − X_d^{omega+1})/(1 − X_d)``.
-   The allocation product is scored first and only the combos that can
-   make the cut are built (see :meth:`MbbeEmbedder._pair_subsolutions`).
+   Every combo of an allocation product is keyed first — by its exact
+   layer cost, or by a lower bound when only the sequential re-routing
+   can build it — and combos are built in key order only while they can
+   still make the parent's cut: one ``X_d`` bar shared by all of the
+   parent's pairs (see :meth:`MbbeEmbedder._pair_subsolutions`).
+
+One solve round (one ``_solve_once``) runs on a fixed view, so its
+searches are shared through a memo (:class:`_RoundMemo`) keyed by each
+parent's residual class — the counted links and instances its filters
+reject (:func:`_residual_class`). Parents of one class see the same
+residual network: a repeated min-cost search resumes the stored run for
+its new targets, and repeated forward and backward rings are reused.
 
 Two pragmatic knobs beyond the paper (both documented in DESIGN.md §3 and
 benchmarked in the ablation benches):
@@ -33,7 +43,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Any, Callable, Sequence
+import math
+from typing import Any, Callable, Iterable, Sequence
 
 from ..config import FlowConfig
 from ..constraints.base import ConstraintSet
@@ -41,7 +52,7 @@ from ..embedding.base import Embedder
 from ..embedding.mapping import Embedding
 from ..exceptions import NoSolutionError
 from ..network.cloud import CloudNetwork
-from ..network.graph import Link
+from ..network.graph import Graph, Link
 from ..network.paths import Path
 from ..network.shortest import (
     BfsRings,
@@ -73,6 +84,77 @@ _SCORE_BAND = 1e-9
 def _never_stop(_nodes: frozenset[NodeId]) -> bool:
     """Exhaust the reachable component (constrained-fallback searches)."""
     return False
+
+
+#: A parent's memoised min-cost search: (root, targets) -> a result with
+#: every target settled.
+_Search = Callable[[NodeId, Iterable[NodeId]], DijkstraResult]
+
+
+def _residual_class(
+    network: CloudNetwork,
+    parent: SubSolution,
+    admit: Callable[[NodeId, VnfTypeId], bool],
+    link_f: LinkFilter,
+) -> tuple[frozenset[EdgeKey], frozenset[tuple[NodeId, VnfTypeId]]]:
+    """The links and instances ``parent`` counts that ``link_f``/``admit``
+    reject.
+
+    Both filters judge an element the parent does not count as unused,
+    the same way for every parent, and a counted element that passes
+    would pass unused too (a use only tightens the capacity test; the
+    constraint vetoes ignore usage). Two parents of one class therefore
+    get equal verdicts on every link and instance of the view, and every
+    search run for one serves the other.
+    """
+    get_link = network.graph.link
+    links = frozenset(
+        e for e in flat_counts(parent.link_counts) if not link_f(get_link(*e))
+    )
+    vnfs = frozenset(k for k in flat_counts(parent.vnf_counts) if not admit(*k))
+    return links, vnfs
+
+
+class _RoundMemo:
+    """The searches one solve round (one ``_solve_once``) has run, keyed
+    by residual class (:func:`_residual_class`).
+
+    Min-cost searches are keyed by (root, rejected links); a repeat
+    resumes the stored run (:meth:`DijkstraResult.settle`), which settles
+    new targets in the order a fresh run would. Forward rings are keyed by
+    (layer, end node, class) and backward rings by that plus (merger,
+    exhaustive). The view and the link weight are fixed for the round, so
+    the memo lives and dies with it.
+    """
+
+    __slots__ = ("graph", "weight", "searches", "forward", "backward")
+
+    def __init__(self, graph: Graph, weight: LinkWeight | None) -> None:
+        self.graph = graph
+        self.weight = weight
+        self.searches: dict[tuple[NodeId, frozenset[EdgeKey]], DijkstraResult] = {}
+        #: forward rings (None: the capped search failed) and the cap
+        #: doublings it took.
+        self.forward: dict[tuple[Any, ...], tuple[BfsRings | None, int]] = {}
+        self.backward: dict[tuple[Any, ...], BfsRings] = {}
+
+    def searcher(self, link_f: LinkFilter, rejected: frozenset[EdgeKey]) -> _Search:
+        """Min-cost searches under ``link_f``, whose class rejects
+        ``rejected``. A miss goes through the module's ``dijkstra``."""
+        searches = self.searches
+
+        def search(root: NodeId, targets: Iterable[NodeId]) -> DijkstraResult:
+            res = searches.get((root, rejected))
+            if res is None:
+                res = searches[(root, rejected)] = dijkstra(
+                    self.graph, root, targets=targets, link_filter=link_f,
+                    weight=self.weight,
+                )
+            else:
+                res.settle(targets)
+            return res
+
+        return search
 
 
 class MbbeEmbedder(Embedder):
@@ -167,6 +249,7 @@ class MbbeEmbedder(Embedder):
         if not graph.has_node(source) or not graph.has_node(dest):
             raise NoSolutionError("source or destination not in the network")
         cset = self.constraints
+        memo = _RoundMemo(graph, cset.link_weight if cset.prices_links else None)
         tree = SubSolutionTree(source)
         frontier: list[SubSolution] = [tree.root]
         stats["layers"] = []
@@ -177,7 +260,7 @@ class MbbeEmbedder(Embedder):
             children: list[SubSolution] = []
             for parent in frontier:
                 kids = self._expand_parent(
-                    network, flow, parent, l, layer, stats, scale, cset
+                    network, flow, parent, l, layer, stats, scale, cset, memo
                 )
                 # Strategy 3 (X_d-tree): keep the cheapest X_d per parent.
                 kids.sort(key=lambda ss: ss.cum_cost)
@@ -245,17 +328,28 @@ class MbbeEmbedder(Embedder):
         stats: dict[str, Any],
         scale: int,
         cset: ConstraintSet,
+        memo: _RoundMemo,
     ) -> list[SubSolution]:
         admit = vnf_admit(network, parent.vnf_counts, flow.rate, cset)
         link_f = cset.link_filter(
             network, _residual_link_filter(network, parent.link_counts, flow.rate)
         )
-        rings = self._forward_search(network, parent, layer, admit, link_f, stats)
+        links, vnfs = _residual_class(network, parent, admit, link_f)
+        search = memo.searcher(link_f, links)
+        key = (l, parent.end_node, links, vnfs)
+        hit = memo.forward.get(key)
+        if hit is None:
+            before = stats["forward_expansions"]
+            rings = self._forward_search(network, parent, layer, admit, link_f, stats)
+            memo.forward[key] = (rings, stats["forward_expansions"] - before)
+        else:
+            rings, expansions = hit
+            stats["forward_expansions"] += expansions
         kids: list[SubSolution] = []
         if rings is not None:
             kids = self._expand_from_rings(
                 network, flow, parent, l, layer, rings, admit, link_f, scale, cset,
-                stats, exhaustive=False,
+                stats, memo, key, search, exhaustive=False,
             )
         if kids or not cset:
             return kids
@@ -272,7 +366,7 @@ class MbbeEmbedder(Embedder):
         stats["constrained_expansions"] = stats.get("constrained_expansions", 0) + 1
         return self._expand_from_rings(
             network, flow, parent, l, layer, full, admit, link_f, scale, cset,
-            stats, exhaustive=True,
+            stats, memo, key, search, exhaustive=True,
         )
 
     def _expand_from_rings(
@@ -288,21 +382,20 @@ class MbbeEmbedder(Embedder):
         scale: int,
         cset: ConstraintSet,
         stats: dict[str, Any],
+        memo: _RoundMemo,
+        key: tuple[Any, ...],
+        search: _Search,
         *,
         exhaustive: bool,
     ) -> list[SubSolution]:
         graph = network.graph
-        weight: LinkWeight | None = cset.link_weight if cset.prices_links else None
         fst = SearchTree(network, rings)
         # Strategy 2: one Dijkstra from the layer start node gives every
         # inter-layer min-cost path on the real-time network. Every node this
         # result is ever queried for lies in the forward node set, so the
         # search can stop once those are settled instead of settling the
         # whole graph.
-        dij_start = dijkstra(
-            graph, parent.end_node, targets=rings.node_set, link_filter=link_f,
-            weight=weight,
-        )
+        dij_start = search(parent.end_node, rings.node_set)
 
         if not layer.has_merger:
             return self._expand_single(
@@ -320,25 +413,35 @@ class MbbeEmbedder(Embedder):
         merger_candidates.sort(key=lambda n: (rings.depth_of(n), dij_start.cost_to(n)))
         merger_candidates = merger_candidates[: self.merger_cap * scale]
 
+        keep = self.x_d * scale
+        # The cum_costs any pair of this parent built, ascending; the
+        # keep-th is the bar every pair stops at.
+        built: list[float] = []
         out: list[SubSolution] = []
         for merger_node in merger_candidates:
-            bstop = _never_stop if exhaustive else coverage_stop(network, layer.parallel, admit)
-            brings = bfs_rings(
-                graph,
-                merger_node,
-                stop=bstop,
-                allowed=lambda n: n in fst_nodes,
-                link_filter=link_f,
-            )
+            bkey = (*key, merger_node, exhaustive)
+            brings = memo.backward.get(bkey)
+            if brings is None:
+                bstop = (
+                    _never_stop if exhaustive else coverage_stop(network, layer.parallel, admit)
+                )
+                brings = bfs_rings(
+                    graph,
+                    merger_node,
+                    stop=bstop,
+                    allowed=lambda n: n in fst_nodes,
+                    link_filter=link_f,
+                )
+                memo.backward[bkey] = brings
             if not exhaustive and not brings.complete:
                 continue
             bst = SearchTree(network, brings)
             pair = self._pair_subsolutions(
                 network, flow, parent, l, layer, bst, merger_node, admit, dij_start,
-                link_f, scale, cset, stats, keep=self.x_d * scale,
+                link_f, scale, cset, stats, search=search, keep=keep, built=built,
             )
             pair.sort(key=lambda ss: ss.cum_cost)
-            out.extend(pair[: self.x_d * scale])  # strategy 3, per FST-BST pair
+            out.extend(pair[:keep])  # strategy 3, per FST-BST pair
         return out
 
     def _expand_single(
@@ -392,34 +495,40 @@ class MbbeEmbedder(Embedder):
         cset: ConstraintSet,
         stats: dict[str, Any],
         *,
+        search: _Search,
         keep: int | None,
+        built: list[float],
     ) -> list[SubSolution]:
         """Allocation product over pruned candidates, min-cost instantiation.
 
-        Score first, then build. Every combo of the product is costed from
-        per-node precomputations (:func:`_score_combos`), and only these go
-        through :func:`evaluate_layer_candidate`:
+        Key first, then build. Every combo of the product gets a key from
+        per-node precomputations (:func:`_score_combos`) that its build
+        cannot undercut, beyond a few ulps:
 
-        * every combo that overflows a capacity naively or fails a per-path
-          veto — its sequential re-routing may still rescue it;
-        * the rest in (score, product index) order, until ``keep`` exact
-          survivors exist and the next score lies above the ``keep``-th
-          survivor's exact ``cum_cost`` plus :data:`_SCORE_BAND`.
+        * a combo that passes the naive screen is keyed by its exact
+          layer cost, summed in another order;
+        * a forced combo — one that overflows a capacity naively or fails
+          a per-path veto, so only the sequential re-routing can rescue
+          it — is keyed by a lower bound on any route's cost. In a round
+          that prices links the bound does not hold, so forced combos
+          keep key −inf and are all built first.
 
-        The feasible built combos come back in product order. A combo left
-        unbuilt would have cost more than ``keep`` built ones, so the
-        caller's stable sort on ``cum_cost`` and cut to ``keep`` see exactly
-        what they would on the whole product. ``keep=None`` builds every
-        combo; so do products of at most ``keep`` combos, unscored.
+        Combos are built in (key, product index) order, and the pair stops
+        once the parent's bar is set and the next key lies above it plus
+        :data:`_SCORE_BAND`. ``built`` holds the ascending ``cum_cost`` of
+        every combo any of the parent's pairs built so far; the bar is its
+        ``keep``-th entry.
+
+        The feasible built combos come back in product order. The caller
+        keeps the parent's cheapest ``keep``; a pair's own cut is the same
+        size, so a combo left unbuilt could not have made either cut, and
+        the caller's stable sorts see exactly what they would on every
+        whole product. ``keep=None`` (MBBE-S) builds every combo.
         """
-        graph = network.graph
         phi = layer.phi
-        weight: LinkWeight | None = cset.link_weight if cset.prices_links else None
         # Queried only for BST nodes (a subset of the forward set), so the
         # search may stop once the backward node set is settled.
-        dij_merger = dijkstra(
-            graph, merger_node, targets=bst.node_set, link_filter=link_f, weight=weight
-        )
+        dij_merger = search(merger_node, bst.node_set)
 
         candidates: list[list[NodeId]] = []
         for gamma in range(1, phi + 1):
@@ -482,34 +591,26 @@ class MbbeEmbedder(Embedder):
                 )
             return ss
 
-        if keep is None or len(combos) <= keep:
+        if keep is None:
             return [ss for ss in map(materialise, combos) if ss is not None]
 
         stats["combos_scored"] += len(combos)
         forced, scored = _score_combos(
             network, flow, parent, layer, merger_node, candidates, combos,
-            inter_by_node, inner_by_node, cset,
+            inter_by_node, inner_by_node, cset, bound_forced=not cset.prices_links,
         )
-        scored.sort()
-        built: dict[int, SubSolution] = {}
-        costs: list[float] = []  # the built survivors' cum_costs, ascending
-
-        def build(idx: int) -> None:
+        order = forced + scored
+        order.sort()
+        kept: dict[int, SubSolution] = {}
+        base = parent.cum_cost
+        for key, idx in order:
+            if len(built) >= keep and base + key > built[keep - 1] * (1.0 + _SCORE_BAND):
+                break
             ss = materialise(combos[idx])
             if ss is not None:
-                built[idx] = ss
-                bisect.insort(costs, ss.cum_cost)
-
-        for idx in forced:
-            build(idx)
-        base = parent.cum_cost
-        for score, idx in scored:
-            if len(costs) >= keep:
-                bar = costs[keep - 1]
-                if base + score > bar * (1.0 + _SCORE_BAND):
-                    break
-            build(idx)
-        return [built[idx] for idx in sorted(built)]
+                kept[idx] = ss
+                bisect.insort(built, ss.cum_cost)
+        return [kept[idx] for idx in sorted(kept)]
 
     def _route_combo_sequential(
         self,
@@ -600,17 +701,29 @@ def _score_combos(
     inter_by_node: dict[NodeId, Path],
     inner_by_node: dict[NodeId, Path],
     cset: ConstraintSet,
-) -> tuple[list[int], list[tuple[float, int]]]:
-    """Split a parallel layer's allocation product without building it.
+    *,
+    bound_forced: bool,
+) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
+    """Key a parallel layer's allocation product without building it.
 
-    Returns the indices of the combos that overflow a VNF or link capacity
-    against the parent's counts, or whose real-paths fail a per-path veto
-    (``admit_path`` depends on the path alone), and ``(score, index)`` for
-    every other combo. A score is the combo's incremental layer cost —
-    rentals once per position (eq. 7), the inter-layer link union once
-    (eq. 9), inner paths once per use (eq. 10) — summed in another order
-    than :func:`evaluate_layer_candidate` sums it. The capacity screen is
-    :func:`first_overflow`, the evaluation's own test.
+    Returns ``(key, index)`` pairs in two lists. The first holds the forced
+    combos: those that overflow a VNF or link capacity against the
+    parent's counts, or whose real-paths fail a per-path veto
+    (``admit_path`` depends on the path alone). The capacity screen is
+    :func:`first_overflow`, the evaluation's own test. The second holds
+    every other combo, keyed by its incremental layer cost — rentals once
+    per position (eq. 7), the inter-layer link union once (eq. 9), inner
+    paths once per use (eq. 10) — summed in another order than
+    :func:`evaluate_layer_candidate` sums it.
+
+    With ``bound_forced``, a forced combo's key is a lower bound on the
+    layer cost of any route the fallback finds: the merger's rental plus,
+    per position, its rental and min-price inner path, plus the dearest
+    min-price inter path (eq. 9 charges the union at least its dearest
+    path). The fallback's filters admit only links the searches behind
+    ``inter_by_node``/``inner_by_node`` admit, so its paths cost at least
+    theirs — in link prices, which is why the bound needs a round whose
+    searches are price-weighted. Without it the key is −inf.
     """
     z = flow.size
     rate = flow.rate
@@ -635,12 +748,12 @@ def _score_combos(
         return cost
 
     inter_set: dict[NodeId, frozenset[EdgeKey]] = {}
+    inter_cost: dict[NodeId, float] = {}
     inner_cost: dict[NodeId, float] = {}
     vetoed: set[NodeId] = set()
     for n, ip in inter_by_node.items():
         inter_set[n] = ip.edge_set()
-        for e in inter_set[n]:
-            price_link(e)
+        inter_cost[n] = sum(price_link(e) for e in inter_set[n])
         inner_cost[n] = sum(price_link(e) for e in inner_by_node[n].edges())
         if cset and not (
             cset.admit_path(network, flow, ip)
@@ -669,12 +782,20 @@ def _score_combos(
         n: [e for e in p.edges() if e in link_over] for n, p in inner_by_node.items()
     }
 
-    forced: list[int] = []
+    def forced_key(combo: tuple[NodeId, ...]) -> float:
+        if not bound_forced:
+            return -math.inf
+        key = fixed
+        for g, n in enumerate(combo):
+            key += per_position[g][n]
+        return key + max(inter_cost[n] for n in combo)
+
+    forced: list[tuple[float, int]] = []
     scored: list[tuple[float, int]] = []
     no_edges: frozenset[EdgeKey] = frozenset()
     for idx, combo in enumerate(combos):
         if vetoed and not vetoed.isdisjoint(combo):
-            forced.append(idx)
+            forced.append((forced_key(combo), idx))
             continue
         union = no_edges.union(*[inter_set[n] for n in combo])
         if vnf_over:
@@ -683,7 +804,7 @@ def _score_combos(
                 if key in vnf_over:
                     uses[key] = uses.get(key, 0) + 1
             if any(k >= vnf_over[key] for key, k in uses.items()):
-                forced.append(idx)
+                forced.append((forced_key(combo), idx))
                 continue
         if link_over:
             loads = {e: 1 for e in union if e in link_over}
@@ -691,7 +812,7 @@ def _score_combos(
                 for e in inner_tight[n]:
                     loads[e] = loads.get(e, 0) + 1
             if any(k >= link_over[e] for e, k in loads.items()):
-                forced.append(idx)
+                forced.append((forced_key(combo), idx))
                 continue
         score = fixed
         for g, n in enumerate(combo):

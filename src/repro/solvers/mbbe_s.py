@@ -30,7 +30,7 @@ from ..network.shortest import DijkstraResult, LinkFilter
 from ..sfc.dag import Layer
 from ..types import NodeId
 from .common import evaluate_layer_candidate
-from .mbbe import MbbeEmbedder
+from .mbbe import MbbeEmbedder, _Search
 from .searchtree import SearchTree
 from .subsolution import SubSolution
 
@@ -58,7 +58,9 @@ class MbbeSteinerEmbedder(MbbeEmbedder):
         cset: ConstraintSet,
         stats: dict[str, Any],
         *,
+        search: _Search,
         keep: int | None,
+        built: list[float],
     ) -> list[SubSolution]:
         # Generate MBBE's candidates first (shared-prefix multicast), then
         # try to improve each allocation with an explicit tree. A tree can
@@ -66,7 +68,7 @@ class MbbeSteinerEmbedder(MbbeEmbedder):
         # the caller cuts after the improvement.
         base = super()._pair_subsolutions(
             network, flow, parent, l, layer, bst, merger_node, admit, dij_start,
-            link_f, scale, cset, stats, keep=None,
+            link_f, scale, cset, stats, search=search, keep=None, built=built,
         )
         improved: list[SubSolution] = []
         graph = network.graph

@@ -432,10 +432,11 @@ class TestEngineDurability:
 
 class TestShards:
     def test_default_and_unknown_resolution(self):
-        server = EmbeddingServer({"a": engine_network(1), "b": engine_network(2)})
+        network_a = engine_network(1)
+        server = EmbeddingServer({"a": network_a, "b": engine_network(2)})
         assert server.shard_tick() is server.shard_tick("a")
         assert server.shard_tick("b") is not server.shard_tick("a")
-        assert server.network is server.shard_tick("a").engine.network
+        assert server.shard_tick("a").engine.network is network_a
         with pytest.raises(ConfigurationError, match="unknown network_id"):
             server.shard_tick("zap")
 

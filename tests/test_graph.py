@@ -69,14 +69,14 @@ class TestGraphConstruction:
         g = build_square_graph()
         links_before = [link.key for link in g.links()]
         adjacency_before = {n: list(g.neighbors(n)) for n in g.nodes()}
-        resized = g.resize_link(1, 0, 0.25)
+        resized = g.resize_link((0, 1), 0.25)
         assert (resized.key, resized.capacity) == ((0, 1), 0.25)
         assert g.link(0, 1) is resized
         assert dict(g.adjacency(0))[1] is resized and dict(g.adjacency(1))[0] is resized
         assert [link.key for link in g.links()] == links_before
         assert {n: list(g.neighbors(n)) for n in g.nodes()} == adjacency_before
         with pytest.raises(LinkNotFoundError):
-            g.resize_link(0, 9, 1.0)
+            g.resize_link((0, 9), 1.0)
 
 
 class TestGraphQueries:

@@ -1,18 +1,23 @@
-"""MBBE's score-first candidate kernel against a full-materialisation oracle.
+"""MBBE's keyed candidate kernel against a build-everything oracle.
 
-``MbbeEmbedder._pair_subsolutions`` scores every combo of a pair's
-allocation product and builds only the ones that can make the ``X_d`` cut.
-The oracle below is the loop it replaced: build every combo through
-:func:`evaluate_layer_candidate` (with the sequential re-routing fallback),
-stable-sort on ``cum_cost`` and cut. Every pair the kernel answers during a
-solve is re-derived with the oracle, and what the caller keeps of the two
-must agree exactly: the same survivors, in the same order, with equal
-``repr(cum_cost)``.
+``MbbeEmbedder._pair_subsolutions`` keys every combo of a pair's
+allocation product and builds combos in key order only while they can
+still make the parent's ``X_d`` cut. The oracle is the loop it replaced,
+one level up: every parent the solver expands is expanded again with each
+pair building every combo through :func:`evaluate_layer_candidate` (with
+the sequential re-routing fallback) and a fresh round memo, and what the
+two expansions keep — a stable sort on ``cum_cost``, then the first
+``X_d * scale`` — must agree exactly: the same survivors, in the same
+order, with equal ``repr(cum_cost)``. Each keyed pair is also checked
+against the kernel's contract: a forced combo's key never exceeds the
+layer cost its build reached, priced rounds build every forced combo, and
+every combo left unbuilt is keyed above the parent's bar.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -114,12 +119,21 @@ def cut(pair, keep) -> list[tuple[Any, ...]]:
 class KernelLog:
     """What the kernel did across one solve, for coverage assertions."""
 
+    parents: int = 0
     pairs: int = 0
     combos: int = 0
     scored_combos: int = 0
     scored_pairs: int = 0
-    skipped_pairs: int = 0
-    forced: int = 0
+    #: pairs built whole, unkeyed (MBBE-S's ``keep=None``).
+    unscored_pairs: int = 0
+    #: forced combos built under the bar, and those keyed above it.
+    forced_built: int = 0
+    forced_unbuilt: int = 0
+    #: forced combos with a finite key whose build returned a sub-solution
+    #: (each checked against its bound).
+    bounded: int = 0
+    #: forced combos of rounds that price links (keyed -inf, all built).
+    priced_forced: int = 0
     #: scored (not forced) combos the kernel built that evaluated to None:
     #: only ``admit_counts`` can reject those.
     scored_vetoed: int = 0
@@ -129,7 +143,7 @@ class KernelLog:
 
 
 class KernelCheck:
-    """Re-derives every pair MBBE's kernel answers with :func:`oracle_pair`.
+    """Re-derives every parent MBBE expands with :func:`oracle_pair` pairs.
 
     Installed on the class (not as a subclass: every ``Embedder`` subclass
     must be reachable from the solver registry), so MBBE's own calls and
@@ -138,23 +152,32 @@ class KernelCheck:
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.log = KernelLog()
-        #: relative error injected into every score, alternating in sign.
+        #: relative error injected into every key, alternating in sign.
         self.score_noise = 0.0
+        #: True while the oracle re-expands a parent.
+        self.oracle = False
+        self.expand = MbbeEmbedder._expand_parent
         self.kernel = MbbeEmbedder._pair_subsolutions
         self.route = MbbeEmbedder._route_combo_sequential
         self.evaluate = mbbe_module.evaluate_layer_candidate
         self.score = mbbe_module._score_combos
-        self.splits: list[tuple[list[int], list[tuple[float, int]]]] = []
+        #: per keyed pair: (combos, exact forced, noisy forced, noisy scored, priced)
+        self.splits: list[tuple[Any, ...]] = []
         check = self
 
-        def pair_subsolutions(solver, *args, keep):
-            return check.pair(solver, args, keep)
+        def expand_parent(solver, *args):
+            return check.parent(solver, *args)
+
+        def pair_subsolutions(solver, *args, search, keep, built):
+            return check.pair(solver, args, search, keep, built)
 
         def route(solver, *args):
             ss = check.route(solver, *args)
-            check.log.rescued += ss is not None
+            if not check.oracle:
+                check.log.rescued += ss is not None
             return ss
 
+        monkeypatch.setattr(MbbeEmbedder, "_expand_parent", expand_parent)
         monkeypatch.setattr(MbbeEmbedder, "_pair_subsolutions", pair_subsolutions)
         monkeypatch.setattr(MbbeEmbedder, "_route_combo_sequential", route)
         monkeypatch.setattr(mbbe_module, "evaluate_layer_candidate", self.evaluated)
@@ -168,42 +191,95 @@ class KernelCheck:
             self.log.evaluated.append((combo, ss is not None))
         return ss
 
-    def scored(self, *args):
-        forced, scored = self.score(*args)
+    def scored(self, *args, bound_forced):
+        forced, scored = self.score(*args, bound_forced=bound_forced)
         noise = self.score_noise
-        scored = [(s * (1 + (noise if i % 2 else -noise)), i) for s, i in scored]
-        self.splits.append((forced, scored))
-        return forced, scored
 
-    def pair(self, solver, args, keep):
-        log = self.log
+        def noisy(keyed):
+            return [(k * (1 + (noise if i % 2 else -noise)), i) for k, i in keyed]
+
+        cset = args[9]
+        assert bound_forced == (not cset.prices_links)
+        split = (noisy(forced), noisy(scored))
+        self.splits.append((args[6], forced, *split, not bound_forced))
+        return split
+
+    def parent(self, solver, network, flow, parent, l, layer, stats, scale, cset, memo):
+        """Expand ``parent`` with the kernel, then with every pair built
+        whole and a fresh memo; what the caller keeps must agree."""
+        got = self.expand(solver, network, flow, parent, l, layer, stats, scale, cset, memo)
+        self.oracle = True
+        try:
+            full = self.expand(
+                solver, network, flow, parent, l, layer, dict(stats), scale, cset,
+                mbbe_module._RoundMemo(network.graph, memo.weight),
+            )
+        finally:
+            self.oracle = False
+        assert cut(got, solver.x_d * scale) == cut(full, solver.x_d * scale)
+        self.log.parents += 1
+        return got
+
+    def pair(self, solver, args, search, keep, built):
         *inputs, stats = args  # the oracle's inputs, then the embed stats
+        if self.oracle:
+            return oracle_pair(solver, self.route, *inputs)[0]
+        log = self.log
         scored_before = stats["combos_scored"]
         built_before = stats["combos_materialised"]
         log.evaluated.clear()
         self.splits.clear()
-        got = self.kernel(solver, *args, keep=keep)
-        full, combos = oracle_pair(solver, self.route, *inputs)
-        assert cut(got, keep) == cut(full, keep)
-
+        got = self.kernel(solver, *args, search=search, keep=keep, built=built)
         scored = stats["combos_scored"] - scored_before
-        built = stats["combos_materialised"] - built_before
-        n_combos = len(combos)
+        n_built = stats["combos_materialised"] - built_before
         log.pairs += 1
+        if keep is None:
+            # MBBE-S builds the whole product, unkeyed.
+            assert scored == 0 and not self.splits
+            log.unscored_pairs += 1
+            log.combos += n_built
+            return got
+        if not self.splits:
+            return got  # no candidate for some position: an empty product
+        (combos, exact_forced, forced, passing, priced), = self.splits
+        n_combos = len(combos)
+        assert scored == n_combos
+        log.scored_pairs += 1
         log.combos += n_combos
-        if keep is not None and n_combos > keep:
-            assert scored == n_combos and len(self.splits) == 1
-            log.scored_pairs += 1
-            log.scored_combos += n_combos
-            forced, passing = self.splits[0]
-            log.forced += len(forced)
-            log.unbuilt += n_combos - built
-            failed = {combo for combo, ok in log.evaluated if not ok}
-            log.scored_vetoed += sum(combos[idx] in failed for _, idx in passing)
-        else:
-            # Products that fit under the cut are built outright, unscored.
-            assert scored == 0 and not self.splits and built == n_combos
-            log.skipped_pairs += 1
+        log.scored_combos += n_combos
+        log.unbuilt += n_combos - n_built
+        evaluated = {combo for combo, _ in log.evaluated}
+        failed = {combo for combo, ok in log.evaluated if not ok}
+        log.scored_vetoed += sum(combos[idx] in failed for _, idx in passing)
+
+        parent = args[2]
+        phi = args[4].phi
+        bar = built[keep - 1] * (1.0 + mbbe_module._SCORE_BAND) if len(built) >= keep else None
+        for key, idx in forced + passing:
+            if combos[idx] not in evaluated:
+                # Left unbuilt: only once the parent's bar is full, and
+                # only with a key above it.
+                assert bar is not None and parent.cum_cost + key > bar
+        got_by_combo = {
+            tuple(ss.placements[pos] for pos in sorted(ss.placements) if pos.gamma <= phi): ss
+            for ss in got
+        }
+        for key, idx in exact_forced:
+            combo = combos[idx]
+            if priced:
+                # Priced rounds key forced combos -inf and build them all.
+                assert key == -math.inf and combo in evaluated
+                log.priced_forced += 1
+            if combo in evaluated:
+                log.forced_built += 1
+            else:
+                log.forced_unbuilt += 1
+            ss = got_by_combo.get(combo)
+            if ss is not None and not priced:
+                # The bound never exceeds the layer cost the build reached.
+                layer_cost = ss.cum_cost - parent.cum_cost
+                assert key <= layer_cost + 16 * math.ulp(ss.cum_cost)
+                log.bounded += 1
         return got
 
 
@@ -308,15 +384,23 @@ def test_scores_off_by_half_the_band_change_nothing(check):
 
 
 def test_tight_capacities_build_naive_overflows_through_the_fallback(check):
+    # Forced combos under the parent's bar are built and rescued by the
+    # sequential router; the others are keyed by their bound and left
+    # unbuilt when it lies above the bar.
     log, result = solve(check, seed=1, size=30, capacity=2.0, sfc_size=5)
     assert result.success
-    assert log.scored_pairs and log.forced and log.rescued and log.unbuilt
+    assert log.scored_pairs and log.forced_built and log.rescued and log.unbuilt
+    assert log.bounded and log.forced_unbuilt
 
 
 def test_delay_budget_vetoed_paths_are_built(check):
-    log, _ = solve(check, seed=1, size=30, capacity=100.0, sfc_size=5,
-                   constraint=DELAY)
-    assert log.scored_pairs and log.forced
+    # Vetoed combos are forced. In the unpriced first round they are keyed
+    # by their bound; once the delay multiplier prices links, every forced
+    # combo is keyed -inf and built (asserted per pair by the check).
+    log, result = solve(check, seed=1, size=30, capacity=100.0, sfc_size=5,
+                        constraint=DELAY)
+    assert log.scored_pairs and log.forced_built
+    assert result.stats["constraint_rounds"] > 1 and log.priced_forced
 
 
 def test_anti_affinity_vetoes_combos_scored_inside_the_band(check):
@@ -326,23 +410,27 @@ def test_anti_affinity_vetoes_combos_scored_inside_the_band(check):
     assert log.scored_vetoed and log.unbuilt
 
 
-def test_products_under_the_cut_skip_scoring(check):
+def test_products_under_the_cut_are_cut_at_the_parent_bar(check):
+    # With one candidate per position every pair's product is one combo,
+    # never more than a pair's own cut; the parent's bar, full after its
+    # first X_d pairs, still leaves later pairs' combos unbuilt.
     log, result = solve(check, seed=3, size=30, capacity=100.0, sfc_size=5,
                         candidate_cap=1)
-    assert result.success and log.pairs == log.skipped_pairs > 0
-    assert result.stats["combos_scored"] == 0
-    assert result.stats["combos_materialised"] > 0
+    assert result.success and log.pairs == log.scored_pairs > 0
+    assert log.combos == log.pairs and log.unbuilt
+    assert result.stats["combos_scored"] == log.combos
 
 
 def test_mbbe_s_builds_the_whole_product(check):
     log, result = solve(check, seed=1, size=30, capacity=2.0, sfc_size=5,
                         steiner=True)
-    assert result.success and log.pairs == log.skipped_pairs > 0
+    assert result.success and log.pairs == log.unscored_pairs > 0
     assert result.stats["combos_scored"] == 0
+    assert result.stats["combos_materialised"] == log.combos
 
 
 def test_work_counters_are_reported(check):
     log, result = solve(check, seed=2, size=30, capacity=100.0, sfc_size=5)
-    assert log.unbuilt > 0
+    assert log.unbuilt > 0 and log.parents > 0
     assert result.stats["combos_scored"] == log.scored_combos
     assert result.stats["combos_materialised"] == log.combos - log.unbuilt
