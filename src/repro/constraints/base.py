@@ -172,9 +172,18 @@ class ConstraintSet:
     The empty set is falsy, compares equal to every other empty set, and
     every hook short-circuits on it — the contract that keeps the
     constraint-free hot path bit-identical to the pre-refactor solvers.
+
+    The veto hooks (:meth:`admit_placement`, :meth:`admit_path`,
+    :meth:`admit_counts`) ask only the members that override them: the
+    others inherit :class:`Constraint`'s permissive default, so skipping
+    them changes no verdict. :attr:`vetoes_placements`,
+    :attr:`vetoes_paths` and :attr:`vetoes_counts` say whether any member
+    does, the way :attr:`filters_links` does for :meth:`admit_link`.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = (
+        "_items", "_placement_vetoes", "_path_vetoes", "_count_vetoes", "link_vetoes"
+    )
 
     #: bound on solve → verify → reprice rounds in ``Embedder.embed``.
     MAX_REPRICE_ROUNDS = 4
@@ -189,8 +198,25 @@ class ConstraintSet:
                 raise ConfigurationError(
                     f"ConstraintSet items must be Constraint instances, got {item!r}"
                 )
+        for slot, hook in (
+            ("_placement_vetoes", "admit_placement"),
+            ("_path_vetoes", "admit_path"),
+            ("_count_vetoes", "admit_counts"),
+        ):
+            default = getattr(Constraint, hook)
+            object.__setattr__(
+                self, slot, tuple(c for c in self._items if getattr(type(c), hook) is not default)
+            )
+        object.__setattr__(
+            self, "link_vetoes", tuple(c for c in self._items if c.filters_links)
+        )
 
     _items: tuple[Constraint, ...]
+    _placement_vetoes: tuple[Constraint, ...]
+    _path_vetoes: tuple[Constraint, ...]
+    _count_vetoes: tuple[Constraint, ...]
+    #: the members that veto individual links (:attr:`filters_links`).
+    link_vetoes: tuple[Constraint, ...]
 
     @staticmethod
     def coerce(value: "ConstraintSet | Iterable[Constraint] | None") -> "ConstraintSet":
@@ -229,7 +255,7 @@ class ConstraintSet:
         self, network: "CloudNetwork", node: "NodeId", vnf_type: "VnfTypeId"
     ) -> bool:
         """True when every member admits the placement."""
-        return all(c.admit_placement(network, node, vnf_type) for c in self._items)
+        return all(c.admit_placement(network, node, vnf_type) for c in self._placement_vetoes)
 
     def admit_counts(
         self,
@@ -237,11 +263,26 @@ class ConstraintSet:
         vnf_counts: Mapping[tuple["NodeId", "VnfTypeId"], int],
     ) -> bool:
         """True when every member admits the cumulative placement state."""
-        return all(c.admit_counts(network, vnf_counts) for c in self._items)
+        return all(c.admit_counts(network, vnf_counts) for c in self._count_vetoes)
 
     def admit_path(self, network: "CloudNetwork", flow: "FlowConfig", path: "Path") -> bool:
         """True when every member admits the path."""
-        return all(c.admit_path(network, flow, path) for c in self._items)
+        return all(c.admit_path(network, flow, path) for c in self._path_vetoes)
+
+    @property
+    def vetoes_placements(self) -> bool:
+        """True when any member overrides :meth:`Constraint.admit_placement`."""
+        return bool(self._placement_vetoes)
+
+    @property
+    def vetoes_paths(self) -> bool:
+        """True when any member overrides :meth:`Constraint.admit_path`."""
+        return bool(self._path_vetoes)
+
+    @property
+    def vetoes_counts(self) -> bool:
+        """True when any member overrides :meth:`Constraint.admit_counts`."""
+        return bool(self._count_vetoes)
 
     @property
     def prices_links(self) -> bool:
@@ -251,7 +292,7 @@ class ConstraintSet:
     @property
     def filters_links(self) -> bool:
         """True when any member vetoes individual links."""
-        return any(c.filters_links for c in self._items)
+        return bool(self.link_vetoes)
 
     def admit_link(self, network: "CloudNetwork", link: "Link") -> bool:
         """True when every member admits the link."""

@@ -257,6 +257,11 @@ class EmbeddingEngine:
         solve and its commit-time checks therefore share it. Callers must
         not mutate it, nor keep it as a snapshot across effects — build one
         with ``ledger.state.to_network(faults)`` instead.
+
+        The view carries MBBE's min-cost searches
+        (:attr:`~repro.network.cloud.CloudNetwork.searches`) from one
+        decision to the next: each patch drops those a resized link no
+        longer (or newly) admits, and a rebuild starts an empty memo.
         """
         if self._view is None:
             self._view = self.ledger.state.to_network(self._faults)

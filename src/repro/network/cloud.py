@@ -13,6 +13,7 @@ from ..exceptions import ConfigurationError, NodeNotFoundError
 from ..nfv.instances import DeploymentMap, VnfInstance
 from ..types import MERGER_VNF, NodeId, VnfTypeId
 from .graph import Graph
+from .shortest import SearchMemo
 
 __all__ = ["CloudNetwork"]
 
@@ -23,6 +24,11 @@ class CloudNetwork:
     def __init__(self, graph: Graph, deployments: DeploymentMap | None = None) -> None:
         self.graph = graph
         self.deployments = deployments if deployments is not None else DeploymentMap()
+        #: Min-cost searches solvers may reuse across solves on this
+        #: network. Only residual views carry one
+        #: (:meth:`~repro.network.state.ResidualState.to_network`), and it
+        #: lives and dies with the view; a plain network has None.
+        self.searches: SearchMemo | None = None
 
     # -- construction ------------------------------------------------------------
 

@@ -18,8 +18,9 @@ the *real-time* (residual) network ``G_l`` without copying the graph.
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import NodeNotFoundError
 from ..types import NodeId
@@ -31,6 +32,8 @@ __all__ = [
     "NodeFilter",
     "LinkWeight",
     "DijkstraResult",
+    "SearchMemo",
+    "CAPACITY_EPS",
     "dijkstra",
     "min_cost_path",
     "bidirectional_dijkstra",
@@ -158,6 +161,81 @@ class DijkstraResult:
             path = path_from_predecessors(self.source, node, self.pred)
             self._paths[node] = path
         return path
+
+
+#: Slack of the residual link test ``rate <= capacity + CAPACITY_EPS`` that
+#: the solvers' link filters apply.
+CAPACITY_EPS = 1e-9
+
+
+class SearchMemo:
+    """Min-cost searches kept for reuse on one network, least recently used
+    evicted first once ``bound`` entries are held (``None``: no bound).
+
+    Keys are opaque to the memo. Each entry is filed under the flow rate
+    its link filter admits, a filter whose verdict on a link depends on the
+    link's capacity only through ``rate <= capacity + CAPACITY_EPS``. When
+    the network resizes a link in place, :meth:`resized` drops the entries
+    of every rate whose verdict on that link flipped, so each kept entry,
+    resumed with :meth:`DijkstraResult.settle`, equals a fresh run on the
+    resized network. Dropping or evicting an entry only costs a new search.
+    """
+
+    __slots__ = ("bound", "_entries", "_rates")
+
+    def __init__(self, bound: int | None = None) -> None:
+        if bound is not None and bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
+        self.bound = bound
+        self._entries: OrderedDict[Hashable, tuple[float, DijkstraResult]] = OrderedDict()
+        #: rate -> the keys filed under it.
+        self._rates: dict[float, set[Hashable]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> DijkstraResult | None:
+        """The search stored under ``key``, or None."""
+        hit = self._entries.get(key)
+        if hit is None:
+            return None
+        if self.bound is not None:
+            self._entries.move_to_end(key)
+        return hit[1]
+
+    def put(self, key: Hashable, rate: float, result: DijkstraResult) -> None:
+        """Store ``result`` under ``key``, filed under ``rate``."""
+        entries = self._entries
+        if key in entries:
+            self._forget(key, entries.pop(key)[0])
+        entries[key] = (rate, result)
+        self._rates.setdefault(rate, set()).add(key)
+        if self.bound is not None and len(entries) > self.bound:
+            old, (old_rate, _) = entries.popitem(last=False)
+            self._forget(old, old_rate)
+
+    def _forget(self, key: Hashable, rate: float) -> None:
+        keys = self._rates[rate]
+        keys.discard(key)
+        if not keys:
+            del self._rates[rate]
+
+    def resized(self, old_capacity: float, new_capacity: float) -> None:
+        """A link's capacity changed: drop every rate's entries whose
+        filter verdict on it flipped. O(cached rates)."""
+        flipped = [
+            rate
+            for rate in self._rates
+            if (rate <= old_capacity + CAPACITY_EPS) != (rate <= new_capacity + CAPACITY_EPS)
+        ]
+        for rate in flipped:
+            for key in self._rates.pop(rate):
+                del self._entries[key]
+
+    def items(self) -> Iterator[tuple[Hashable, float, DijkstraResult]]:
+        """(key, rate, search) per entry, least recently used first."""
+        for key, (rate, result) in self._entries.items():
+            yield key, rate, result
 
 
 def path_from_predecessors(

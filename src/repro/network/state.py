@@ -7,7 +7,9 @@ processing rate and link bandwidth on it (through
 :meth:`ResidualState.to_network` projects what is left (minus anything a
 :class:`~repro.faults.model.FaultState` marks dead) into the network every
 solve runs on; :meth:`ResidualState.patch_network` keeps such a view current
-in place after a usage change that leaves its shape alone.
+in place after a usage change that leaves its shape alone. Each view
+carries a fresh :class:`~repro.network.shortest.SearchMemo` (at most
+:data:`VIEW_SEARCHES` searches) that the patches keep valid.
 
 Reservation semantics follow the paper's reuse model:
 
@@ -28,11 +30,15 @@ from ..nfv.instances import VnfInstance
 from ..types import EdgeKey, NodeId, VnfTypeId, edge_key
 from .cloud import CloudNetwork
 from .graph import Graph, Link
+from .shortest import SearchMemo
 
 if TYPE_CHECKING:
     from ..faults.model import FaultState
 
-__all__ = ["ResidualState"]
+__all__ = ["ResidualState", "VIEW_SEARCHES"]
+
+#: Min-cost searches one view keeps (least recently used evicted first).
+VIEW_SEARCHES = 64
 
 
 class ResidualState:
@@ -160,7 +166,9 @@ class ResidualState:
         has a dead endpoint, an instance that is dead or on a dead host. Any
         solver therefore runs unmodified against what is left — the
         "real-time network graph" of Algorithm 1. Survivors keep the base
-        network's insertion order, which search tie-breaks follow.
+        network's insertion order, which search tie-breaks follow. The view
+        carries an empty search memo of its own
+        (:attr:`~repro.network.cloud.CloudNetwork.searches`).
         """
         if faults is not None and not faults.any_dead:
             faults = None
@@ -178,6 +186,7 @@ class ResidualState:
             residual = self._vnf_residual(inst, faults)
             if residual is not None:
                 out.deploy(inst.node, inst.vnf_type, price=inst.price, capacity=residual)
+        out.searches = SearchMemo(VIEW_SEARCHES)
         return out
 
     def patch_network(
@@ -197,20 +206,26 @@ class ResidualState:
         build; an element absent before and after stays absent. Returns
         False when an element crossed the saturation line either way — a
         fresh build would insert or delete it — and ``view`` is then
-        part-patched: the caller must discard it.
+        part-patched: the caller must discard it. A resized link drops the
+        view's memoised searches whose rate it no longer (or newly) admits
+        (:meth:`~repro.network.shortest.SearchMemo.resized`).
         """
         if faults is not None and not faults.any_dead:
             faults = None
         base = self.network
         graph = view.graph
+        searches = view.searches
         base_link, view_link = base.graph.link_at, graph.link_at
         for key in links:
             link = base_link(key)
             assert link is not None  # a reservation holds only base links
             residual = self._link_residual(link, faults)
-            if (view_link(key) is not None) != (residual is not None):
+            current = view_link(key)
+            if (current is not None) != (residual is not None):
                 return False
-            if residual is not None:
+            if current is not None and residual is not None:
+                if searches:
+                    searches.resized(current.capacity, residual)
                 graph.resize_link(key, residual)
         deployments = view.deployments
         for node, vnf_type in vnfs:

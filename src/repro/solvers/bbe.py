@@ -37,7 +37,7 @@ from ..exceptions import NoSolutionError
 from ..network.cloud import CloudNetwork
 from ..network.graph import Link
 from ..network.paths import Path
-from ..network.shortest import BfsRings, bfs_rings
+from ..network.shortest import CAPACITY_EPS, BfsRings, bfs_rings
 from ..sfc.dag import DagSfc, Layer
 from ..types import MERGER_VNF, EdgeKey, NodeId
 from ..utils.rng import RngStream
@@ -47,8 +47,6 @@ from .searchtree import SearchTree
 from .subsolution import SubSolution, SubSolutionTree
 
 __all__ = ["BbeEmbedder"]
-
-_EPS = 1e-9
 
 
 def _residual_link_filter(
@@ -64,7 +62,7 @@ def _residual_link_filter(
 
     def _filter(link: Link) -> bool:
         used = counts_get(link.key, 0)
-        return (used + 1) * rate <= link.capacity + _EPS
+        return (used + 1) * rate <= link.capacity + CAPACITY_EPS
 
     return _filter
 

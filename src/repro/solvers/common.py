@@ -46,9 +46,9 @@ def vnf_admit(
     Accounts for uses already accumulated along the current sub-solution
     chain (``vnf_counts``). Counts are flattened once up front so each probe
     is a single dict lookup even on a deep copy-on-write chain. With a
-    non-empty ``constraints`` set, per-placement vetoes
+    ``constraints`` set whose members veto placements, those vetoes
     (:meth:`~repro.constraints.base.Constraint.admit_placement`) apply on
-    top of the capacity test; the empty set keeps the historical closure.
+    top of the capacity test; any other set keeps the plain closure.
     """
     counts_get = flat_counts(vnf_counts).get
     instance = network.deployments.instance
@@ -60,7 +60,7 @@ def vnf_admit(
         used = counts_get((node, vnf_type), 0)
         return (used + 1) * rate <= inst.capacity + _EPS
 
-    if not constraints:
+    if constraints is None or not constraints.vetoes_placements:
         return admit
 
     admit_placement = constraints.admit_placement
@@ -244,7 +244,7 @@ def evaluate_layer_candidate(
 
     # Per-path vetoes depend on the path alone: run them before the counts
     # are merged into chains a rejection would throw away.
-    if constraints:
+    if constraints is not None and constraints.vetoes_paths:
         admit_path = constraints.admit_path
         for gamma in range(1, phi + 1):
             if not admit_path(network, flow, inter_paths[gamma]):
@@ -259,7 +259,11 @@ def evaluate_layer_candidate(
     new_vnf, new_link, vnf_cost, link_cost = merged
     layer_cost = vnf_cost + link_cost
 
-    if constraints and not constraints.admit_counts(network, flat_counts(new_vnf)):
+    if (
+        constraints is not None
+        and constraints.vetoes_counts
+        and not constraints.admit_counts(network, flat_counts(new_vnf))
+    ):
         return None
 
     placements = {
@@ -302,7 +306,11 @@ def evaluate_tail(
     """
     if tail_path.source != parent.end_node:
         raise ValueError("tail path must start at the parent's end node")
-    if constraints and not constraints.admit_path(network, flow, tail_path):
+    if (
+        constraints is not None
+        and constraints.vetoes_paths
+        and not constraints.admit_path(network, flow, tail_path)
+    ):
         return None
     link_adds: dict[EdgeKey, int] = {}
     for e in tail_path.edge_set():

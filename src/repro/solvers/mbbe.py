@@ -17,12 +17,26 @@ MBBE adds three complementary strategies on top of the BBE framework:
    still make the parent's cut: one ``X_d`` bar shared by all of the
    parent's pairs (see :meth:`MbbeEmbedder._pair_subsolutions`).
 
-One solve round (one ``_solve_once``) runs on a fixed view, so its
-searches are shared through a memo (:class:`_RoundMemo`) keyed by each
-parent's residual class — the counted links and instances its filters
-reject (:func:`_residual_class`). Parents of one class see the same
-residual network: a repeated min-cost search resumes the stored run for
-its new targets, and repeated forward and backward rings are reused.
+Parents of one residual class — the counted links and instances their
+filters reject (:func:`_residual_class`) — see the same residual network,
+so their solver work is done once, at two lifetimes:
+
+* **Min-cost searches live with the residual view.** A search is keyed by
+  (root, rejected links, rate, the constraint set's link-vetoing members)
+  and runs under a filter built from that key alone (:func:`_search_filter`),
+  never from one parent's counts. The engine's view carries a memo
+  (:attr:`CloudNetwork.searches`, LRU-bounded at
+  :data:`~repro.network.state.VIEW_SEARCHES`) that the effects keep valid
+  while they patch the view in place, so a later decision on the same view
+  resumes an earlier one's search for its new targets
+  (:meth:`DijkstraResult.settle`). A network without one (any plain
+  network) and every round that prices links (the LARAC rounds, whose link
+  weights change from round to round) use a round-local memo instead.
+* **Rings and pair tables live with the solve round** (:class:`_RoundMemo`):
+  forward rings per (layer, end node, class), and per FST–BST pair the
+  backward rings, the candidate lists, the per-node paths, the path vetoes
+  and the price sums (:class:`_PairTable`). Only the capacity screen
+  against a parent's own counts, the scoring and the builds run per parent.
 
 Two pragmatic knobs beyond the paper (both documented in DESIGN.md §3 and
 benchmarked in the ablation benches):
@@ -44,21 +58,23 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from ..config import FlowConfig
-from ..constraints.base import ConstraintSet
+from ..constraints.base import Constraint, ConstraintSet
 from ..embedding.base import Embedder
 from ..embedding.mapping import Embedding
 from ..exceptions import NoSolutionError
 from ..network.cloud import CloudNetwork
-from ..network.graph import Graph, Link
+from ..network.graph import Link
 from ..network.paths import Path
 from ..network.shortest import (
+    CAPACITY_EPS,
     BfsRings,
     DijkstraResult,
     LinkFilter,
     LinkWeight,
+    SearchMemo,
     bfs_rings,
     dijkstra,
 )
@@ -115,41 +131,206 @@ def _residual_class(
     return links, vnfs
 
 
-class _RoundMemo:
-    """The searches one solve round (one ``_solve_once``) has run, keyed
-    by residual class (:func:`_residual_class`).
+def _search_filter(
+    network: CloudNetwork,
+    rejected: frozenset[EdgeKey],
+    rate: float,
+    vetoes: tuple[Constraint, ...],
+) -> LinkFilter:
+    """The link filter of every search stored under (``rejected``, ``rate``,
+    ``vetoes``): a link passes when it is not rejected, has room for one
+    use at ``rate``, and no member of ``vetoes`` bans it.
 
-    Min-cost searches are keyed by (root, rejected links); a repeat
-    resumes the stored run (:meth:`DijkstraResult.settle`), which settles
-    new targets in the order a fresh run would. Forward rings are keyed by
-    (layer, end node, class) and backward rings by that plus (merger,
-    exhaustive). The view and the link weight are fixed for the round, so
-    the memo lives and dies with it.
+    A parent of that class admits exactly these links: one it does not
+    count passes its filter under the same test, and one it counts either
+    is in ``rejected`` or passed a stricter test. The verdict depends on
+    the link's capacity only through ``rate <= capacity + CAPACITY_EPS``,
+    the test :meth:`SearchMemo.resized` watches.
+    """
+    if rejected:
+
+        def admits(link: Link) -> bool:
+            return rate <= link.capacity + CAPACITY_EPS and link.key not in rejected
+
+    else:
+
+        def admits(link: Link) -> bool:
+            return rate <= link.capacity + CAPACITY_EPS
+
+    if not vetoes:
+        return admits
+    return lambda link: admits(link) and all(c.admit_link(network, link) for c in vetoes)
+
+
+class _PairTable:
+    """One FST–BST pair's allocation product as every parent of one
+    residual class sees it (built by :func:`_pair_table`).
+
+    ``candidates`` holds per parallel position its admitted hosts, cheapest
+    first and cut at the candidate cap; ``combos`` their product. Per
+    candidate node: its inter path from the layer start (``inter``), its
+    inner path to the merger (``inner``), the inter path's link set and
+    price sum, and per position its rental plus inner-path price sum
+    (``position_cost``). ``vetoed`` holds the nodes one of whose paths a
+    per-path veto rejects. ``link_cost`` prices every link of those paths,
+    ``link_capacity`` and ``vnf_capacity`` hold what the per-parent
+    capacity screen reads.
     """
 
-    __slots__ = ("graph", "weight", "searches", "forward", "backward")
+    __slots__ = (
+        "candidates", "combos", "inter", "inner", "inter_set", "inter_cost",
+        "position_cost", "merger_rental", "vetoed", "link_cost", "link_capacity",
+        "vnf_capacity",
+    )
 
-    def __init__(self, graph: Graph, weight: LinkWeight | None) -> None:
-        self.graph = graph
+    def __init__(self, candidates: list[list[NodeId]]) -> None:
+        self.candidates = candidates
+        self.combos = list(itertools.product(*candidates))
+        self.inter: dict[NodeId, Path] = {}
+        self.inner: dict[NodeId, Path] = {}
+        self.inter_set: dict[NodeId, frozenset[EdgeKey]] = {}
+        self.inter_cost: dict[NodeId, float] = {}
+        self.position_cost: list[dict[NodeId, float]] = []
+        self.merger_rental = 0.0
+        self.vetoed: set[NodeId] = set()
+        self.link_cost: dict[EdgeKey, float] = {}
+        self.link_capacity: dict[EdgeKey, float] = {}
+        self.vnf_capacity: dict[tuple[NodeId, VnfTypeId], float] = {}
+
+
+def _pair_table(
+    network: CloudNetwork,
+    flow: FlowConfig,
+    layer: Layer,
+    bst: SearchTree,
+    merger_node: NodeId,
+    admit: Callable[[NodeId, VnfTypeId], bool],
+    dij_start: DijkstraResult,
+    search: _Search,
+    cap: int,
+    cset: ConstraintSet,
+) -> _PairTable | None:
+    """Build a pair's :class:`_PairTable`, or None when some parallel
+    position has no candidate (an empty product)."""
+    # Queried only for BST nodes (a subset of the forward set), so the
+    # search may stop once the backward node set is settled.
+    dij_merger = search(merger_node, bst.node_set)
+    z = flow.size
+    candidates: list[list[NodeId]] = []
+    for gamma in range(1, layer.phi + 1):
+        t = layer.vnf_at(gamma)
+        nodes = [
+            n
+            for n in bst.nodes_hosting(t, admit=lambda n, t=t: admit(n, t))
+            if dij_start.reachable(n) and dij_merger.reachable(n)
+        ]
+        if not nodes:
+            return None
+        nodes.sort(
+            key=lambda n, t=t: (
+                dij_start.cost_to(n) + network.rental_price(n, t) * z + dij_merger.cost_to(n),
+                n,
+            )
+        )
+        candidates.append(nodes[:cap])
+    table = _PairTable(candidates)
+
+    # Per-node real-paths, computed once outside the allocation product
+    # (each node appears in many combos; reversing a path re-validates the
+    # whole node sequence). Every candidate is reachable in both searches,
+    # so both paths exist.
+    get_link = network.graph.link
+    link_cost = table.link_cost
+
+    def price_link(e: EdgeKey) -> float:
+        cost = link_cost.get(e)
+        if cost is None:
+            link = get_link(*e)
+            cost = link_cost[e] = link.price * z
+            table.link_capacity[e] = link.capacity
+        return cost
+
+    admit_path = cset.admit_path if cset.vetoes_paths else None
+    inner_cost: dict[NodeId, float] = {}
+    for nodes in candidates:
+        for n in nodes:
+            if n in table.inter:
+                continue
+            ip, mp = dij_start.path_to(n), dij_merger.path_to(n)
+            assert ip is not None and mp is not None
+            inner = mp.reversed()  # node -> merger
+            table.inter[n], table.inner[n] = ip, inner
+            edges = table.inter_set[n] = ip.edge_set()
+            table.inter_cost[n] = sum(price_link(e) for e in edges)
+            inner_cost[n] = sum(price_link(e) for e in inner.edges())
+            if admit_path is not None and not (
+                admit_path(network, flow, ip) and admit_path(network, flow, inner)
+            ):
+                table.vetoed.add(n)
+
+    instance = network.deployments.instance
+
+    def rental(n: NodeId, t: VnfTypeId) -> float:
+        inst = instance(n, t)
+        assert inst is not None  # every candidate was admitted
+        table.vnf_capacity[(n, t)] = inst.capacity
+        return inst.price * z
+
+    # Per parallel position: node -> its rental plus its inner path.
+    table.position_cost = [
+        {n: rental(n, t) + inner_cost[n] for n in nodes}
+        for t, nodes in zip(layer.parallel, candidates)
+    ]
+    table.merger_rental = rental(merger_node, MERGER_VNF)
+    return table
+
+
+class _RoundMemo:
+    """The solver work one solve round (one ``_solve_once``) shares between
+    parents of one residual class (:func:`_residual_class`).
+
+    Min-cost searches go to the view's memo when the network carries one
+    and the round does not price links, else to a round-local memo of the
+    same class; either way a repeat resumes the stored run
+    (:meth:`DijkstraResult.settle`), which settles new targets in the order
+    a fresh run would. Forward rings are keyed by (layer, end node, class),
+    pair tables by that plus (merger, exhaustive). The view and the link
+    weight are fixed for the round, so rings and tables live and die with it.
+    """
+
+    __slots__ = ("network", "weight", "searches", "forward", "pairs")
+
+    def __init__(self, network: CloudNetwork, weight: LinkWeight | None) -> None:
+        self.network = network
         self.weight = weight
-        self.searches: dict[tuple[NodeId, frozenset[EdgeKey]], DijkstraResult] = {}
+        shared = network.searches if weight is None else None
+        self.searches = shared if shared is not None else SearchMemo()
         #: forward rings (None: the capped search failed) and the cap
         #: doublings it took.
         self.forward: dict[tuple[Any, ...], tuple[BfsRings | None, int]] = {}
-        self.backward: dict[tuple[Any, ...], BfsRings] = {}
+        #: pair tables (None: incomplete backward rings or an empty product).
+        self.pairs: dict[tuple[Any, ...], _PairTable | None] = {}
 
-    def searcher(self, link_f: LinkFilter, rejected: frozenset[EdgeKey]) -> _Search:
-        """Min-cost searches under ``link_f``, whose class rejects
-        ``rejected``. A miss goes through the module's ``dijkstra``."""
+    def searcher(
+        self, rejected: frozenset[EdgeKey], rate: float, vetoes: tuple[Constraint, ...]
+    ) -> _Search:
+        """Min-cost searches for a class that rejects ``rejected``, at
+        ``rate``, under link vetoes ``vetoes``. A miss goes through the
+        module's ``dijkstra``."""
         searches = self.searches
+        graph = self.network.graph
+        weight = self.weight
+        link_f: LinkFilter | None = None
 
         def search(root: NodeId, targets: Iterable[NodeId]) -> DijkstraResult:
-            res = searches.get((root, rejected))
+            nonlocal link_f
+            key = (root, rejected, rate, vetoes)
+            res = searches.get(key)
             if res is None:
-                res = searches[(root, rejected)] = dijkstra(
-                    self.graph, root, targets=targets, link_filter=link_f,
-                    weight=self.weight,
-                )
+                if link_f is None:
+                    link_f = _search_filter(self.network, rejected, rate, vetoes)
+                res = dijkstra(graph, root, targets=targets, link_filter=link_f, weight=weight)
+                searches.put(key, rate, res)
             else:
                 res.settle(targets)
             return res
@@ -249,7 +430,7 @@ class MbbeEmbedder(Embedder):
         if not graph.has_node(source) or not graph.has_node(dest):
             raise NoSolutionError("source or destination not in the network")
         cset = self.constraints
-        memo = _RoundMemo(graph, cset.link_weight if cset.prices_links else None)
+        memo = _RoundMemo(network, cset.link_weight if cset.prices_links else None)
         tree = SubSolutionTree(source)
         frontier: list[SubSolution] = [tree.root]
         stats["layers"] = []
@@ -335,7 +516,7 @@ class MbbeEmbedder(Embedder):
             network, _residual_link_filter(network, parent.link_counts, flow.rate)
         )
         links, vnfs = _residual_class(network, parent, admit, link_f)
-        search = memo.searcher(link_f, links)
+        search = memo.searcher(links, flow.rate, cset.link_vetoes)
         key = (l, parent.end_node, links, vnfs)
         hit = memo.forward.get(key)
         if hit is None:
@@ -418,10 +599,12 @@ class MbbeEmbedder(Embedder):
         # keep-th is the bar every pair stops at.
         built: list[float] = []
         out: list[SubSolution] = []
+        pairs = memo.pairs
         for merger_node in merger_candidates:
             bkey = (*key, merger_node, exhaustive)
-            brings = memo.backward.get(bkey)
-            if brings is None:
+            if bkey in pairs:
+                table = pairs[bkey]
+            else:
                 bstop = (
                     _never_stop if exhaustive else coverage_stop(network, layer.parallel, admit)
                 )
@@ -432,13 +615,19 @@ class MbbeEmbedder(Embedder):
                     allowed=lambda n: n in fst_nodes,
                     link_filter=link_f,
                 )
-                memo.backward[bkey] = brings
-            if not exhaustive and not brings.complete:
+                table = pairs[bkey] = (
+                    _pair_table(
+                        network, flow, layer, SearchTree(network, brings), merger_node,
+                        admit, dij_start, search, self.candidate_cap * scale, cset,
+                    )
+                    if exhaustive or brings.complete
+                    else None
+                )
+            if table is None:
                 continue
-            bst = SearchTree(network, brings)
             pair = self._pair_subsolutions(
-                network, flow, parent, l, layer, bst, merger_node, admit, dij_start,
-                link_f, scale, cset, stats, search=search, keep=keep, built=built,
+                network, flow, parent, l, layer, merger_node, table, link_f, cset,
+                stats, keep=keep, built=built,
             )
             pair.sort(key=lambda ss: ss.cum_cost)
             out.extend(pair[:keep])  # strategy 3, per FST-BST pair
@@ -486,16 +675,12 @@ class MbbeEmbedder(Embedder):
         parent: SubSolution,
         l: int,
         layer: Layer,
-        bst: SearchTree,
         merger_node: NodeId,
-        admit: Callable[[NodeId, int], bool],
-        dij_start: DijkstraResult,
+        table: _PairTable,
         link_f: LinkFilter,
-        scale: int,
         cset: ConstraintSet,
         stats: dict[str, Any],
         *,
-        search: _Search,
         keep: int | None,
         built: list[float],
     ) -> list[SubSolution]:
@@ -526,45 +711,8 @@ class MbbeEmbedder(Embedder):
         whole product. ``keep=None`` (MBBE-S) builds every combo.
         """
         phi = layer.phi
-        # Queried only for BST nodes (a subset of the forward set), so the
-        # search may stop once the backward node set is settled.
-        dij_merger = search(merger_node, bst.node_set)
-
-        candidates: list[list[NodeId]] = []
-        for gamma in range(1, phi + 1):
-            t = layer.vnf_at(gamma)
-            nodes = [
-                n
-                for n in bst.nodes_hosting(t, admit=lambda n, t=t: admit(n, t))
-                if dij_start.reachable(n) and dij_merger.reachable(n)
-            ]
-            if not nodes:
-                return []
-            nodes.sort(
-                key=lambda n, t=t: (
-                    dij_start.cost_to(n)
-                    + network.rental_price(n, t) * flow.size
-                    + dij_merger.cost_to(n),
-                    n,
-                )
-            )
-            candidates.append(nodes[: self.candidate_cap * scale])
-
-        # Per-node real-paths, computed once outside the allocation product
-        # (each node appears in many combos; reversing a path re-validates
-        # the whole node sequence). Every candidate is reachable in both
-        # searches, so both paths exist.
-        inter_by_node: dict[NodeId, Path] = {}
-        inner_by_node: dict[NodeId, Path] = {}
-        for nodes in candidates:
-            for n in nodes:
-                if n not in inter_by_node:
-                    ip, mp = dij_start.path_to(n), dij_merger.path_to(n)
-                    assert ip is not None and mp is not None
-                    inter_by_node[n] = ip
-                    inner_by_node[n] = mp.reversed()  # node -> merger
-
-        combos = list(itertools.product(*candidates))
+        combos = table.combos
+        inter, inner = table.inter, table.inner
 
         def materialise(combo: tuple[NodeId, ...]) -> SubSolution | None:
             stats["combos_materialised"] += 1
@@ -577,8 +725,8 @@ class MbbeEmbedder(Embedder):
                 l,
                 layer,
                 assignment=assignment,
-                inter_paths={g: inter_by_node[n] for g, n in enumerate(combo, 1)},
-                inner_paths={g: inner_by_node[n] for g, n in enumerate(combo, 1)},
+                inter_paths={g: inter[n] for g, n in enumerate(combo, 1)},
+                inner_paths={g: inner[n] for g, n in enumerate(combo, 1)},
                 constraints=cset,
             )
             if ss is None:
@@ -596,8 +744,7 @@ class MbbeEmbedder(Embedder):
 
         stats["combos_scored"] += len(combos)
         forced, scored = _score_combos(
-            network, flow, parent, layer, merger_node, candidates, combos,
-            inter_by_node, inner_by_node, cset, bound_forced=not cset.prices_links,
+            flow, parent, layer, merger_node, table, bound_forced=not cset.prices_links
         )
         order = forced + scored
         order.sort()
@@ -691,29 +838,24 @@ class MbbeEmbedder(Embedder):
 
 
 def _score_combos(
-    network: CloudNetwork,
     flow: FlowConfig,
     parent: SubSolution,
     layer: Layer,
     merger_node: NodeId,
-    candidates: Sequence[Sequence[NodeId]],
-    combos: Sequence[tuple[NodeId, ...]],
-    inter_by_node: dict[NodeId, Path],
-    inner_by_node: dict[NodeId, Path],
-    cset: ConstraintSet,
+    table: _PairTable,
     *,
     bound_forced: bool,
 ) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
     """Key a parallel layer's allocation product without building it.
 
-    Returns ``(key, index)`` pairs in two lists. The first holds the forced
-    combos: those that overflow a VNF or link capacity against the
-    parent's counts, or whose real-paths fail a per-path veto
-    (``admit_path`` depends on the path alone). The capacity screen is
-    :func:`first_overflow`, the evaluation's own test. The second holds
-    every other combo, keyed by its incremental layer cost — rentals once
-    per position (eq. 7), the inter-layer link union once (eq. 9), inner
-    paths once per use (eq. 10) — summed in another order than
+    Returns ``(key, index)`` pairs into ``table.combos`` in two lists. The
+    first holds the forced combos: those that overflow a VNF or link
+    capacity against the parent's counts, or whose real-paths fail a
+    per-path veto (``admit_path`` depends on the path alone). The capacity
+    screen is :func:`first_overflow`, the evaluation's own test. The second
+    holds every other combo, keyed by its incremental layer cost — rentals
+    once per position (eq. 7), the inter-layer link union once (eq. 9),
+    inner paths once per use (eq. 10) — summed in another order than
     :func:`evaluate_layer_candidate` sums it.
 
     With ``bound_forced``, a forced combo's key is a lower bound on the
@@ -721,66 +863,41 @@ def _score_combos(
     per position, its rental and min-price inner path, plus the dearest
     min-price inter path (eq. 9 charges the union at least its dearest
     path). The fallback's filters admit only links the searches behind
-    ``inter_by_node``/``inner_by_node`` admit, so its paths cost at least
+    ``table.inter``/``table.inner`` admit, so its paths cost at least
     theirs — in link prices, which is why the bound needs a round whose
     searches are price-weighted. Without it the key is −inf.
+
+    Everything but the capacity screen comes from ``table``, which every
+    parent of the pair's residual class shares.
     """
-    z = flow.size
     rate = flow.rate
-    phi = layer.phi
-    max_uses = phi + 1  # the inter-layer union once, plus one use per inner path
-    instance = network.deployments.instance
-    get_link = network.graph.link
+    max_uses = layer.phi + 1  # the inter-layer union once, plus one use per inner path
     parent_vnf = flat_counts(parent.vnf_counts).get
     parent_link = flat_counts(parent.link_counts).get
+    link_cost = table.link_cost
+    inter_set = table.inter_set
+    inter_cost = table.inter_cost
+    per_position = table.position_cost
+    fixed = table.merger_rental
+    vetoed = table.vetoed
 
-    link_cost: dict[EdgeKey, float] = {}
-    link_over: dict[EdgeKey, int] = {}  # first add that overflows the link
-
-    def price_link(e: EdgeKey) -> float:
-        cost = link_cost.get(e)
-        if cost is None:
-            link = get_link(*e)
-            cost = link_cost[e] = link.price * z
-            over = first_overflow(parent_link(e, 0), link.capacity, rate, max_uses)
-            if over is not None:
-                link_over[e] = over
-        return cost
-
-    inter_set: dict[NodeId, frozenset[EdgeKey]] = {}
-    inter_cost: dict[NodeId, float] = {}
-    inner_cost: dict[NodeId, float] = {}
-    vetoed: set[NodeId] = set()
-    for n, ip in inter_by_node.items():
-        inter_set[n] = ip.edge_set()
-        inter_cost[n] = sum(price_link(e) for e in inter_set[n])
-        inner_cost[n] = sum(price_link(e) for e in inner_by_node[n].edges())
-        if cset and not (
-            cset.admit_path(network, flow, ip)
-            and cset.admit_path(network, flow, inner_by_node[n])
-        ):
-            vetoed.add(n)
-
-    vnf_over: dict[tuple[NodeId, VnfTypeId], int] = {}  # first add that overflows
-
-    def rental(n: NodeId, t: VnfTypeId) -> float:
-        inst = instance(n, t)
-        assert inst is not None  # every candidate was admitted
-        over = first_overflow(parent_vnf((n, t), 0), inst.capacity, rate, max_uses)
+    # First add that overflows, against the parent's counts.
+    link_over: dict[EdgeKey, int] = {}
+    for e, capacity in table.link_capacity.items():
+        over = first_overflow(parent_link(e, 0), capacity, rate, max_uses)
         if over is not None:
-            vnf_over[(n, t)] = over
-        return inst.price * z
-
-    # Per parallel position: node -> its rental plus its inner path.
-    per_position = [
-        {n: rental(n, t) + inner_cost[n] for n in nodes}
-        for t, nodes in zip(layer.parallel, candidates)
-    ]
-    fixed = rental(merger_node, MERGER_VNF)
+            link_over[e] = over
+    vnf_over: dict[tuple[NodeId, VnfTypeId], int] = {}
+    for key, capacity in table.vnf_capacity.items():
+        over = first_overflow(parent_vnf(key, 0), capacity, rate, max_uses)
+        if over is not None:
+            vnf_over[key] = over
     types = (*layer.parallel, MERGER_VNF)
-    inner_tight = {
-        n: [e for e in p.edges() if e in link_over] for n, p in inner_by_node.items()
-    }
+    inner_tight = (
+        {n: [e for e in p.edges() if e in link_over] for n, p in table.inner.items()}
+        if link_over
+        else {}
+    )
 
     def forced_key(combo: tuple[NodeId, ...]) -> float:
         if not bound_forced:
@@ -793,7 +910,7 @@ def _score_combos(
     forced: list[tuple[float, int]] = []
     scored: list[tuple[float, int]] = []
     no_edges: frozenset[EdgeKey] = frozenset()
-    for idx, combo in enumerate(combos):
+    for idx, combo in enumerate(table.combos):
         if vetoed and not vetoed.isdisjoint(combo):
             forced.append((forced_key(combo), idx))
             continue

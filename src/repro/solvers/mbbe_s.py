@@ -22,16 +22,15 @@ from ..exceptions import DisconnectedNetworkError
 from ..network.cloud import CloudNetwork
 from ..network.paths import Path
 from ..network.steiner import mst_steiner_tree
-from typing import Any, Callable
+from typing import Any
 
 from ..config import FlowConfig
 from ..constraints.base import ConstraintSet
-from ..network.shortest import DijkstraResult, LinkFilter
+from ..network.shortest import LinkFilter
 from ..sfc.dag import Layer
 from ..types import NodeId
 from .common import evaluate_layer_candidate
-from .mbbe import MbbeEmbedder, _Search
-from .searchtree import SearchTree
+from .mbbe import MbbeEmbedder, _PairTable
 from .subsolution import SubSolution
 
 __all__ = ["MbbeSteinerEmbedder"]
@@ -49,16 +48,12 @@ class MbbeSteinerEmbedder(MbbeEmbedder):
         parent: SubSolution,
         l: int,
         layer: Layer,
-        bst: SearchTree,
         merger_node: NodeId,
-        admit: Callable[[NodeId, int], bool],
-        dij_start: DijkstraResult,
+        table: _PairTable,
         link_f: LinkFilter,
-        scale: int,
         cset: ConstraintSet,
         stats: dict[str, Any],
         *,
-        search: _Search,
         keep: int | None,
         built: list[float],
     ) -> list[SubSolution]:
@@ -67,8 +62,8 @@ class MbbeSteinerEmbedder(MbbeEmbedder):
         # re-rank any combo, so the whole product is built (keep=None) and
         # the caller cuts after the improvement.
         base = super()._pair_subsolutions(
-            network, flow, parent, l, layer, bst, merger_node, admit, dij_start,
-            link_f, scale, cset, stats, search=search, keep=None, built=built,
+            network, flow, parent, l, layer, merger_node, table, link_f, cset, stats,
+            keep=None, built=built,
         )
         improved: list[SubSolution] = []
         graph = network.graph

@@ -93,6 +93,11 @@ def chain_hash(prev_chain: str, body_json: str) -> str:
 
 
 def _encode_record(record: WalRecord) -> bytes:
+    """The canonical line of one record: its sorted, compact JSON dump.
+
+    :meth:`WalWriter.append_record` builds these bytes from the body dump
+    it hashes, without a second dump.
+    """
     doc = {
         "chain": record.chain,
         "payload": record.payload,
@@ -268,19 +273,15 @@ class WalWriter:
     # -- appends ---------------------------------------------------------------------
 
     def _buffer_record(self, record_type: str, payload: Mapping[str, Any]) -> int:
-        record = WalRecord(
-            seq=self._seq + 1, type=record_type, payload=dict(payload), chain=""
-        )
-        chained = WalRecord(
-            seq=record.seq,
-            type=record.type,
-            payload=record.payload,
-            chain=chain_hash(self._chain, record.body_json()),
-        )
-        self._pending.append(_encode_record(chained))
-        self._seq = chained.seq
-        self._chain = chained.chain
-        return chained.seq
+        seq = self._seq + 1
+        body = WalRecord(seq=seq, type=record_type, payload=dict(payload), chain="").body_json()
+        chain = chain_hash(self._chain, body)
+        # "chain" sorts ahead of every body key, so the line _encode_record
+        # would dump is the body with the chain spliced in first.
+        self._pending.append(f'{{"chain":"{chain}",{body[1:]}\n'.encode("utf-8"))
+        self._seq = seq
+        self._chain = chain
+        return seq
 
     def append_record(self, record_type: str, payload: Mapping[str, Any]) -> int:
         """Buffer one record; returns its sequence number.

@@ -25,6 +25,7 @@ from repro.analysis.delay import dag_delay
 from repro.config import FlowConfig, NetworkConfig, SfcConfig
 from repro.constraints import (
     AntiAffinityConstraint,
+    Constraint,
     ConstraintSet,
     ConstraintViolationError,
     DelayBudgetConstraint,
@@ -42,10 +43,12 @@ from repro.faults.repair import RepairAction
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
 from repro.network.graph import Graph
+from repro.network.paths import Path
 from repro.service import protocol
 from repro.sfc.builder import DagSfcBuilder
 from repro.sfc.generator import generate_dag_sfc
 from repro.solvers import BbeEmbedder, MbbeEmbedder
+from repro.solvers.common import vnf_admit
 from repro.solvers.registry import make_solver
 from repro.wal import records as wal_records
 
@@ -108,6 +111,92 @@ class TestConstraintSet:
     def test_unpriced_set_reports_no_link_pricing(self):
         cset = ConstraintSet([AntiAffinityConstraint(spread=(1,))])
         assert not cset.prices_links
+
+
+@dataclasses.dataclass(frozen=True)
+class _BannedHosts(Constraint):
+    """Vetoes placements on a node set (no shipped plugin overrides
+    ``admit_placement``)."""
+
+    nodes: frozenset = frozenset()
+    kind = "banned-hosts"
+
+    def admit_placement(self, network, node, vnf_type):
+        return node not in self.nodes
+
+    def verify(self, network, embedding, flow):
+        pass
+
+    def spec(self):
+        return {"kind": self.kind, "nodes": sorted(self.nodes)}
+
+    @classmethod
+    def from_spec(cls, spec):
+        return cls(frozenset(spec["nodes"]))
+
+
+_HOOK_MEMBERS = st.lists(
+    st.sampled_from([
+        AntiAffinityConstraint(pairs=((1, 2),), spread=(3,)),
+        DelayBudgetConstraint(budget=2.0),
+        DelayBudgetConstraint(budget=9.0, lam=1.0),
+        ZonePricingConstraint(count=2, max_crossings=1),
+        ZonePricingConstraint(count=3, max_crossings=0),
+        _BannedHosts(frozenset({1, 4})),
+        _BannedHosts(frozenset({0})),
+    ]),
+    max_size=4,
+)
+
+
+class TestHookSkipping:
+    """The veto hooks ask only the members that override them; the verdicts
+    must equal the loop over every member."""
+
+    @given(members=_HOOK_MEMBERS, seed=st.integers(0, 1000), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_skipping_permissive_members_keeps_every_verdict(self, members, seed, data):
+        network = generate_network(
+            NetworkConfig(size=8, connectivity=3.0, n_vnf_types=4, deploy_ratio=0.7,
+                          vnf_capacity=2.0, link_capacity=2.0),
+            rng=seed,
+        )
+        cset = ConstraintSet(members)
+        assert cset.vetoes_placements == any(isinstance(c, _BannedHosts) for c in members)
+        assert cset.vetoes_counts == any(
+            isinstance(c, AntiAffinityConstraint) for c in members
+        )
+        assert cset.vetoes_paths == any(
+            not isinstance(c, (AntiAffinityConstraint, _BannedHosts)) for c in members
+        )
+        assert cset.link_vetoes == tuple(c for c in members if c.filters_links)
+        instances = [
+            (node, t)
+            for node in network.graph.nodes()
+            for t, _ in network.deployments.instances_at(node)
+        ]
+        counts = data.draw(st.dictionaries(st.sampled_from(instances), st.integers(0, 2)))
+        rate = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        admit = vnf_admit(network, counts, rate, cset)
+        for node, t in instances:
+            full = all(c.admit_placement(network, node, t) for c in members)
+            assert cset.admit_placement(network, node, t) == full
+            fits = (counts.get((node, t), 0) + 1) * rate <= (
+                network.deployments.instance(node, t).capacity + 1e-9
+            )
+            assert admit(node, t) == (fits and full)
+        assert cset.admit_counts(network, counts) == all(
+            c.admit_counts(network, counts) for c in members
+        )
+        nodes = list(network.graph.nodes())
+        for _ in range(5):
+            walk = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=6))
+            walk = [n for i, n in enumerate(walk) if i == 0 or n != walk[i - 1]]
+            path = Path(walk)
+            flow = FlowConfig(rate=rate)
+            assert cset.admit_path(network, flow, path) == all(
+                c.admit_path(network, flow, path) for c in members
+            )
 
 
 # ---------------------------------------------------------------------------

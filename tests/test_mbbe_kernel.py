@@ -31,7 +31,7 @@ from repro.constraints.registry import parse_constraint_args
 from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
 from repro.network.graph import Graph
-from repro.network.shortest import dijkstra
+from repro.network.shortest import SearchMemo, dijkstra
 from repro.sfc.generator import generate_dag_sfc
 from repro.solvers import mbbe as mbbe_module
 from repro.solvers.common import evaluate_layer_candidate
@@ -41,11 +41,12 @@ from repro.solvers.mbbe_s import MbbeSteinerEmbedder
 
 
 def oracle_pair(solver, route, network, flow, parent, l, layer, bst, merger_node, admit,
-                dij_start, link_f, scale, cset):
+                dij_start, link_f, cap, cset):
     """The full-materialisation loop: every feasible combo, product order.
 
     ``route`` is the sequential fallback router
-    (``MbbeEmbedder._route_combo_sequential``).
+    (``MbbeEmbedder._route_combo_sequential``); ``cap`` the candidate cap
+    of the round.
     """
     graph = network.graph
     phi = layer.phi
@@ -71,7 +72,7 @@ def oracle_pair(solver, route, network, flow, parent, l, layer, bst, merger_node
                 n,
             )
         )
-        candidates.append(nodes[: solver.candidate_cap * scale])
+        candidates.append(nodes[:cap])
     out = []
     combos = list(itertools.product(*candidates))
     for combo in combos:
@@ -161,6 +162,7 @@ class KernelCheck:
         self.route = MbbeEmbedder._route_combo_sequential
         self.evaluate = mbbe_module.evaluate_layer_candidate
         self.score = mbbe_module._score_combos
+        self.table = mbbe_module._pair_table
         #: per keyed pair: (combos, exact forced, noisy forced, noisy scored, priced)
         self.splits: list[tuple[Any, ...]] = []
         check = self
@@ -168,8 +170,8 @@ class KernelCheck:
         def expand_parent(solver, *args):
             return check.parent(solver, *args)
 
-        def pair_subsolutions(solver, *args, search, keep, built):
-            return check.pair(solver, args, search, keep, built)
+        def pair_subsolutions(solver, *args, keep, built):
+            return check.pair(solver, args, keep, built)
 
         def route(solver, *args):
             ss = check.route(solver, *args)
@@ -182,6 +184,17 @@ class KernelCheck:
         monkeypatch.setattr(MbbeEmbedder, "_route_combo_sequential", route)
         monkeypatch.setattr(mbbe_module, "evaluate_layer_candidate", self.evaluated)
         monkeypatch.setattr(mbbe_module, "_score_combos", self.scored)
+        monkeypatch.setattr(mbbe_module, "_pair_table", self.pair_table)
+
+    def pair_table(self, network, flow, layer, bst, merger_node, admit, dij_start, search,
+                   cap, cset):
+        """Build the pair's table, or under the oracle hand its raw inputs
+        through in its place, for :func:`oracle_pair`."""
+        if self.oracle:
+            return bst, admit, dij_start, cap
+        return self.table(
+            network, flow, layer, bst, merger_node, admit, dij_start, search, cap, cset
+        )
 
     def evaluated(self, network, flow, parent, l, layer, assignment, *args, **kwargs):
         """Log each evaluation's parallel placements and whether it built."""
@@ -198,21 +211,20 @@ class KernelCheck:
         def noisy(keyed):
             return [(k * (1 + (noise if i % 2 else -noise)), i) for k, i in keyed]
 
-        cset = args[9]
-        assert bound_forced == (not cset.prices_links)
         split = (noisy(forced), noisy(scored))
-        self.splits.append((args[6], forced, *split, not bound_forced))
+        self.splits.append((args[4].combos, forced, *split, not bound_forced))
         return split
 
     def parent(self, solver, network, flow, parent, l, layer, stats, scale, cset, memo):
         """Expand ``parent`` with the kernel, then with every pair built
         whole and a fresh memo; what the caller keeps must agree."""
         got = self.expand(solver, network, flow, parent, l, layer, stats, scale, cset, memo)
+        fresh = mbbe_module._RoundMemo(network, memo.weight)
+        fresh.searches = SearchMemo()  # never a view's shared searches
         self.oracle = True
         try:
             full = self.expand(
-                solver, network, flow, parent, l, layer, dict(stats), scale, cset,
-                mbbe_module._RoundMemo(network.graph, memo.weight),
+                solver, network, flow, parent, l, layer, dict(stats), scale, cset, fresh
             )
         finally:
             self.oracle = False
@@ -220,16 +232,20 @@ class KernelCheck:
         self.log.parents += 1
         return got
 
-    def pair(self, solver, args, search, keep, built):
-        *inputs, stats = args  # the oracle's inputs, then the embed stats
+    def pair(self, solver, args, keep, built):
+        network, flow, parent, l, layer, merger_node, table, link_f, cset, stats = args
         if self.oracle:
-            return oracle_pair(solver, self.route, *inputs)[0]
+            bst, admit, dij_start, cap = table
+            return oracle_pair(
+                solver, self.route, network, flow, parent, l, layer, bst, merger_node,
+                admit, dij_start, link_f, cap, cset,
+            )[0]
         log = self.log
         scored_before = stats["combos_scored"]
         built_before = stats["combos_materialised"]
         log.evaluated.clear()
         self.splits.clear()
-        got = self.kernel(solver, *args, search=search, keep=keep, built=built)
+        got = self.kernel(solver, *args, keep=keep, built=built)
         scored = stats["combos_scored"] - scored_before
         n_built = stats["combos_materialised"] - built_before
         log.pairs += 1
@@ -242,6 +258,7 @@ class KernelCheck:
         if not self.splits:
             return got  # no candidate for some position: an empty product
         (combos, exact_forced, forced, passing, priced), = self.splits
+        assert priced == cset.prices_links
         n_combos = len(combos)
         assert scored == n_combos
         log.scored_pairs += 1
@@ -252,8 +269,7 @@ class KernelCheck:
         failed = {combo for combo, ok in log.evaluated if not ok}
         log.scored_vetoed += sum(combos[idx] in failed for _, idx in passing)
 
-        parent = args[2]
-        phi = args[4].phi
+        phi = layer.phi
         bar = built[keep - 1] * (1.0 + mbbe_module._SCORE_BAND) if len(built) >= keep else None
         for key, idx in forced + passing:
             if combos[idx] not in evaluated:

@@ -9,6 +9,10 @@ checked here on random graphs, filters and weights:
   fresh ``dijkstra(targets=T2)`` on every node that fresh run settles;
 * two parents of one residual class get equal link-filter and ``admit``
   verdicts on every link and instance of the view.
+
+The round's forward rings are keyed by the whole class: a test pins that
+two parents differing only in a saturated counted instance get their own
+rings.
 """
 
 from __future__ import annotations
@@ -19,15 +23,20 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.config import NetworkConfig
+from repro.config import FlowConfig, NetworkConfig
+from repro.constraints import ConstraintSet
 from repro.constraints.registry import parse_constraint_args
+from repro.network.cloud import CloudNetwork
 from repro.network.generator import generate_network
 from repro.network.graph import Graph
 from repro.network.shortest import dijkstra
+from repro.sfc.builder import DagSfcBuilder
 from repro.solvers.bbe import _residual_link_filter
 from repro.solvers.common import vnf_admit
-from repro.solvers.mbbe import _residual_class
+from repro.solvers.mbbe import MbbeEmbedder, _residual_class, _RoundMemo
 from repro.solvers.subsolution import SubSolution
+
+from .conftest import build_line_graph
 
 
 @st.composite
@@ -129,3 +138,40 @@ def test_parents_of_one_class_get_equal_verdicts(seed, capacity, rate, constrain
     assume(class_a == class_b)
     assert links_a == links_b
     assert vnfs_a == vnfs_b
+
+
+def test_a_saturated_counted_instance_gets_its_own_forward_rings(monkeypatch):
+    # 0-1-2-3 with type 1 on nodes 1 and 3. One parent has used up the
+    # instance on node 1, the other has not: the same end node and link
+    # class, different instance classes, so the first must search on to
+    # node 3 while the second stops at node 1.
+    network = CloudNetwork(build_line_graph(4, price=1.0, capacity=10.0))
+    network.deploy(1, 1, price=1.0, capacity=1.0)
+    network.deploy(3, 1, price=1.0, capacity=2.0)
+    layer = DagSfcBuilder().single(1).build().layer(1)
+    fresh = SubSolution.root(0)
+    saturated = dataclasses.replace(fresh, vnf_counts={(1, 1): 1})
+
+    rings_seen = []
+    expand = MbbeEmbedder._expand_from_rings
+
+    def spy(solver, network, flow, parent, l, layer, rings, *args, **kwargs):
+        rings_seen.append(rings.node_set)
+        return expand(solver, network, flow, parent, l, layer, rings, *args, **kwargs)
+
+    monkeypatch.setattr(MbbeEmbedder, "_expand_from_rings", spy)
+    solver = MbbeEmbedder()
+
+    def expand_all(parents, memo):
+        rings_seen.clear()
+        stats = {"forward_expansions": 0, "combos_scored": 0, "combos_materialised": 0}
+        for parent in parents:
+            solver._expand_parent(
+                network, FlowConfig(), parent, 1, layer, stats, 1, ConstraintSet.EMPTY, memo
+            )
+        return list(rings_seen)
+
+    shared = expand_all([saturated, fresh], _RoundMemo(network, None))
+    alone = [expand_all([p], _RoundMemo(network, None))[0] for p in (saturated, fresh)]
+    assert alone[0] == frozenset({0, 1, 2, 3}) and alone[1] == frozenset({0, 1})
+    assert shared == alone

@@ -50,7 +50,7 @@ from repro.sfc.builder import DagSfcBuilder
 from repro.sfc.generator import generate_dag_sfc
 from repro.utils.rng import as_generator
 from repro.wal import records as wal_records
-from repro.wal.log import WalTail, chain_hash
+from repro.wal.log import WalRecord, WalTail, _decode_line, _encode_record, chain_hash
 from repro.wal.records import ledger_fingerprint
 
 from .conftest import build_line_graph
@@ -127,7 +127,42 @@ def recover(node: int) -> FaultEvent:
     return FaultEvent(time=0, action=FaultAction.RECOVER, target=FaultTarget.node(node))
 
 
+#: JSON-safe payload values: unicode text, floats of every magnitude, and
+#: nesting (the dumps sort nested keys too).
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+
+
 class TestWalLog:
+    @given(
+        record_type=st.text(min_size=1, max_size=10),
+        payload=st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=6),
+    )
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_buffered_line_is_the_canonical_encoding(self, tmp_path, record_type, payload):
+        # The writer splices the chain into the body dump instead of dumping
+        # the record a second time: the bytes must not change.
+        writer = WalWriter(str(tmp_path / "enc.wal"), header={"kind": "test-header"})
+        prev = writer.chain
+        seq = writer.append_record(record_type, payload)
+        line = writer._pending[-1]
+        assert line == _encode_record(
+            WalRecord(seq=seq, type=record_type, payload=payload, chain=writer.chain)
+        )
+        decoded = _decode_line(line, prev, seq)
+        assert decoded is not None and decoded.payload == payload
+        writer.abandon()
+
     def test_roundtrip_with_verified_chain(self, tmp_path):
         path = str(tmp_path / "shard.wal")
         writer = WalWriter(path, header={"kind": "test-header", "version": 1})
